@@ -61,8 +61,9 @@ class Graph:
         return len(self.adjacency[v]) + sum(1 for w in self.adjacency[v] if w == v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = min(u, v), max(u, v)
-        return (a, b) in self.edges if not self.multigraph else any(e == (a, b) for e in self.edges)
+        # O(deg u); a loop lists u in its own adjacency.  Out-of-range
+        # ids are simply absent, as they are from the edge list.
+        return 0 <= u < self.n and v in self.adjacency[u]
 
     def __repr__(self):
         kind = "Multigraph" if self.multigraph else "Graph"

@@ -63,14 +63,17 @@ def weak_reach_sets(
     _check_order(g, order)
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    rank = order.rank
+    rank = [0] * g.n
+    for i, v in enumerate(order.sequence):
+        rank[v] = i
     adj = g.adjacency
-    reach: List[set] = [set() for _ in range(g.n)]
+    reach: List[List[int]] = [[] for _ in range(g.n)]
     for u in range(g.n):
         # BFS from u confined to vertices ranked at or above u; every
-        # vertex met this way weakly reaches u.
+        # vertex met this way weakly reaches u.  Targets u are visited
+        # in ascending id, so each reach list is built already sorted.
         base = rank[u]
-        dist = {u: 0}
+        seen = {u}
         frontier = [u]
         depth = 0
         while frontier and depth < r:
@@ -78,13 +81,13 @@ def weak_reach_sets(
             nxt = []
             for v in frontier:
                 for w in adj[v]:
-                    if w not in dist and rank[w] >= base:
-                        dist[w] = depth
+                    if w not in seen and rank[w] >= base:
+                        seen.add(w)
                         nxt.append(w)
             frontier = nxt
-        for v in dist:
-            reach[v].add(u)
-    return tuple(tuple(sorted(s)) for s in reach)
+        for v in seen:
+            reach[v].append(u)
+    return tuple(tuple(s) for s in reach)
 
 
 def wcol_given_order(
@@ -101,20 +104,33 @@ def order_heuristic(g: Graph, r: int = 1) -> VertexOrder:
     id on ties) and place them from the back, so low-degree vertices
     end up late and their back-connections stay sparse.
 
+    The result is the (degree, id)-minimal peel: each step removes the
+    live vertex with the smallest (degree, id), where a loop counts 2
+    and never decreases, and each parallel copy to a removed vertex
+    decreases the degree by one.  A lazy-deletion heap finds that
+    vertex in O((n+m) log n) total.
+
     The radius argument is accepted for interface uniformity; the
     peeling strategy itself is radius-free.
     """
-    degree = {v: g.degree(v) for v in range(g.n)}
-    alive = set(degree)
+    degree = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
     adj = g.adjacency
+    # Degrees only fall, so an entry whose degree is stale is larger
+    # than the live one and is skipped when it surfaces.
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
     peel = []
-    while alive:
-        v = min(alive, key=lambda u: (degree[u], u))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != degree[v]:
+            continue
         peel.append(v)
-        alive.remove(v)
+        alive[v] = False
         for w in adj[v]:
-            if w in alive:
+            if alive[w]:
                 degree[w] -= 1
+                heapq.heappush(heap, (degree[w], w))
     return VertexOrder(tuple(reversed(peel)))
 
 
@@ -173,6 +189,16 @@ def dual_witness(
     members = vset(a, g)
     if order is None:
         order = order_heuristic(g)
+    _, dominating, witness = _reach_scan(g, members, r, order)
+    return dominating, witness
+
+
+def _reach_scan(
+    g: Graph, members: Tuple[int, ...], r: int, order: VertexOrder
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """The scan behind dual_witness, also returning the order's weak
+    coloring number at 2r+1 so callers that need it build the reach
+    sets only once."""
     reach = weak_reach_sets(g, order, 2 * r + 1)
     wide = max((len(s) for s in reach), default=0)
     independent: List[int] = []
@@ -189,7 +215,7 @@ def dual_witness(
         raise RuntimeError("internal: reach union fails to dominate")
     if len(dominating) > wide * len(witness):
         raise RuntimeError("internal: size bound violated")
-    return dominating, witness
+    return wide, dominating, witness
 
 
 def harmonic(n: int) -> Fraction:
@@ -233,8 +259,7 @@ def duality_report(
     if order is None:
         order = order_heuristic(g)
     dominating = greedy_ball_cover(g, members, r)
-    _, witness = dual_witness(g, members, r, order)
-    wide, _ = wcol_given_order(g, order, 2 * r + 1)
+    wide, _, witness = _reach_scan(g, members, r, order)
     bound = harmonic(len(members))
     lp_value: Optional[Fraction] = None
     if include_lp:

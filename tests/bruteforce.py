@@ -164,6 +164,23 @@ def weak_reach(g, sequence: Sequence[int], r: int) -> List[set]:
     return reach
 
 
+def degeneracy_order(g) -> Tuple[int, ...]:
+    """The (degree, id)-minimal peel by a full min-scan per step
+    (quadratic), reversed so the first-peeled vertex comes last."""
+    degree = {v: g.degree(v) for v in range(g.n)}
+    alive = set(degree)
+    adj = g.adjacency
+    peel = []
+    while alive:
+        v = min(alive, key=lambda u: (degree[u], u))
+        peel.append(v)
+        alive.remove(v)
+        for w in adj[v]:
+            if w in alive:
+                degree[w] -= 1
+    return tuple(reversed(peel))
+
+
 def shattered_exactly(sets: Sequence[frozenset], x: Tuple[int, ...]) -> bool:
     traces = {frozenset(x) & s for s in sets}
     return len(traces) == 2 ** len(x)

@@ -58,6 +58,13 @@ class TestConstruction:
         g = Graph(3, [(0, 1)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
+        g = Graph(4, [(0, 1), (1, 0), (2, 2), (1, 2)], multigraph=True)
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)  # parallel pair
+        assert g.has_edge(2, 2)  # loop
+        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        assert not g.has_edge(0, 0) and not g.has_edge(0, 2)
+        assert not g.has_edge(3, 3) and not g.has_edge(0, 3)
+        assert not g.has_edge(0, 4) and not g.has_edge(-1, 0)
 
 
 class TestVset:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import corpus
@@ -93,6 +95,8 @@ class TestWeakReach:
                 want = bruteforce.weak_reach(g, seq, r)
                 got = weak_reach_sets(g, order, r)
                 assert [set(s) for s in got] == want, (n, m, r, seq)
+                for v in range(n):
+                    assert got[v] == tuple(sorted(got[v])), (n, m, r, seq, v)
 
     def test_monotone_in_radius(self):
         for name, g in corpus.small_corpus():
@@ -121,6 +125,37 @@ class TestOrderHeuristic:
         for name, g in corpus.small_corpus():
             order = order_heuristic(g)
             assert sorted(order.sequence) == list(range(g.n)), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_min_scan_peel_on_simple_graphs(self, data):
+        n = data.draw(st.integers(0, 24), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = []
+        if pairs:
+            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+        # trailing isolated vertices
+        extra = data.draw(st.integers(0, 4), label="extra")
+        g = Graph(n + extra, edges)
+        assert order_heuristic(g).sequence == bruteforce.degeneracy_order(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_min_scan_peel_on_multigraphs(self, data):
+        # loops and parallel edges: a loop counts 2 toward the degree,
+        # each parallel copy is one decrement when its other end peels
+        n = data.draw(st.integers(1, 16), label="n")
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40), label="edges")
+        g = Graph(n, edges, multigraph=True)
+        assert order_heuristic(g).sequence == bruteforce.degeneracy_order(g)
+
+    def test_empty_and_edgeless_graphs(self):
+        assert order_heuristic(Graph(0)).sequence == ()
+        # all degrees tie at 0: peeled by id, so placed in reverse
+        assert order_heuristic(Graph(4)).sequence == (3, 2, 1, 0)
+        g = Graph(6, [(1, 4)])
+        assert order_heuristic(g).sequence == bruteforce.degeneracy_order(g)
 
 
 class TestGreedyBallCover:
