@@ -61,7 +61,6 @@ from .oracle import (
     find_clique_minor,
     independence_number,
     lp_domination,
-    lp_packing,
 )
 from .uqw import find_uqw
 from .wcol import duality_report
@@ -312,7 +311,7 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
         return {"value": value, "witness": list(witness)}
     if problem == "lp":
         cover = lp_domination(g, members, r)
-        packing = lp_packing(g, members, r)
+        packing = cover.dual
         return {
             "cover_optimum": _rat(cover.value),
             "packing_optimum": _rat(packing.value),
@@ -560,7 +559,7 @@ def _bench_row(row: dict) -> Dict[str, str]:
                 out["lp_value"] = _rat(rep.lp_value)
         elif task == "lp":
             cover = lp_domination(g, members, r)
-            packing = lp_packing(g, members, r)
+            packing = cover.dual
             out["outcome"] = (
                 "equal" if cover.value == packing.value else "gap"
             )

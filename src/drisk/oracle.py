@@ -32,17 +32,15 @@ class OracleLimitError(Exception):
 def _max_clique(n: int, adj: List[int]) -> Tuple[int, int]:
     """Maximum clique on a bitmask adjacency; returns (size, mask).
 
-    Branch and bound with a greedy coloring bound; deterministic.
+    Branch and bound with a greedy coloring bound; deterministic.  The
+    search keeps its own stack of frames, so its depth (the size of the
+    clique under construction) is not limited by Python's recursion limit.
     """
     best_size = 0
     best_mask = 0
 
-    def expand(rsize, rmask, cand):
-        nonlocal best_size, best_mask
-        if not cand:
-            if rsize > best_size:
-                best_size, best_mask = rsize, rmask
-            return
+    def colored(rsize, rmask, cand):
+        # greedy coloring: branch on vertices from the last color class down
         order = []
         bound = []
         color = 0
@@ -58,14 +56,23 @@ def _max_clique(n: int, adj: List[int]) -> Tuple[int, int]:
                 rest ^= b
                 order.append(v)
                 bound.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if rsize + bound[i] <= best_size:
-                return
-            v = order[i]
-            expand(rsize + 1, rmask | (1 << v), cand & adj[v])
-            cand &= ~(1 << v)
+        return [rsize, rmask, cand, order, bound, len(order) - 1]
 
-    expand(0, 0, (1 << n) - 1 if n else 0)
+    stack = [colored(0, 0, (1 << n) - 1)] if n else []
+    while stack:
+        frame = stack[-1]
+        rsize, rmask, cand, order, bound, i = frame
+        if i < 0 or rsize + bound[i] <= best_size:
+            stack.pop()
+            continue
+        v = order[i]
+        frame[2] = cand & ~(1 << v)
+        frame[5] = i - 1
+        sub = cand & adj[v]
+        if sub:
+            stack.append(colored(rsize + 1, rmask | (1 << v), sub))
+        elif rsize + 1 > best_size:
+            best_size, best_mask = rsize + 1, rmask | (1 << v)
     return best_size, best_mask
 
 
@@ -170,24 +177,35 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Exact optimum of one relaxation: total value plus per-vertex weights."""
+    """Exact optimum of one relaxation: total value plus per-vertex weights.
+
+    `dual`, when set, is the optimum of the other relaxation, read from the
+    same solve's row duals and audited on its own."""
 
     value: Fraction
     weights: Dict[int, Fraction]
+    dual: Optional["LpSolution"] = None
 
 
 def lp_domination(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     """Fractional covering optimum: nonnegative weights on all of V, each
-    member of a must see total weight >= 1 inside its r-ball."""
+    member of a must see total weight >= 1 inside its r-ball.
+
+    Its `dual` is the fractional packing optimum (see lp_packing), read from
+    the covering solve's row duals.  Both weight vectors are audited for
+    feasibility and for equal totals, which by weak duality certifies that
+    each is optimal."""
     members = vset(a, g)
     if not members:
-        return LpSolution(F0, {v: F0 for v in range(g.n)})
+        return LpSolution(F0, {v: F0 for v in range(g.n)}, LpSolution(F0, {}))
     balls = {u: distances_from(g, u, r) for u in members}
     rows = [[F1 if v in balls[u] else F0 for v in range(g.n)] for u in members]
     res = solve_min([F1] * g.n, rows, [F1] * len(rows))
     weights = {v: res.x[v] for v in range(g.n)}
     _audit_cover(balls, weights, res.value)
-    return LpSolution(res.value, weights)
+    packing = dict(zip(members, res.y))
+    _audit_packing(g.n, balls, packing, res.value)
+    return LpSolution(res.value, weights, LpSolution(res.value, packing))
 
 
 def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
@@ -229,6 +247,21 @@ def _audit_cover(balls, weights, value):
     for u, near in balls.items():
         if sum(weights[v] for v in near) < 1:
             raise RuntimeError("internal: covering constraint violated")
+
+
+def _audit_packing(n, balls, weights, value):
+    if any(w < 0 for w in weights.values()):
+        raise RuntimeError("internal: negative packing weight")
+    if sum(weights.values(), F0) != value:
+        raise RuntimeError("internal: packing value differs from the cover value")
+    load = [F0] * n
+    for u, near in balls.items():
+        w = weights[u]
+        if w:
+            for v in near:
+                load[v] += w
+    if any(x > 1 for x in load):
+        raise RuntimeError("internal: packing constraint violated")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 """Exact-arithmetic simplex over the rationals.
 
-Two-phase dense tableau with Bland's anti-cycling rule: entering variable
+Two-phase tableau with Bland's anti-cycling rule: entering variable
 is the smallest index with a positive reduced cost, leaving row breaks
 ratio ties by the smallest basic variable.  That rule is slow in theory
 but terminates unconditionally, and exactness matters more than pivot
 count at the sizes this package solves.
 
+The tableau is stored as dense rows of `Fraction`s, but a pivot is sparse:
+it collects the pivot row's nonzero entries once and updates only those
+columns, in place, in every row (and the cost row) with a nonzero entry in
+the pivot column.  A zero entry b of the pivot row leaves a - f*b == a, so
+the pivot sequence and every value match a full dense update.
+
 Conventions: maximize c.x subject to A.x <= b, x >= 0, where b may be
 negative (phase 1 introduces artificials for those rows).  Minimization
 over >= rows is handled by negating through solve_min.
+
+The optimum carries the row duals y, read from the final cost row: the
+reduced cost of row i's slack column is -y_i.  They solve the dual LP
+(minimize y.b subject to y.A >= c, y >= 0) with y.b equal to the optimum,
+so one solve answers both sides of the duality.
 """
 
 from __future__ import annotations
@@ -35,29 +46,39 @@ class SimplexStall(Exception):
 
 @dataclass(frozen=True)
 class LpOptimum:
+    """Optimal value, a primal optimum x, and the row duals y of the
+    same basis (one per constraint row, in input order)."""
+
     value: Fraction
     x: Tuple[Fraction, ...]
+    y: Tuple[Fraction, ...]
 
 
 _MAX_PIVOTS = 200_000
 
 
+def _eliminate(line: List[Fraction], f: Fraction, nz) -> None:
+    for j, b in nz:
+        line[j] -= f * b
+
+
 def _pivot(tableau: List[List[Fraction]], cost: List[Fraction], basis: List[int], row: int, col: int) -> None:
     prow = tableau[row]
     piv = prow[col]
+    nz = [(j, a) for j, a in enumerate(prow) if a]
     if piv != F1:
-        inv = F1 / piv
-        prow = [a * inv for a in prow]
-        tableau[row] = prow
+        nz = [(j, a / piv) for j, a in nz]
+        for j, a in nz:
+            prow[j] = a
     for i, other in enumerate(tableau):
         if i == row:
             continue
         f = other[col]
         if f:
-            tableau[i] = [a - f * b for a, b in zip(other, prow)]
+            _eliminate(other, f, nz)
     f = cost[col]
     if f:
-        cost[:] = [a - f * b for a, b in zip(cost, prow)]
+        _eliminate(cost, f, nz)
     basis[row] = col
 
 
@@ -87,7 +108,9 @@ def _bland_loop(tableau, cost, basis, ncols) -> None:
 
 
 def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum:
-    """Maximize c.x subject to rows.x <= rhs, x >= 0 (exact rationals)."""
+    """Maximize c.x subject to rows.x <= rhs, x >= 0 (exact rationals).
+
+    The returned y satisfies y >= 0, y.rows >= c and y.rhs == value."""
     nvars = len(c)
     m = len(rows)
     c = [Fraction(v) for v in c]
@@ -112,6 +135,8 @@ def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum
             b = -b
         line = [sign * v for v in coeffs]
         line.extend(F0 for _ in range(nslack + nart))
+        # the slack column keeps the row's sign, so -cost of it is the
+        # dual of the row as given, not of its negation
         line[nvars + i] = sign
         if i in art_col:
             line[art_col[i]] = F1
@@ -131,21 +156,14 @@ def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum
         _bland_loop(tableau, cost, basis, ncols)
         if cost[-1] != 0:
             raise LpInfeasible
-        # drive surviving artificials out of the basis, drop redundant rows
-        keep = []
-        for i in range(len(tableau)):
-            if basis[i] < nvars + nslack:
-                keep.append(i)
-                continue
-            piv_col = next(
-                (j for j in range(nvars + nslack) if tableau[i][j] != 0), None
-            )
-            if piv_col is None:
-                continue  # all-zero row: redundant constraint
-            _pivot(tableau, cost, basis, i, piv_col)
-            keep.append(i)
-        tableau = [tableau[i] for i in keep]
-        basis = [basis[i] for i in keep]
+        # Drive the artificials left basic (at level 0) out of the basis.
+        # Each row has its own slack column, so the tableau's slack block
+        # is B^-1 diag(sign), an invertible matrix: every row has a nonzero
+        # x or slack entry to pivot on, and no row is ever redundant.
+        for i, bi in enumerate(basis):
+            if bi >= nvars + nslack:
+                piv_col = next(j for j in range(nvars + nslack) if tableau[i][j])
+                _pivot(tableau, cost, basis, i, piv_col)
         tableau = [row[: nvars + nslack] + row[-1:] for row in tableau]
         ncols = nvars + nslack
 
@@ -154,20 +172,23 @@ def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum
     for i, bi in enumerate(basis):
         f = cost[bi]
         if f:
-            cost[:] = [a - f * b for a, b in zip(cost, tableau[i])]
+            _eliminate(cost, f, [(j, a) for j, a in enumerate(tableau[i]) if a])
     _bland_loop(tableau, cost, basis, ncols)
 
     x = [F0] * nvars
     for i, bi in enumerate(basis):
         if bi < nvars:
             x[bi] = tableau[i][-1]
-    return LpOptimum(-cost[-1], tuple(x))
+    y = tuple(-cost[nvars + i] for i in range(m))
+    return LpOptimum(-cost[-1], tuple(x), y)
 
 
 def solve_min(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum:
-    """Minimize c.x subject to rows.x >= rhs, x >= 0 (exact rationals)."""
+    """Minimize c.x subject to rows.x >= rhs, x >= 0 (exact rationals).
+
+    The returned y satisfies y >= 0, y.rows <= c and y.rhs == value."""
     neg_rows = [[-Fraction(v) for v in row] for row in rows]
     neg_rhs = [-Fraction(v) for v in rhs]
     neg_c = [-Fraction(v) for v in c]
     res = solve_max(neg_c, neg_rows, neg_rhs)
-    return LpOptimum(-res.value, res.x)
+    return LpOptimum(-res.value, res.x, res.y)

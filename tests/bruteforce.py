@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from drisk.simplex import LpInfeasible, LpUnbounded, SimplexStall
+
 INF = math.inf
 
 
@@ -239,3 +241,173 @@ def lp_cover_float(g, a: Iterable[int], r: int) -> float:
 
 def harmonic_float(n: int) -> float:
     return sum(1.0 / i for i in range(1, n + 1))
+
+
+def max_clique_recursive(n: int, adj: List[int]) -> Tuple[int, int]:
+    """The recursive branch and bound that `oracle._max_clique` replaced
+    with an explicit stack, kept verbatim: (size, mask) of a maximum
+    clique on a bitmask adjacency."""
+    best_size = 0
+    best_mask = 0
+
+    def expand(rsize, rmask, cand):
+        nonlocal best_size, best_mask
+        if not cand:
+            if rsize > best_size:
+                best_size, best_mask = rsize, rmask
+            return
+        order = []
+        bound = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            q = rest
+            while q:
+                b = q & -q
+                v = b.bit_length() - 1
+                q ^= b
+                q &= ~adj[v]
+                rest ^= b
+                order.append(v)
+                bound.append(color)
+        for i in range(len(order) - 1, -1, -1):
+            if rsize + bound[i] <= best_size:
+                return
+            v = order[i]
+            expand(rsize + 1, rmask | (1 << v), cand & adj[v])
+            cand &= ~(1 << v)
+
+    expand(0, 0, (1 << n) - 1 if n else 0)
+    return best_size, best_mask
+
+
+# The dense-update simplex that the sparse pivot in `drisk.simplex`
+# replaced, kept verbatim (it returns (value, x) instead of an LpOptimum).
+# It raises drisk's own exception types, so the two can be compared.
+
+F0 = Fraction(0)
+F1 = Fraction(1)
+_MAX_PIVOTS = 200_000
+
+
+def _dense_pivot(tableau: List[List[Fraction]], cost: List[Fraction], basis: List[int], row: int, col: int) -> None:
+    prow = tableau[row]
+    piv = prow[col]
+    if piv != F1:
+        inv = F1 / piv
+        prow = [a * inv for a in prow]
+        tableau[row] = prow
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        f = other[col]
+        if f:
+            tableau[i] = [a - f * b for a, b in zip(other, prow)]
+    f = cost[col]
+    if f:
+        cost[:] = [a - f * b for a, b in zip(cost, prow)]
+    basis[row] = col
+
+
+def _dense_bland_loop(tableau, cost, basis, ncols) -> None:
+    for _ in range(_MAX_PIVOTS):
+        col = -1
+        for j in range(ncols):
+            if cost[j] > 0:
+                col = j
+                break
+        if col < 0:
+            return
+        row = -1
+        best = None
+        for i, trow in enumerate(tableau):
+            a = trow[col]
+            if a > 0:
+                ratio = trow[-1] / a
+                key = (ratio, basis[i])
+                if best is None or key < best:
+                    best = key
+                    row = i
+        if row < 0:
+            raise LpUnbounded
+        _dense_pivot(tableau, cost, basis, row, col)
+    raise SimplexStall("pivot budget exhausted")
+
+
+def dense_solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+    """Maximize c.x subject to rows.x <= rhs, x >= 0 (exact rationals)."""
+    nvars = len(c)
+    m = len(rows)
+    c = [Fraction(v) for v in c]
+    nslack = m
+    art_rows = [i for i in range(m) if Fraction(rhs[i]) < 0]
+    nart = len(art_rows)
+    ncols = nvars + nslack + nart
+    art_col = {}
+    for k, i in enumerate(art_rows):
+        art_col[i] = nvars + nslack + k
+
+    tableau: List[List[Fraction]] = []
+    basis: List[int] = []
+    for i in range(m):
+        b = Fraction(rhs[i])
+        coeffs = [Fraction(v) for v in rows[i]]
+        if len(coeffs) != nvars:
+            raise ValueError("row length does not match objective length")
+        sign = F1
+        if b < 0:
+            sign = -F1
+            b = -b
+        line = [sign * v for v in coeffs]
+        line.extend(F0 for _ in range(nslack + nart))
+        line[nvars + i] = sign
+        if i in art_col:
+            line[art_col[i]] = F1
+            basis.append(art_col[i])
+        else:
+            basis.append(nvars + i)
+        line.append(b)
+        tableau.append(line)
+
+    if nart:
+        # phase 1: maximize -sum(artificials); price out the artificial basis
+        cost = [F0] * (ncols + 1)
+        for i in art_rows:
+            cost = [a + b for a, b in zip(cost, tableau[i])]
+        for k in range(nart):
+            cost[nvars + nslack + k] = F0
+        _dense_bland_loop(tableau, cost, basis, ncols)
+        if cost[-1] != 0:
+            raise LpInfeasible
+        # drive surviving artificials out of the basis, drop redundant rows
+        keep = []
+        for i in range(len(tableau)):
+            if basis[i] < nvars + nslack:
+                keep.append(i)
+                continue
+            piv_col = next(
+                (j for j in range(nvars + nslack) if tableau[i][j] != 0), None
+            )
+            if piv_col is None:
+                continue  # all-zero row: redundant constraint
+            _dense_pivot(tableau, cost, basis, i, piv_col)
+            keep.append(i)
+        tableau = [tableau[i] for i in keep]
+        basis = [basis[i] for i in keep]
+        tableau = [row[: nvars + nslack] + row[-1:] for row in tableau]
+        ncols = nvars + nslack
+
+    cost = [F0] * (ncols + 1)
+    cost[:nvars] = list(c)
+    for i, bi in enumerate(basis):
+        f = cost[bi]
+        if f:
+            cost[:] = [a - f * b for a, b in zip(cost, tableau[i])]
+    _dense_bland_loop(tableau, cost, basis, ncols)
+
+    x = [F0] * nvars
+    for i, bi in enumerate(basis):
+        if bi < nvars:
+            x[bi] = tableau[i][-1]
+    return -cost[-1], tuple(x)

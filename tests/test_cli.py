@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import corpus
+import drisk.oracle
 from drisk.cli import main
 from drisk.graphio import read_edge_list, read_vertex_set, write_edge_list, write_vertex_set
+from drisk.oracle import lp_domination, lp_packing
 
 
 def run(capsys, *argv):
@@ -23,6 +25,28 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, (json.loads(out) if out else None)
+
+
+def count_simplex_solves(monkeypatch):
+    """Count every simplex solve the oracles start (solve_min calls
+    solve_max inside the simplex module, which is not counted twice)."""
+    calls = []
+    for name in ("solve_min", "solve_max"):
+        solver = getattr(drisk.oracle, name)
+
+        def counted(*args, solver=solver):
+            calls.append(solver.__name__)
+            return solver(*args)
+
+        monkeypatch.setattr(drisk.oracle, name, counted)
+    return calls
+
+
+def two_solve_lp(g, r):
+    """The lp report's outputs as given by separate cover and packing solves."""
+    cover = lp_domination(g, range(g.n), r).value
+    packing = lp_packing(g, range(g.n), r).value
+    return cover, packing
 
 
 @pytest.fixture
@@ -164,6 +188,29 @@ class TestSolve:
         assert rep["outputs"]["packing_optimum"] == "4/3"
         assert rep["outputs"]["duality_gap_zero"] is True
 
+    def test_lp_is_one_solve_matching_two_solves_on_corpus(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        graphs = corpus.small_corpus()
+        expected = {(name, r): two_solve_lp(g, r) for name, g in graphs for r in (1, 2)}
+        calls = count_simplex_solves(monkeypatch)
+        for name, g in graphs:
+            g_path = tmp_path / f"{name}.gr"
+            write_edge_list(g, str(g_path))
+            for r in (1, 2):
+                del calls[:]
+                code, rep = run_json(
+                    capsys, "solve", "lp", "--input", str(g_path), "--r", str(r)
+                )
+                assert code == 0
+                assert calls == ["solve_min"], (name, r)
+                cover, packing = expected[name, r]
+                assert rep["outputs"] == {
+                    "cover_optimum": f"{cover.numerator}/{cover.denominator}",
+                    "packing_optimum": f"{packing.numerator}/{packing.denominator}",
+                    "duality_gap_zero": cover == packing,
+                }, (name, r)
+
     def test_vc2(self, path10, capsys):
         code, rep = run_json(
             capsys, "solve", "vc2", "--input", path10, "--r", "1"
@@ -237,6 +284,18 @@ class TestSolve:
         )
         assert code == 0
         assert rep["wall_time_s"] >= 0
+
+    def test_alpha_on_long_path_needs_no_deep_recursion(self, tmp_path, capsys):
+        # alpha = 1200 needs a search 1200 levels deep, past the default
+        # recursion limit of 1000
+        g_path = tmp_path / "p2400.gr"
+        run(capsys, "gen", "path", "--n", "2400", "--out", str(g_path))
+        code, rep = run_json(
+            capsys, "solve", "alpha", "--input", str(g_path), "--r", "1",
+            "--limit", "2400",
+        )
+        assert code == 0
+        assert rep["outputs"]["value"] == 1200
 
     def test_oracle_refusal_exits_two(self, tmp_path, capsys):
         big = tmp_path / "p50.gr"
@@ -414,6 +473,32 @@ class TestBench:
         assert rows[2]["outcome"] == "equal"
         assert rows[3]["error"].startswith("GraphError")
         assert all(float(row["seconds"]) >= 0 for row in rows)
+
+    def test_lp_rows_are_one_solve_matching_two_solves_on_corpus(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        graphs = corpus.small_corpus()
+        rows, expected = [], {}
+        for name, g in graphs:
+            g_path = tmp_path / f"{name}.gr"
+            write_edge_list(g, str(g_path))
+            for r in (1, 2):
+                rows.append({"name": f"{name}-r{r}", "input": str(g_path),
+                             "task": "lp", "r": r})
+                expected[f"{name}-r{r}"] = two_solve_lp(g, r)
+        man_path = tmp_path / "manifest.json"
+        man_path.write_text(json.dumps(rows))
+        calls = count_simplex_solves(monkeypatch)
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        assert calls == ["solve_min"] * len(rows)
+        got = list(csv.DictReader(io.StringIO(out)))
+        assert [row["name"] for row in got] == [row["name"] for row in rows]
+        for row in got:
+            cover, packing = expected[row["name"]]
+            assert row["outcome"] == ("equal" if cover == packing else "gap")
+            assert row["lp_value"] == f"{cover.numerator}/{cover.denominator}"
+            assert row["error"] == ""
 
     def test_graph_rows_can_point_at_files(self, path10, tmp_path, capsys):
         manifest = [{"name": "file-row", "input": path10, "task": "kernel",

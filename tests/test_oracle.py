@@ -4,6 +4,8 @@ their linear relaxations, and depth-bounded clique-minor search."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import corpus
@@ -20,7 +22,10 @@ from drisk.graph import (
     is_distance_independent,
 )
 from drisk.oracle import (
+    LpSolution,
     MinorModel,
+    _audit_packing,
+    _max_clique,
     OracleLimitError,
     domination_number,
     find_clique_minor,
@@ -62,6 +67,20 @@ class TestIndependenceNumber:
         g = path_graph(12)
         with pytest.raises(OracleLimitError):
             independence_number(g, range(12), 1, limit=11)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_clique_search_matches_recursive_version(self, data):
+        n = data.draw(st.integers(0, 30), label="n")
+        density = data.draw(st.integers(0, 10), label="density")
+        rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rnd.randrange(10) < density:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        assert _max_clique(n, adj) == bruteforce.max_clique_recursive(n, adj)
 
 
 class TestDominationNumber:
@@ -108,6 +127,36 @@ class TestLinearRelaxations:
                     cover = lp_domination(g, a, r)
                     packing = lp_packing(g, a, r)
                     assert cover.value == packing.value, (name, r)
+                    assert cover.dual.value == packing.value, (name, r)
+
+    def test_cover_duals_are_a_feasible_packing_on_corpus(self):
+        # checked against the reference distances, not the oracle's BFS
+        for name, g in corpus.small_corpus():
+            dm = bruteforce.dist_matrix(g)
+            for a in member_sets(g):
+                for r in (1, 2):
+                    cover = lp_domination(g, a, r)
+                    weights = cover.dual.weights
+                    assert set(weights) == set(a), (name, r)
+                    assert all(w >= 0 for w in weights.values()), (name, r)
+                    assert sum(weights.values()) == cover.value, (name, r)
+                    for v in range(g.n):
+                        load = sum(w for u, w in weights.items()
+                                   if dm[v].get(u, bruteforce.INF) <= r)
+                        assert load <= 1, (name, r, v)
+
+    def test_packing_audit_rejects_bad_duals(self):
+        # path 0-1-2, members {0, 2}, r = 1: optimum 1, e.g. weights 1/2, 1/2
+        balls = {0: {0: 0, 1: 1}, 2: {2: 0, 1: 1}}
+        half = Fraction(1, 2)
+        _audit_packing(3, balls, {0: half, 2: half}, Fraction(1))
+        for weights, value in (
+            ({0: Fraction(3, 2), 2: Fraction(-1, 2)}, Fraction(1)),  # negative
+            ({0: Fraction(1), 2: Fraction(1)}, Fraction(2)),  # vertex 1 loaded 2
+            ({0: half, 2: half}, Fraction(3, 2)),  # total differs from the cover
+        ):
+            with pytest.raises(RuntimeError):
+                _audit_packing(3, balls, weights, value)
 
     def test_sandwich_between_integral_optima(self):
         for name, g in corpus.small_corpus():
@@ -142,6 +191,7 @@ class TestLinearRelaxations:
     def test_empty_member_set(self):
         g = path_graph(3)
         assert lp_domination(g, [], 2).value == 0
+        assert lp_domination(g, [], 2).dual == LpSolution(0, {})
         assert lp_packing(g, [], 2).value == 0
 
 
