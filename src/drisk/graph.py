@@ -116,11 +116,25 @@ def distances_from(g: Graph, source: int, cutoff: Optional[int] = None) -> Dict[
     return dist
 
 
-def multi_source_distances(g: Graph, sources: Iterable[int], cutoff: Optional[int] = None) -> Dict[int, int]:
-    """BFS distances to the nearest of several sources."""
+def multi_source_distances(
+    g: Graph,
+    sources: Iterable[int],
+    cutoff: Optional[int] = None,
+    blocked: Optional[Iterable[int]] = None,
+) -> Dict[int, int]:
+    """BFS distances to the nearest of several sources.
+
+    With blocked, distances are taken in g minus those vertices, as in
+    the induced subgraph on the rest: blocked sources are dropped and no
+    path enters a blocked vertex.
+    """
     adj = g.adjacency
-    dist = {s: 0 for s in sources}
+    # Blocked vertices are marked as seen, so the search never enters
+    # them, and dropped from the result at the end.
+    hidden = set(blocked) if blocked is not None else ()
+    dist = {s: 0 for s in sources if s not in hidden}
     frontier = list(dist)
+    dist.update(dict.fromkeys(hidden, -1))
     d = 0
     while frontier and (cutoff is None or d < cutoff):
         d += 1
@@ -131,6 +145,8 @@ def multi_source_distances(g: Graph, sources: Iterable[int], cutoff: Optional[in
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
+    for v in hidden:
+        del dist[v]
     return dist
 
 
@@ -152,12 +168,19 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]
     return Graph(len(keep), edges, multigraph=g.multigraph), idmap
 
 
-def is_distance_independent(g: Graph, s: Iterable[int], r: int) -> bool:
-    """True iff the members of s are pairwise more than r apart in g."""
+def is_distance_independent(
+    g: Graph, s: Iterable[int], r: int, blocked: Optional[Iterable[int]] = None
+) -> bool:
+    """True iff the members of s are pairwise more than r apart in g, or
+    in g minus the blocked vertices when those are given."""
     members = vset(s, g)
     mem = set(members)
+    hidden = set(blocked) if blocked is not None else None
     for u in members:
-        near = distances_from(g, u, r)
+        if hidden is None:
+            near = distances_from(g, u, r)
+        else:
+            near = multi_source_distances(g, (u,), r, hidden)
         for w, dw in near.items():
             if w != u and w in mem and dw <= r:
                 return False

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .graph import (
     AnnotatedInstance,
     Graph,
     GraphError,
-    induced_subgraph,
     is_distance_dominating,
     is_distance_independent,
     multi_source_distances,
@@ -79,12 +78,7 @@ def check_certificate(
     lp = set(cert.l_prime)
     if not lp or not lp <= members - set(cert.s):
         return "subset"
-    removed = set(cert.s)
-    keep = [v for v in range(g.n) if v not in removed]
-    sub, idmap = induced_subgraph(g, keep)
-    alive_z = [idmap[v] for v in cert.z if v not in removed]
-    near = multi_source_distances(sub, alive_z, 2 * cert.r)
-    if any(idmap[x] in near for x in cert.l_prime):
+    if _far_members(g, cert.l_prime, cert.z, cert.s, cert.r) != cert.l_prime:
         return "far"
     if cert.s:
         keys = {profile(g, x, cert.s, cert.r).key() for x in cert.l_prime}
@@ -92,9 +86,7 @@ def check_certificate(
             return "profile"
     if len(cert.l_prime) < len(cert.s) + 2:
         return "size"
-    if not is_distance_independent(
-        sub, [idmap[x] for x in cert.l_prime], 4 * cert.r
-    ):
+    if not is_distance_independent(g, cert.l_prime, 4 * cert.r, blocked=cert.s):
         return "scattered"
     return None
 
@@ -130,16 +122,10 @@ RemovalLog = Tuple[Tuple[int, IrrelevanceCertificate], ...]
 
 def _far_members(
     g: Graph, b: Tuple[int, ...], z: Tuple[int, ...], s: Tuple[int, ...], r: int
-) -> Tuple[Tuple[int, ...], Graph, Dict[int, int]]:
-    """Members of b farther than 2r from z once s is deleted, plus the
-    deleted graph used for the distance checks."""
-    removed = set(s)
-    keep = [v for v in range(g.n) if v not in removed]
-    sub, idmap = induced_subgraph(g, keep)
-    alive_z = [idmap[v] for v in z if v not in removed]
-    near = multi_source_distances(sub, alive_z, 2 * r)
-    far = tuple(x for x in b if idmap[x] not in near)
-    return far, sub, idmap
+) -> Tuple[int, ...]:
+    """Members of b farther than 2r from z once s is deleted."""
+    near = multi_source_distances(g, z, 2 * r, blocked=s)
+    return tuple(x for x in b if x not in near)
 
 
 def _find_removable_class(
@@ -160,14 +146,25 @@ def _find_removable_class(
     classes = profile_classes(g, candidates, z, 2 * r)
     bulk = classes[0]
     d = r // 2
+    # Bad budgets are rejected even in rounds where the cap below skips
+    # the ladder that would otherwise reject them.
+    if policy.uqw_m is not None and policy.uqw_m < 1:
+        raise GraphError("target size must be at least 1")
+    if policy.uqw_s_max < 0:
+        raise GraphError("deletion budget must be nonnegative")
+    # A rung with deletion set s certifies only with |s|+2 far members of
+    # its b, a subset of bulk, so rungs past |bulk|-2 deletions are futile.
+    s_max = min(policy.uqw_s_max, len(bulk) - 2)
+    if s_max < 0:
+        return None
     if policy.uqw_m is not None:
-        found = find_uqw(g, bulk, 4 * r, policy.uqw_m, policy.uqw_s_max)
+        found = find_uqw(g, bulk, 4 * r, policy.uqw_m, s_max)
         rungs = [(found.s, found.b)] if found else []
     else:
-        rungs = scattered_ladder(g, bulk, 4 * r, policy.uqw_s_max)
+        rungs = scattered_ladder(g, bulk, 4 * r, s_max)
     for s, b in rungs:
         need = len(s) + 2
-        far, _, _ = _far_members(g, b, z, s, r)
+        far = _far_members(g, b, z, s, r)
         if len(far) < need:
             continue
         if s:

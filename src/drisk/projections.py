@@ -95,9 +95,13 @@ def profile_classes(
     bound = vset(boundary, g)
     if set(cands) & set(bound):
         raise GraphError("candidates may not meet the boundary")
+    bset = set(bound)
     groups: Dict[Tuple[float, ...], List[int]] = {}
     for u in cands:
-        groups.setdefault(profile(g, u, bound, r).key(), []).append(u)
+        # the profile key of u: _avoiding_bfs stops at r, so every
+        # recorded length is within the radius
+        dist = _avoiding_bfs(g, u, bset, r)
+        groups.setdefault(tuple(dist.get(v, INF) for v in bound), []).append(u)
     classes = [tuple(sorted(vs)) for vs in groups.values()]
     classes.sort(key=lambda c: (-len(c), c))
     return tuple(classes)
@@ -140,14 +144,14 @@ def closure(
     if target < 1:
         raise GraphError("projection target must be >= 1")
     closed = set(vset(x, g))
+
+    def size(u: int) -> int:
+        dist = _avoiding_bfs(g, u, closed, r)
+        return sum(1 for v, d in dist.items() if v in closed and d <= r)
+
+    sizes = {u: size(u) for u in range(g.n) if u not in closed}
     additions = 0
     while True:
-        sizes = {}
-        for u in range(g.n):
-            if u in closed:
-                continue
-            dist = _avoiding_bfs(g, u, closed, r)
-            sizes[u] = sum(1 for v, d in dist.items() if v in closed and d <= r)
         mx = max(sizes.values(), default=0)
         if mx <= target:
             return ClosureResult(
@@ -158,7 +162,15 @@ def closure(
                 tuple(sorted(closed)), mx, additions, False, target
             )
         best = max(sizes, key=lambda u: (sizes[u], -u))
+        # Only a vertex with a path of length <= r to best whose interior
+        # avoids the closed set can gain best or lose a member reached
+        # through it; every other projection size stays as it was.
+        touched = _avoiding_bfs(g, best, closed, r)
         closed.add(best)
+        del sizes[best]
+        for u in touched:
+            if u not in closed:
+                sizes[u] = size(u)
         additions += 1
 
 

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from .graph import (
     Graph,
     GraphError,
-    induced_subgraph,
     is_distance_independent,
     vset,
 )
@@ -38,9 +37,7 @@ class UqwResult:
         b = vset(self.b, g)
         if set(b) & set(s):
             raise GraphError("scattered set meets the deletion set")
-        keep = [v for v in range(g.n) if v not in set(s)]
-        sub, idmap = induced_subgraph(g, keep)
-        if not is_distance_independent(sub, [idmap[v] for v in b], self.r):
+        if not is_distance_independent(g, b, self.r, blocked=s):
             raise GraphError("set is not scattered after the deletion")
 
 

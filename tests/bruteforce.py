@@ -12,7 +12,18 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from drisk.graph import (
+    GraphError,
+    induced_subgraph,
+    is_distance_dominating,
+    is_distance_independent,
+    multi_source_distances,
+    vset,
+)
+from drisk.kernel import IrrelevanceCertificate
+from drisk.projections import ClosureResult, _avoiding_bfs, profile
 from drisk.simplex import LpInfeasible, LpUnbounded, SimplexStall
+from drisk.uqw import find_uqw, scattered_ladder
 
 INF = math.inf
 
@@ -411,3 +422,120 @@ def dense_solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> Tup
         if bi < nvars:
             x[bi] = tableau[i][-1]
     return -cost[-1], tuple(x)
+
+
+# The removal pipeline's pieces as they were before the deleted-graph
+# checks ran as blocked BFS, the closure rescanned only what an absorbed
+# vertex touched, profile classes skipped profile(), and the deletion
+# ladder was capped at |bulk| - 2.  They are kept verbatim apart from
+# their names (and the names of each other they call), so tests can pin
+# the new ones to them.
+
+
+def closure_rescan(g, x: Iterable[int], r: int, target: int, max_additions: Optional[int] = None) -> ClosureResult:
+    if target < 1:
+        raise GraphError("projection target must be >= 1")
+    closed = set(vset(x, g))
+    additions = 0
+    while True:
+        sizes = {}
+        for u in range(g.n):
+            if u in closed:
+                continue
+            dist = _avoiding_bfs(g, u, closed, r)
+            sizes[u] = sum(1 for v, d in dist.items() if v in closed and d <= r)
+        mx = max(sizes.values(), default=0)
+        if mx <= target:
+            return ClosureResult(
+                tuple(sorted(closed)), mx, additions, True, target
+            )
+        if max_additions is not None and additions >= max_additions:
+            return ClosureResult(
+                tuple(sorted(closed)), mx, additions, False, target
+            )
+        best = max(sizes, key=lambda u: (sizes[u], -u))
+        closed.add(best)
+        additions += 1
+
+
+def profile_classes_via_profile(g, candidates: Iterable[int], boundary: Iterable[int], r: int) -> Tuple[Tuple[int, ...], ...]:
+    cands = vset(candidates, g)
+    bound = vset(boundary, g)
+    if set(cands) & set(bound):
+        raise GraphError("candidates may not meet the boundary")
+    groups: Dict[Tuple[float, ...], List[int]] = {}
+    for u in cands:
+        groups.setdefault(profile(g, u, bound, r).key(), []).append(u)
+    classes = [tuple(sorted(vs)) for vs in groups.values()]
+    classes.sort(key=lambda c: (-len(c), c))
+    return tuple(classes)
+
+
+def check_certificate_induced(g, a: Iterable[int], cert: IrrelevanceCertificate) -> Optional[str]:
+    members = set(vset(a, g))
+    if cert.r < 1 or cert.d != cert.r // 2:
+        return "radius"
+    for v in cert.z + cert.s + cert.l_prime:
+        if not 0 <= v < g.n:
+            return "radius"
+    if not is_distance_dominating(g, cert.z, members, cert.d):
+        return "dominates"
+    lp = set(cert.l_prime)
+    if not lp or not lp <= members - set(cert.s):
+        return "subset"
+    removed = set(cert.s)
+    keep = [v for v in range(g.n) if v not in removed]
+    sub, idmap = induced_subgraph(g, keep)
+    alive_z = [idmap[v] for v in cert.z if v not in removed]
+    near = multi_source_distances(sub, alive_z, 2 * cert.r)
+    if any(idmap[x] in near for x in cert.l_prime):
+        return "far"
+    if cert.s:
+        keys = {profile(g, x, cert.s, cert.r).key() for x in cert.l_prime}
+        if len(keys) > 1:
+            return "profile"
+    if len(cert.l_prime) < len(cert.s) + 2:
+        return "size"
+    if not is_distance_independent(
+        sub, [idmap[x] for x in cert.l_prime], 4 * cert.r
+    ):
+        return "scattered"
+    return None
+
+
+def far_members_induced(g, b: Tuple[int, ...], z: Tuple[int, ...], s: Tuple[int, ...], r: int):
+    removed = set(s)
+    keep = [v for v in range(g.n) if v not in removed]
+    sub, idmap = induced_subgraph(g, keep)
+    alive_z = [idmap[v] for v in z if v not in removed]
+    near = multi_source_distances(sub, alive_z, 2 * r)
+    far = tuple(x for x in b if idmap[x] not in near)
+    return far, sub, idmap
+
+
+def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...], r: int, policy) -> Optional[IrrelevanceCertificate]:
+    zset = set(z)
+    candidates = tuple(x for x in members if x not in zset)
+    if not candidates:
+        return None
+    classes = profile_classes_via_profile(g, candidates, z, 2 * r)
+    bulk = classes[0]
+    d = r // 2
+    if policy.uqw_m is not None:
+        found = find_uqw(g, bulk, 4 * r, policy.uqw_m, policy.uqw_s_max)
+        rungs = [(found.s, found.b)] if found else []
+    else:
+        rungs = scattered_ladder(g, bulk, 4 * r, policy.uqw_s_max)
+    for s, b in rungs:
+        need = len(s) + 2
+        far, _, _ = far_members_induced(g, b, z, s, r)
+        if len(far) < need:
+            continue
+        if s:
+            groups = profile_classes_via_profile(g, far, s, r)
+        else:
+            groups = (far,)
+        for cls in groups:
+            if len(cls) >= need:
+                return IrrelevanceCertificate(z, s, cls, r, d)
+    return None

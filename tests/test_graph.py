@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import corpus
@@ -125,6 +127,48 @@ class TestDistances:
     def test_multi_source_empty_sources(self):
         g = Graph(3, [(0, 1)])
         assert multi_source_distances(g, []) == {}
+
+    def test_blocked_vertices_are_deleted(self):
+        g = Graph(7, [(i, i + 1) for i in range(6)])
+        # 3 cuts the path; the blocked source 6 is dropped
+        assert multi_source_distances(g, [0, 6], blocked={3, 6}) == {
+            0: 0, 1: 1, 2: 2
+        }
+        assert multi_source_distances(g, [3], blocked=[3]) == {}
+        assert is_distance_independent(g, [1, 5], 3, blocked=[3])
+        assert not is_distance_independent(g, [1, 5], 4)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_blocked_search_matches_the_deleted_graph(self, data):
+        n = data.draw(st.integers(1, 16), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]),
+            label="edges",
+        )
+        g = Graph(n, edges)
+        vertex = st.integers(0, n - 1)
+        blocked = data.draw(st.sets(vertex, max_size=4), label="blocked")
+        sources = data.draw(st.lists(vertex, max_size=4), label="sources")
+        cutoff = data.draw(st.none() | st.integers(0, 5), label="cutoff")
+        full = bruteforce.simple_adj(g)
+        adj = [set() if v in blocked else full[v] - blocked for v in range(n)]
+        want = {}
+        for src in set(sources) - blocked:
+            for v, d in bruteforce.bfs_dists(adj, src).items():
+                if (cutoff is None or d <= cutoff) and d < want.get(v, math.inf):
+                    want[v] = d
+        assert multi_source_distances(g, sources, cutoff, blocked) == want
+        members = [v for v in set(sources) if v not in blocked]
+        spread = cutoff if cutoff is not None else 2
+        want_ind = all(
+            bruteforce.bfs_dists(adj, u).get(v, math.inf) > spread
+            for u in members
+            for v in members
+            if u != v
+        )
+        assert is_distance_independent(g, members, spread, blocked) == want_ind
 
 
 class TestBall:

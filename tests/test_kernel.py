@@ -1,10 +1,18 @@
 """Unit tests for removal certificates, the irrelevant-vertex loop, and
 the decide-or-shrink wrapper."""
 
+import contextlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import corpus
+import drisk.graph
+import drisk.kernel
+import drisk.projections
+import drisk.uqw
 from drisk.generators import gnm_random, grid_graph, path_graph, star_graph
 from drisk.graph import (
     AnnotatedInstance,
@@ -18,14 +26,45 @@ from drisk.kernel import (
     IrrelevanceCertificate,
     KernelOutcome,
     KernelPolicy,
+    _far_members,
     check_certificate,
     kernelize,
     remove_irrelevant,
     verify_certificate,
 )
+from drisk.projections import closure
+from drisk.wcol import greedy_ball_cover
 
 TWIN = corpus.twin_stars(5, 7)
 TWIN_LEAVES = corpus.twin_star_leaves(5)
+
+
+# Star with one leaf pushed to distance two: boundary {0, 5} separates
+# the near leaves from the far one.
+_PUSHED_STAR = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 5), (5, 6)])
+PROFILE_CASE = (
+    _PUSHED_STAR, (1, 2, 3, 6), IrrelevanceCertificate((0, 5), (0, 5), (1, 2, 6), 2, 1)
+)
+SIZE_CASE = (
+    _PUSHED_STAR, (1, 2, 3, 6), IrrelevanceCertificate((0, 5), (0, 5), (1, 2), 2, 1)
+)
+# Five members hang off a hub (0) and a collector (3); the pair {2, 4} is
+# the unique optimum at radius 2.  A certificate naming the class
+# (4,5,6,7) passes domination, farness, profiles and size, yet removing
+# its smallest member 4 drops the optimum to 1.  Only the mutual-spread
+# condition catches it.
+SCATTERED_CASE = (
+    Graph(
+        8,
+        [
+            (0, 4), (0, 5), (0, 6), (0, 7),
+            (3, 5), (3, 6), (3, 7),
+            (2, 3), (1, 2),
+        ],
+    ),
+    (2, 4, 5, 6, 7),
+    IrrelevanceCertificate((0, 1), (0, 1), (4, 5, 6, 7), 2, 1),
+)
 
 
 def twin_cert(**overrides):
@@ -88,35 +127,15 @@ class TestCheckCertificate:
         )
 
     def test_profile_failure(self):
-        # star with one leaf pushed to distance two: boundary {0, 5}
-        # separates the near leaves from the far one
-        g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 5), (5, 6)])
-        a = (1, 2, 3, 6)
-        cert = IrrelevanceCertificate((0, 5), (0, 5), (1, 2, 6), 2, 1)
+        g, a, cert = PROFILE_CASE
         assert check_certificate(g, a, cert) == "profile"
 
     def test_size_failure(self):
-        g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 5), (5, 6)])
-        a = (1, 2, 3, 6)
-        cert = IrrelevanceCertificate((0, 5), (0, 5), (1, 2), 2, 1)
+        g, a, cert = SIZE_CASE
         assert check_certificate(g, a, cert) == "size"
 
     def test_scattered_failure_blocks_unsound_removal(self):
-        # Five members hang off a hub (0) and a collector (3); the pair
-        # {2, 4} is the unique optimum at radius 2.  A certificate naming
-        # the class (4,5,6,7) passes domination, farness, profiles and
-        # size, yet removing its smallest member 4 drops the optimum to 1.
-        # Only the mutual-spread condition catches it.
-        g = Graph(
-            8,
-            [
-                (0, 4), (0, 5), (0, 6), (0, 7),
-                (3, 5), (3, 6), (3, 7),
-                (2, 3), (1, 2),
-            ],
-        )
-        a = (2, 4, 5, 6, 7)
-        cert = IrrelevanceCertificate((0, 1), (0, 1), (4, 5, 6, 7), 2, 1)
+        g, a, cert = SCATTERED_CASE
         assert check_certificate(g, a, cert) == "scattered"
         assert not verify_certificate(g, a, cert)
         # the removal really would be unsound:
@@ -286,3 +305,180 @@ class TestKernelize:
     def test_outcome_defaults(self):
         out = KernelOutcome("NO", 2, 3)
         assert out.y == () and out.b == () and out.witness is None
+
+
+def certificate_seeds():
+    """Certificates whose first failing condition is known, plus every
+    certificate the pipeline logs on a twin star and a random graph,
+    each with the member set it was checked against."""
+    seeds = [
+        (TWIN, TWIN_LEAVES, twin_cert()),
+        (TWIN, TWIN_LEAVES, twin_cert(s=())),
+        PROFILE_CASE,
+        SIZE_CASE,
+        SCATTERED_CASE,
+    ]
+    for g, a in (
+        (corpus.twin_stars(4, 12), corpus.twin_star_leaves(4)),
+        (gnm_random(14, 13, 3), tuple(range(14))),
+    ):
+        for r in (2, 3):
+            members = list(a)
+            for victim, cert in remove_irrelevant(g, a, 2, r)[1]:
+                seeds.append((g, tuple(members), cert))
+                members.remove(victim)
+    return seeds
+
+
+@contextlib.contextmanager
+def reference_pipeline():
+    """Run remove_irrelevant on the full-rescan closure, the uncapped
+    ladder and the induced-subgraph certificate check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drisk.kernel, "closure", bruteforce.closure_rescan)
+        mp.setattr(
+            drisk.kernel,
+            "_find_removable_class",
+            bruteforce.find_removable_class_uncapped,
+        )
+        mp.setattr(
+            drisk.kernel, "check_certificate", bruteforce.check_certificate_induced
+        )
+        yield
+
+
+class TestMatchesInducedSubgraphReference:
+    def test_check_certificate_names_the_same_condition(self):
+        seeds = certificate_seeds()
+        seen = set()
+
+        @settings(max_examples=400)
+        @given(st.data())
+        def check(data):
+            g, a, cert = data.draw(st.sampled_from(seeds), label="seed")
+            vertex = st.integers(0, g.n - 1)
+            parts = [list(cert.z), list(cert.s), list(cert.l_prime)]
+            for part in parts:
+                op = data.draw(st.sampled_from(("keep", "keep", "add", "drop")))
+                if op == "add":
+                    part.append(data.draw(vertex))
+                elif op == "drop" and part:
+                    part.pop(data.draw(st.integers(0, len(part) - 1)))
+            r = data.draw(st.sampled_from((cert.r, cert.r, cert.r + 1)), label="r")
+            perturbed = IrrelevanceCertificate(*parts, r, r // 2)
+            got = check_certificate(g, a, perturbed)
+            assert got == bruteforce.check_certificate_induced(g, a, perturbed)
+            seen.add(got)
+
+        check()
+        assert {None, "far", "profile", "size", "scattered"} <= seen
+
+    def test_far_members_match(self):
+        for g, a, cert in certificate_seeds():
+            for s in ((), cert.s, cert.s[:1]):
+                b = tuple(x for x in a if x not in s)
+                want, _, _ = bruteforce.far_members_induced(g, b, cert.z, s, cert.r)
+                assert _far_members(g, b, cert.z, s, cert.r) == want
+
+    def test_remove_irrelevant_keeps_survivors_and_log(self):
+        removals = []
+
+        @settings(max_examples=150)
+        @given(st.data())
+        def check(data):
+            if data.draw(st.booleans(), label="twins"):
+                p = data.draw(st.integers(2, 8), label="p")
+                bridge = data.draw(st.integers(3, 10), label="bridge")
+                g, a = corpus.twin_stars(p, bridge), corpus.twin_star_leaves(p)
+            else:
+                n = data.draw(st.integers(6, 20), label="n")
+                m = data.draw(st.integers(n - 2, 2 * n), label="m")
+                g = gnm_random(n, m, data.draw(st.integers(0, 999), label="seed"))
+                step = data.draw(st.sampled_from((1, 2)), label="step")
+                a = tuple(range(0, n, step))
+            r = data.draw(st.sampled_from((2, 3)), label="r")
+            k = data.draw(st.integers(2, 5), label="k")
+            policy = KernelPolicy(
+                uqw_s_max=data.draw(st.integers(0, 3), label="s_max"),
+                uqw_m=data.draw(st.none() | st.integers(1, 5), label="m"),
+            )
+            got = remove_irrelevant(g, a, k, r, policy)
+            with reference_pipeline():
+                want = remove_irrelevant(g, a, k, r, policy)
+            assert got == want
+            removals.append(len(got[1]))
+
+        check()
+        assert sum(removals) > 0
+
+    def test_bad_ladder_budgets_still_rejected(self):
+        # a sweep round whose largest class is one vertex still validates
+        # the policy before it skips the ladder
+        g = grid_graph(7, 7)
+        for policy in (KernelPolicy(uqw_s_max=-1), KernelPolicy(uqw_m=0)):
+            with pytest.raises(GraphError):
+                remove_irrelevant(g, range(49), 11, 2, policy)
+            with reference_pipeline(), pytest.raises(GraphError):
+                remove_irrelevant(g, range(49), 11, 2, policy)
+
+
+class TestWorkGuards:
+    def test_ladder_skipped_when_largest_class_is_a_singleton(self, monkeypatch):
+        entered = []
+        real_ladder, real_find = drisk.kernel.scattered_ladder, drisk.kernel.find_uqw
+
+        def ladder(g, a, r, s_max):
+            entered.append((len(a), s_max))
+            return real_ladder(g, a, r, s_max)
+
+        def find(g, a, r, m, s_max):
+            entered.append((len(a), s_max))
+            return real_find(g, a, r, m, s_max)
+
+        monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
+        monkeypatch.setattr(drisk.kernel, "find_uqw", find)
+        g = grid_graph(7, 7)
+        for policy in (KernelPolicy(), KernelPolicy(uqw_m=2)):
+            # a sweep round: k is the greedy 2-scattered size plus one and
+            # the largest profile class is a single vertex
+            assert remove_irrelevant(g, range(49), 11, 2, policy) == (
+                tuple(range(49)),
+                (),
+            )
+        assert entered == []
+        remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2)
+        assert entered
+        assert all(s_max <= size - 2 for size, s_max in entered)
+
+    def test_certificate_checks_build_no_induced_subgraph(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("induced_subgraph called")
+
+        for module in (drisk.graph, drisk.kernel, drisk.uqw):
+            monkeypatch.setattr(module, "induced_subgraph", forbidden, raising=False)
+        # the fixed-target ladder also runs UqwResult.validate
+        for policy in (KernelPolicy(), KernelPolicy(uqw_m=3)):
+            survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2, policy)
+            assert log
+        for g, a, cert in certificate_seeds():
+            check_certificate(g, a, cert)
+            b = tuple(x for x in a if x not in cert.s)
+            _far_members(g, b, cert.z, cert.s, cert.r)
+
+    def test_closure_rescans_only_touched_vertices(self, monkeypatch):
+        calls = []
+        real = drisk.projections._avoiding_bfs
+
+        def counted(g, source, boundary, cutoff):
+            calls.append(source)
+            return real(g, source, boundary, cutoff)
+
+        monkeypatch.setattr(drisk.projections, "_avoiding_bfs", counted)
+        g = corpus.twin_stars(16, 9)
+        dom = greedy_ball_cover(g, corpus.twin_star_leaves(16), 1)
+        res = closure(g, dom, 6, 1)
+        assert res.converged and res.iterations >= 4
+        # one full rescan per iteration would take about
+        # (iterations + 1) * n BFS calls
+        assert len(calls) < (res.iterations + 1) * g.n
+        assert len(calls) < 2 * g.n

@@ -4,6 +4,8 @@ closure procedures."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import corpus
@@ -21,6 +23,24 @@ from drisk.projections import (
 )
 
 INF = math.inf
+
+
+def draw_sparse_graph(data, min_n=1, max_n=24):
+    """A simple graph on min_n..max_n vertices with n-2 to 2n edges."""
+    n = data.draw(st.integers(min_n, max_n), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = []
+    if pairs:
+        edges = data.draw(
+            st.lists(
+                st.sampled_from(pairs),
+                unique=True,
+                min_size=min(n - 2, len(pairs)),
+                max_size=2 * n,
+            ),
+            label="edges",
+        )
+    return Graph(n, edges)
 
 
 class TestProjection:
@@ -123,6 +143,20 @@ class TestProfileClasses:
                 assert len(keys) == 1, (name, cls)
 
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_classes_and_order_match_profile_keys(self, data):
+        g = draw_sparse_graph(data)
+        boundary = data.draw(
+            st.sets(st.integers(0, g.n - 1), max_size=4), label="boundary"
+        )
+        cands = [u for u in range(g.n) if u not in boundary]
+        r = data.draw(st.integers(0, 4), label="r")
+        assert profile_classes(g, cands, boundary, r) == (
+            bruteforce.profile_classes_via_profile(g, cands, boundary, r)
+        )
+
+
 class TestClosure:
     def test_already_closed_set_returns_immediately(self):
         g = path_graph(6)
@@ -174,6 +208,21 @@ class TestClosure:
                 got = len(projection(g, u, res.closed_set, 2))
                 assert got <= 2, (name, u)
                 assert got <= res.max_projection or res.max_projection <= 2
+
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_incremental_rescan_matches_full_rescan(self, data):
+        g = draw_sparse_graph(data, min_n=4)
+        x = data.draw(
+            st.sets(st.integers(0, g.n - 1), min_size=2, max_size=8), label="x"
+        )
+        r = data.draw(st.integers(1, 4), label="r")
+        target = data.draw(st.integers(1, 2), label="target")
+        cap = data.draw(st.none() | st.integers(0, 6), label="max_additions")
+        assert closure(g, x, r, target, cap) == bruteforce.closure_rescan(
+            g, x, r, target, cap
+        )
 
 
 class TestPathClosure:
