@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, ball, distances_from, vset
+from .graph import Graph, GraphError, _descend, ball, distances_from, vset
 from .oracle import MinorModel, OracleLimitError, validate_minor_model
 
 
@@ -257,16 +257,6 @@ def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:
     dist_to = {a: distances_from(g, a) for a in members}
     branch: List[set] = [set() for _ in range(t)]
 
-    def walk(u, target):
-        # greedy descent along BFS levels toward target, smallest id first
-        d = dist_to[target]
-        path = [u]
-        cur = u
-        while cur != target:
-            cur = min(x for x in g.adjacency[cur] if d.get(x) == d[cur] - 1)
-            path.append(cur)
-        return path
-
     for i in range(t):
         for j in range(i + 1, t):
             ai, aj = members[i], members[j]
@@ -282,8 +272,8 @@ def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:
                 and dv[u] + dj[u] <= r
             ]
             hub = min(cands, key=lambda u: (max(di[u], dj[u]), u))
-            p_i = walk(hub, ai)
-            p_j = walk(hub, aj)
+            p_i = _descend(g, di, hub)
+            p_j = _descend(g, dj, hub)
             if di[hub] <= dj[hub]:
                 q_i, q_j = p_i, p_j[1:]
             else:

@@ -21,16 +21,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .ballvc import balls_system, restrict_system, two_vc_dimension
 from .generators import (
-    bucket_model,
-    complete_graph,
-    cycle_graph,
-    gnm_random,
-    grid_graph,
-    hardness_reduction,
-    path_graph,
-    pendant_construction,
-    star_graph,
+    FAMILIES,
     exact_subdivision,
+    family,
+    hardness_reduction,
+    pendant_construction,
 )
 from .graph import (
     AnnotatedInstance,
@@ -169,10 +164,7 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate instance files")
-    gen.add_argument("kind", choices=[
-        "path", "cycle", "grid", "star", "complete", "gnm",
-        "bucket", "subdivision", "pendant", "hardness",
-    ])
+    gen.add_argument("kind", choices=[*FAMILIES, "subdivision", "pendant", "hardness"])
     gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
     gen.add_argument("--rows", type=int)
@@ -252,32 +244,19 @@ def _cmd_gen(args) -> int:
             special = [("x", built.x), ("y", built.y),
                        ("o_count", len(built.o_set))]
         comments.append(f"base {args.input} r {args.r}")
-    elif kind == "bucket":
-        if args.n is None or args.d is None:
-            raise GraphError("gen bucket needs --n and --d")
-        sample = bucket_model(args.n, args.d, seed)
-        g = sample.g
-        comments.append(
-            f"n {sample.n} d {sample.d} seed {seed} trimmed {sample.removed_edges}"
-        )
-    elif kind == "gnm":
-        if args.n is None or args.m is None:
-            raise GraphError("gen gnm needs --n and --m")
-        g = gnm_random(args.n, args.m, seed)
-        comments.append(f"n {args.n} m {args.m} seed {seed}")
-    elif kind == "grid":
-        if args.rows is None or args.cols is None:
-            raise GraphError("gen grid needs --rows and --cols")
-        g = grid_graph(args.rows, args.cols)
-    elif kind == "star":
-        if args.leaves is None:
-            raise GraphError("gen star needs --leaves")
-        g = star_graph(args.leaves)
     else:
-        if args.n is None:
-            raise GraphError(f"gen {kind} needs --n")
-        g = {"path": path_graph, "cycle": cycle_graph,
-             "complete": complete_graph}[kind](args.n)
+        names = FAMILIES[kind][1]
+        if any(getattr(args, p) is None for p in names):
+            need = " and ".join(f"--{p}" for p in names if p != "seed")
+            raise GraphError(f"gen {kind} needs {need}")
+        g = built = family(kind, **{p: getattr(args, p) for p in names})
+        if kind == "bucket":
+            g = built.g
+            comments.append(
+                f"n {built.n} d {built.d} seed {seed} trimmed {built.removed_edges}"
+            )
+        elif kind == "gnm":
+            comments.append(f"n {args.n} m {args.m} seed {seed}")
     write_edge_list(g, args.out, comments=comments)
     if special:
         write_pairs(special, sidecar_path(args.out, "special"))
@@ -501,21 +480,8 @@ def _bench_graph(row: dict) -> Graph:
         return read_edge_list(row["input"])
     fam = row["family"]
     kind = fam["kind"]
-    if kind == "path":
-        return path_graph(fam["n"])
-    if kind == "cycle":
-        return cycle_graph(fam["n"])
-    if kind == "grid":
-        return grid_graph(fam["rows"], fam["cols"])
-    if kind == "star":
-        return star_graph(fam["leaves"])
-    if kind == "complete":
-        return complete_graph(fam["n"])
-    if kind == "gnm":
-        return gnm_random(fam["n"], fam["m"], fam.get("seed", 0))
-    if kind == "bucket":
-        return bucket_model(fam["n"], fam["d"], fam.get("seed", 0)).g
-    raise GraphError(f"unknown family kind {kind!r}")
+    built = family(kind, **{p: v for p, v in fam.items() if p != "kind"})
+    return built.g if kind == "bucket" else built
 
 
 def _bench_row(row: dict) -> Dict[str, str]:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .graph import INF, Graph, GraphError, distances_from, girth
+from .graph import INF, Graph, GraphError, _shortest_cycle_at, distances_from, girth
 
 
 # ---------------------------------------------------------------------------
@@ -67,26 +67,6 @@ def gnm_random(n: int, m: int, seed: int) -> Graph:
         raise GraphError(f"m={m} exceeds the {len(pairs)} available pairs")
     rng = random.Random(seed)
     return Graph(n, rng.sample(pairs, m))
-
-
-FAMILIES = ("path", "cycle", "grid", "star", "complete", "gnm")
-
-
-def family(kind: str, **params) -> Graph:
-    """Dispatch by family name; used by the command line."""
-    if kind == "path":
-        return path_graph(params["n"])
-    if kind == "cycle":
-        return cycle_graph(params["n"])
-    if kind == "grid":
-        return grid_graph(params["rows"], params["cols"])
-    if kind == "star":
-        return star_graph(params["leaves"])
-    if kind == "complete":
-        return complete_graph(params["n"])
-    if kind == "gnm":
-        return gnm_random(params["n"], params["m"], params.get("seed", 0))
-    raise GraphError(f"unknown family {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +184,7 @@ def _bfs_short_cycle(adj: List[Dict[int, int]], root: int, d: int):
     """Shortest cycle of length <= d visible from a BFS at root, as a vertex
     sequence, or None.  adj is a mutable neighbor->multiplicity view of a
     simple graph."""
-    cap = d // 2
-    dist = {root: 0}
-    parent = {root: -1}
-    frontier = [root]
-    depth = 0
-    while frontier and depth < cap:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = depth
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    best = None
-    for u, du in dist.items():
-        for w in adj[u]:
-            if w <= u:
-                continue
-            dw = dist.get(w)
-            if dw is None or parent[u] == w or parent[w] == u:
-                continue
-            cand = du + dw + 1
-            if cand <= d and (best is None or (cand, u, w) < best):
-                best = (cand, u, w)
+    best, dist, parent = _shortest_cycle_at(adj, root, d)
     if best is None:
         return None
     _, u, w = best
@@ -309,6 +264,33 @@ def bucket_model(n: int, d: int, seed: int) -> BucketModelSample:
     g0 = Graph(n, edges, multigraph=True)
     g, removed = trim_short_cycles(g0, d)
     return BucketModelSample(g0, g, n, d, seed, removed)
+
+
+# ---------------------------------------------------------------------------
+# families by name
+
+
+# name -> (builder, the names of its parameters in order); a missing
+# "seed" is 0, every other parameter is required
+FAMILIES = {
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "grid": (grid_graph, ("rows", "cols")),
+    "star": (star_graph, ("leaves",)),
+    "complete": (complete_graph, ("n",)),
+    "gnm": (gnm_random, ("n", "m", "seed")),
+    "bucket": (bucket_model, ("n", "d", "seed")),
+}
+
+
+def family(kind: str, **params):
+    """Build a family of FAMILIES by name from its parameters; used by the
+    command line.  Every family gives a Graph except bucket, which gives
+    its BucketModelSample."""
+    if kind not in FAMILIES:
+        raise GraphError(f"unknown family kind {kind!r}")
+    build, names = FAMILIES[kind]
+    return build(*(params.get(p, 0) if p == "seed" else params[p] for p in names))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Tuple
 
 INF = math.inf
 
@@ -100,20 +100,7 @@ class AnnotatedInstance:
 
 def distances_from(g: Graph, source: int, cutoff: Optional[int] = None) -> Dict[int, int]:
     """BFS distances from source; vertices beyond cutoff are omitted."""
-    adj = g.adjacency
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier and (cutoff is None or d < cutoff):
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+    return multi_source_distances(g, (source,), cutoff)
 
 
 def multi_source_distances(
@@ -121,20 +108,26 @@ def multi_source_distances(
     sources: Iterable[int],
     cutoff: Optional[int] = None,
     blocked: Optional[Iterable[int]] = None,
+    stop: Container[int] = (),
 ) -> Dict[int, int]:
     """BFS distances to the nearest of several sources.
 
     With blocked, distances are taken in g minus those vertices, as in
     the induced subgraph on the rest: blocked sources are dropped and no
-    path enters a blocked vertex.
+    path enters a blocked vertex.  Vertices in stop are reached and
+    recorded but never expanded, so every recorded path keeps its
+    interior off stop; sources are always expanded.
     """
     adj = g.adjacency
     # Blocked vertices are marked as seen, so the search never enters
     # them, and dropped from the result at the end.
-    hidden = set(blocked) if blocked is not None else ()
-    dist = {s: 0 for s in sources if s not in hidden}
-    frontier = list(dist)
-    dist.update(dict.fromkeys(hidden, -1))
+    dist = {} if blocked is None else dict.fromkeys(blocked, -1)
+    hidden = tuple(dist)
+    frontier = []
+    for s in sources:
+        if s not in dist:
+            dist[s] = 0
+            frontier.append(s)
     d = 0
     while frontier and (cutoff is None or d < cutoff):
         d += 1
@@ -143,18 +136,33 @@ def multi_source_distances(
             for w in adj[u]:
                 if w not in dist:
                     dist[w] = d
-                    nxt.append(w)
+                    if w not in stop:
+                        nxt.append(w)
         frontier = nxt
     for v in hidden:
         del dist[v]
     return dist
 
 
+def _descend(g: Graph, dist: Dict[int, int], start: int) -> List[int]:
+    """Path from start down the levels of dist to a level-0 vertex, each
+    step taking the smallest-id neighbour one level lower."""
+    adj = g.adjacency
+    path = [start]
+    level = dist[start]
+    while level:
+        level -= 1
+        # adjacency lists are sorted, so the first match has the smallest id
+        start = next(w for w in adj[start] if dist.get(w) == level)
+        path.append(start)
+    return path
+
+
 def ball(g: Graph, center: int, r: int) -> Tuple[int, ...]:
     """Sorted closed ball: every vertex within distance <= r of center."""
     if r < 0:
         raise GraphError("ball radius must be >= 0")
-    return tuple(sorted(distances_from(g, center, r)))
+    return tuple(sorted(multi_source_distances(g, (center,), r)))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
@@ -176,15 +184,11 @@ def is_distance_independent(
     members = vset(s, g)
     mem = set(members)
     hidden = set(blocked) if blocked is not None else None
-    for u in members:
-        if hidden is None:
-            near = distances_from(g, u, r)
-        else:
-            near = multi_source_distances(g, (u,), r, hidden)
-        for w, dw in near.items():
-            if w != u and w in mem and dw <= r:
-                return False
-    return True
+    # a member's own search holds the member itself unless it is blocked
+    return all(
+        len(mem.intersection(multi_source_distances(g, (u,), r, hidden))) <= 1
+        for u in members
+    )
 
 
 def is_distance_dominating(g: Graph, d: Iterable[int], a: Iterable[int], r: int) -> bool:
@@ -225,31 +229,42 @@ def girth(g: Graph, cap: Optional[int] = None):
         if not adj[root]:
             continue
         bound = min(best - 1, limit) if best != INF else limit
-        depth_cap = bound // 2
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        d = 0
-        while frontier and d < depth_cap:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = d
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
-        for u, du in dist.items():
-            for w in adj[u]:
-                if w <= u:
-                    continue
-                dw = dist.get(w)
-                if dw is None or parent[u] == w or parent[w] == u:
-                    continue
-                cand = du + dw + 1
-                if cand < best:
-                    best = cand
-    if cap is not None and best > cap:
-        return INF
+        found, _, _ = _shortest_cycle_at(adj, root, bound)
+        if found is not None:
+            best = found[0]
     return best
+
+
+def _shortest_cycle_at(adj, root: int, bound: int):
+    """Smallest (length, u, w) over the non-tree edges u < w seen by a
+    BFS from root to depth bound // 2, where length = dist[u] + dist[w]
+    + 1 <= bound, or None; returned with the BFS tree as (best, dist,
+    parent).  adj is any per-vertex neighbour view of a simple graph;
+    the BFS tree follows its iteration order."""
+    depth_cap = bound // 2
+    dist = {root: 0}
+    parent = {root: -1}
+    frontier = [root]
+    d = 0
+    while frontier and d < depth_cap:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    best = None
+    for u, du in dist.items():
+        for w in adj[u]:
+            if w <= u:
+                continue
+            dw = dist.get(w)
+            if dw is None or parent[u] == w or parent[w] == u:
+                continue
+            cand = du + dw + 1
+            if cand <= bound and (best is None or (cand, u, w) < best):
+                best = (cand, u, w)
+    return best, dist, parent

@@ -28,7 +28,7 @@ from .graph import (
     multi_source_distances,
     vset,
 )
-from .projections import closure, path_closure, profile, profile_classes
+from .projections import closure, path_closure, profile_classes
 from .uqw import scattered_ladder, find_uqw
 from .wcol import dual_witness, greedy_ball_cover
 
@@ -80,10 +80,9 @@ def check_certificate(
         return "subset"
     if _far_members(g, cert.l_prime, cert.z, cert.s, cert.r) != cert.l_prime:
         return "far"
-    if cert.s:
-        keys = {profile(g, x, cert.s, cert.r).key() for x in cert.l_prime}
-        if len(keys) > 1:
-            return "profile"
+    # subset has passed, so l_prime does not meet s
+    if cert.s and len(profile_classes(g, cert.l_prime, cert.s, cert.r)) > 1:
+        return "profile"
     if len(cert.l_prime) < len(cert.s) + 2:
         return "size"
     if not is_distance_independent(g, cert.l_prime, 4 * cert.r, blocked=cert.s):

@@ -15,29 +15,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, distances_from, induced_subgraph, vset
+from .graph import (
+    Graph,
+    GraphError,
+    _descend,
+    distances_from,
+    induced_subgraph,
+    multi_source_distances,
+    vset,
+)
 
 INF = math.inf
-
-
-def _avoiding_bfs(g: Graph, source: int, boundary: set, cutoff: int) -> Dict[int, int]:
-    """Shortest lengths of paths from source whose interior avoids the
-    boundary: boundary vertices are recorded when reached, never expanded."""
-    dist = {source: 0}
-    frontier = [source]
-    depth = 0
-    adj = g.adjacency
-    while frontier and depth < cutoff:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = depth
-                    if w not in boundary:
-                        nxt.append(w)
-        frontier = nxt
-    return dist
 
 
 @dataclass(frozen=True)
@@ -65,9 +53,8 @@ def projection(g: Graph, u: int, a: Iterable[int], r: int) -> Tuple[int, ...]:
         raise GraphError("projection source lies on the boundary")
     if not 0 <= u < g.n:
         raise GraphError(f"vertex {u} out of range")
-    mem = set(members)
-    dist = _avoiding_bfs(g, u, mem, r)
-    return tuple(v for v in members if dist.get(v, INF) <= r)
+    dist = multi_source_distances(g, (u,), r, stop=set(members))
+    return tuple(v for v in members if v in dist)
 
 
 def profile(g: Graph, u: int, a: Iterable[int], r: int) -> ProjectionProfile:
@@ -77,12 +64,8 @@ def profile(g: Graph, u: int, a: Iterable[int], r: int) -> ProjectionProfile:
         raise GraphError("profile source lies on the boundary")
     if not 0 <= u < g.n:
         raise GraphError(f"vertex {u} out of range")
-    mem = set(members)
-    dist = _avoiding_bfs(g, u, mem, r)
-    values = {}
-    for v in members:
-        d = dist.get(v, INF)
-        values[v] = d if d <= r else INF
+    dist = multi_source_distances(g, (u,), r, stop=set(members))
+    values = {v: dist.get(v, INF) for v in members}
     return ProjectionProfile(members, values, r)
 
 
@@ -98,9 +81,9 @@ def profile_classes(
     bset = set(bound)
     groups: Dict[Tuple[float, ...], List[int]] = {}
     for u in cands:
-        # the profile key of u: _avoiding_bfs stops at r, so every
+        # the profile key of u: the search stops at r, so every
         # recorded length is within the radius
-        dist = _avoiding_bfs(g, u, bset, r)
+        dist = multi_source_distances(g, (u,), r, stop=bset)
         groups.setdefault(tuple(dist.get(v, INF) for v in bound), []).append(u)
     classes = [tuple(sorted(vs)) for vs in groups.values()]
     classes.sort(key=lambda c: (-len(c), c))
@@ -146,8 +129,7 @@ def closure(
     closed = set(vset(x, g))
 
     def size(u: int) -> int:
-        dist = _avoiding_bfs(g, u, closed, r)
-        return sum(1 for v, d in dist.items() if v in closed and d <= r)
+        return len(closed.intersection(multi_source_distances(g, (u,), r, stop=closed)))
 
     sizes = {u: size(u) for u in range(g.n) if u not in closed}
     additions = 0
@@ -165,7 +147,7 @@ def closure(
         # Only a vertex with a path of length <= r to best whose interior
         # avoids the closed set can gain best or lose a member reached
         # through it; every other projection size stays as it was.
-        touched = _avoiding_bfs(g, best, closed, r)
+        touched = multi_source_distances(g, (best,), r, stop=closed)
         closed.add(best)
         del sizes[best]
         for u in touched:
@@ -184,27 +166,20 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     """
     members = vset(x, g)
     grown = set(members)
-    dists = {}
-    for v in members:
-        dists[v] = distances_from(g, v, r)
-    adj = g.adjacency
-    pairs = []
+    dists = {v: distances_from(g, v, r) for v in members}
+    partners: Dict[int, List[int]] = {}
     for i, u in enumerate(members):
         for v in members[i + 1 :]:
-            dv = dists[v]
-            if u in dv:
-                pairs.append((u, v))
-                cur = u
-                grown.add(cur)
-                while cur != v:
-                    cur = min(w for w in adj[cur] if dv.get(w) == dv[cur] - 1)
-                    grown.add(cur)
+            if u in dists[v]:
+                partners.setdefault(u, []).append(v)
+                grown.update(_descend(g, dists[v], u))
     closed = tuple(sorted(grown))
     sub, idmap = induced_subgraph(g, closed)
-    for u, v in pairs:
-        inside = distances_from(sub, idmap[u], r).get(idmap[v])
-        if inside != dists[v][u]:
-            raise RuntimeError(
-                "internal: induced distance not preserved by path closure"
-            )
+    for u, vs in partners.items():
+        inside = distances_from(sub, idmap[u], r)
+        for v in vs:
+            if inside.get(idmap[v]) != dists[v][u]:
+                raise RuntimeError(
+                    "internal: induced distance not preserved by path closure"
+                )
     return closed

@@ -18,6 +18,7 @@ from .graph import (
     Graph,
     GraphError,
     is_distance_independent,
+    multi_source_distances,
     vset,
 )
 
@@ -41,24 +42,6 @@ class UqwResult:
             raise GraphError("set is not scattered after the deletion")
 
 
-def _avoiding_bfs_set(g: Graph, source: int, removed: set, cutoff: int) -> set:
-    """Vertices within cutoff of source in the graph minus removed."""
-    seen = {source}
-    frontier = [source]
-    depth = 0
-    adj = g.adjacency
-    while frontier and depth < cutoff:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen and w not in removed:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
 def _greedy_scattered(g: Graph, members: Tuple[int, ...], removed: set, r: int) -> Tuple[int, ...]:
     """Ascending-id greedy packing: take a member, drop every member
     within r of it in the graph minus removed."""
@@ -67,7 +50,7 @@ def _greedy_scattered(g: Graph, members: Tuple[int, ...], removed: set, r: int) 
     for v in members:
         if v in alive:
             picked.append(v)
-            alive -= _avoiding_bfs_set(g, v, removed, r)
+            alive.difference_update(multi_source_distances(g, (v,), r, removed))
     return tuple(picked)
 
 
@@ -98,7 +81,7 @@ def scattered_ladder(
         for v in range(g.n):
             if v in mem or v in removed:
                 continue
-            score = len(_avoiding_bfs_set(g, v, removed, r) & mem)
+            score = len(mem.intersection(multi_source_distances(g, (v,), r, removed)))
             if score > best_score:
                 best_score, best_v = score, v
         if best_v < 0:

@@ -4,6 +4,7 @@ codes, byte-identical reruns, and the file side-cars."""
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,15 @@ import pytest
 import corpus
 import drisk.oracle
 from drisk.cli import main
+from drisk.generators import (
+    bucket_model,
+    complete_graph,
+    cycle_graph,
+    gnm_random,
+    grid_graph,
+    path_graph,
+    star_graph,
+)
 from drisk.graphio import read_edge_list, read_vertex_set, write_edge_list, write_vertex_set
 from drisk.oracle import lp_domination, lp_packing
 
@@ -146,6 +156,21 @@ class TestGen:
         )
         assert code == 0
         assert rep["outputs"]["n"] == 9
+
+    @pytest.mark.parametrize("kind,need", [
+        ("path", "--n"),
+        ("cycle", "--n"),
+        ("grid", "--rows and --cols"),
+        ("star", "--leaves"),
+        ("complete", "--n"),
+        ("gnm", "--n and --m"),
+        ("bucket", "--n and --d"),
+    ])
+    def test_family_without_parameters_names_them(self, kind, need, tmp_path, capsys):
+        out = tmp_path / "x.gr"
+        assert main(["gen", kind, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"input error: gen {kind} needs {need}\n"
+        assert not out.exists()
 
     def test_missing_parameters_exit_input_error(self, tmp_path, capsys):
         code = main(["gen", "gnm", "--n", "5", "--out", str(tmp_path / "x.gr")])
@@ -474,6 +499,34 @@ class TestBench:
         assert rows[3]["error"].startswith("GraphError")
         assert all(float(row["seconds"]) >= 0 for row in rows)
 
+    def test_family_rows_for_every_kind(self, tmp_path, capsys):
+        families = [
+            ({"kind": "path", "n": 7}, path_graph(7)),
+            ({"kind": "cycle", "n": 6}, cycle_graph(6)),
+            ({"kind": "grid", "rows": 3, "cols": 4}, grid_graph(3, 4)),
+            ({"kind": "star", "leaves": 5}, star_graph(5)),
+            ({"kind": "complete", "n": 4}, complete_graph(4)),
+            ({"kind": "gnm", "n": 9, "m": 11, "seed": 2}, gnm_random(9, 11, 2)),
+            ({"kind": "bucket", "n": 20, "d": 3, "seed": 5}, bucket_model(20, 3, 5).g),
+        ]
+        rows = [{"name": fam["kind"], "family": fam, "task": "duality", "r": 1}
+                for fam, _ in families]
+        rows.append({"name": "cube", "family": {"kind": "hypercube", "n": 3},
+                     "task": "duality"})
+        rows.append({"name": "half-grid", "family": {"kind": "grid", "rows": 3},
+                     "task": "duality"})
+        man_path = tmp_path / "manifest.json"
+        man_path.write_text(json.dumps(rows))
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        got = list(csv.DictReader(io.StringIO(out)))
+        assert [row["name"] for row in got] == [row["name"] for row in rows]
+        for row, (_, g) in zip(got, families):
+            assert (row["n"], row["m"], row["error"]) == (str(g.n), str(g.m), "")
+            assert row["outcome"] == "ok"
+        assert got[-2]["error"] == "GraphError: unknown family kind 'hypercube'"
+        assert got[-1]["error"] == "KeyError: 'cols'"
+
     def test_lp_rows_are_one_solve_matching_two_solves_on_corpus(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -515,6 +568,14 @@ class TestBench:
         assert main(["bench", "--manifest", str(tmp_path / "no.json")]) == 3
 
 
+def child_env():
+    """Environment for a `python -m drisk.cli` child process that imports
+    the same drisk as this test run, however the run found it."""
+    src = os.path.dirname(os.path.dirname(drisk.oracle.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "p.gr"
@@ -523,6 +584,7 @@ class TestConsoleEntry:
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["outputs"]["n"] == 4
@@ -533,5 +595,6 @@ class TestConsoleEntry:
              "--input", "/nonexistent/g.gr"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 3

@@ -3,10 +3,14 @@ subdivisions, the pendant gadget, the bucket sampler and the distance
 dichotomy gadget."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
+import drisk.generators
 from drisk.generators import (
     BucketModelSample,
     HardnessInstance,
@@ -80,8 +84,14 @@ class TestFamilies:
         assert family("path", n=3).edges == path_graph(3).edges
         assert family("grid", rows=2, cols=2).n == 4
         assert family("gnm", n=6, m=5, seed=3).edges == gnm_random(6, 5, 3).edges
-        with pytest.raises(GraphError):
+        # a missing seed is 0; bucket gives the whole sample
+        assert family("gnm", n=6, m=5).edges == gnm_random(6, 5, 0).edges
+        sample = family("bucket", n=10, d=3)
+        assert sample.g.edges == bucket_model(10, 3, 0).g.edges
+        with pytest.raises(GraphError, match="unknown family kind 'hypercube'"):
             family("hypercube", n=3)
+        with pytest.raises(KeyError):
+            family("grid", rows=2)
 
 
 class TestExactSubdivision:
@@ -185,7 +195,43 @@ class TestTrimShortCycles:
                 assert g.m == g0.m - removed
 
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_short_cycle_search_matches_the_reference(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)
+            if pairs else st.just([]),
+            label="edges",
+        )
+        # the search follows the dicts' insertion order, which is drawn too
+        adj = [dict() for _ in range(n)]
+        for u, v in edges:
+            adj[u][v] = adj[v][u] = 1
+        for root in range(n):
+            for d in range(1, 8):
+                assert drisk.generators._bfs_short_cycle(
+                    adj, root, d
+                ) == bruteforce.bfs_short_cycle(adj, root, d), (root, d)
+
+
 class TestBucketModel:
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 30).map(lambda h: 2 * h),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_samples_match_the_reference_cycle_search(self, n, d, seed):
+        got = bucket_model(n, d, seed)
+        with mock.patch.object(
+            drisk.generators, "_bfs_short_cycle", bruteforce.bfs_short_cycle
+        ):
+            want = bucket_model(n, d, seed)
+        assert got.g.edges == want.g.edges
+        assert got.removed_edges == want.removed_edges
+
     def test_seeded_determinism(self):
         a = bucket_model(20, 3, 4)
         b = bucket_model(20, 3, 4)

@@ -12,6 +12,7 @@ from drisk.graph import (
     AnnotatedInstance,
     Graph,
     GraphError,
+    _descend,
     ball,
     distances_from,
     girth,
@@ -272,3 +273,88 @@ class TestGirth:
             ]
             g = Graph(n, edges, multigraph=True)
             assert girth(g) == bruteforce.girth(g), (n, edges)
+
+
+def draw_graph(data, max_n=12, extras=False):
+    """A graph on 1..max_n vertices with up to 2n distinct edges; with
+    extras, a multigraph that may also carry a loop and a parallel copy."""
+    n = data.draw(st.integers(1, max_n), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(
+        st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)
+        if pairs else st.just([]),
+        label="edges",
+    )
+    if not extras:
+        return Graph(n, edges)
+    loops = data.draw(st.lists(st.integers(0, n - 1), max_size=1), label="loops")
+    copies = data.draw(
+        st.lists(st.sampled_from(edges), max_size=1) if edges else st.just([]),
+        label="copies",
+    )
+    return Graph(n, edges + [(v, v) for v in loops] + copies, multigraph=True)
+
+
+class TestSharedSearches:
+    """The shared BFS, cycle search and level descent against the
+    hand-rolled loops they replaced, kept verbatim in bruteforce."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_stop_search_matches_the_avoiding_bfs(self, data):
+        g = draw_graph(data)
+        vertex = st.integers(0, g.n - 1)
+        source = data.draw(vertex, label="source")
+        stop = data.draw(st.sets(vertex, max_size=6), label="stop")
+        cutoff = data.draw(st.integers(0, 6), label="cutoff")
+        got = multi_source_distances(g, (source,), cutoff, stop=stop)
+        want = bruteforce.avoiding_bfs(g, source, stop, cutoff)
+        assert list(got.items()) == list(want.items())
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_blocked_search_matches_the_deleted_ball(self, data):
+        g = draw_graph(data)
+        vertex = st.integers(0, g.n - 1)
+        source = data.draw(vertex, label="source")
+        removed = data.draw(st.sets(vertex, max_size=5), label="removed") - {source}
+        cutoff = data.draw(st.integers(0, 6), label="cutoff")
+        got = multi_source_distances(g, (source,), cutoff, removed)
+        assert set(got) == bruteforce.avoiding_bfs_set(g, source, removed, cutoff)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_sources_stop_and_blocked_together(self, data):
+        g = draw_graph(data)
+        vertex = st.integers(0, g.n - 1)
+        sources = data.draw(st.lists(vertex, max_size=4), label="sources")
+        blocked = data.draw(st.sets(vertex, max_size=3), label="blocked")
+        stop = data.draw(st.sets(vertex, max_size=5), label="stop")
+        cutoff = data.draw(st.none() | st.integers(0, 6), label="cutoff")
+        # each source's own stop search in g minus blocked, nearest wins
+        cut = Graph(g.n, [e for e in g.edges if not blocked.intersection(e)])
+        want = {}
+        for src in set(sources) - blocked:
+            reach = bruteforce.avoiding_bfs(cut, src, stop, math.inf if cutoff is None else cutoff)
+            for v, d in reach.items():
+                want[v] = min(d, want.get(v, d))
+        assert multi_source_distances(g, sources, cutoff, blocked, stop) == want
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_girth_matches_the_per_root_loop(self, data):
+        g = draw_graph(data, extras=True)
+        for cap in (None, 1, 2, 3, 4, 5, 6, 7):
+            assert girth(g, cap) == bruteforce.girth_levels(g, cap), cap
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_descent_matches_the_minor_walk(self, data):
+        g = draw_graph(data)
+        target = data.draw(st.integers(0, g.n - 1), label="target")
+        cutoff = data.draw(st.none() | st.integers(0, 5), label="cutoff")
+        dist = distances_from(g, target, cutoff)
+        for start in dist:
+            assert _descend(g, dist, start) == bruteforce.walk(
+                g, {target: dist}, start, target
+            )

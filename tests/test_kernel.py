@@ -467,17 +467,19 @@ class TestWorkGuards:
 
     def test_closure_rescans_only_touched_vertices(self, monkeypatch):
         calls = []
-        real = drisk.projections._avoiding_bfs
+        real = drisk.projections.multi_source_distances
 
-        def counted(g, source, boundary, cutoff):
-            calls.append(source)
-            return real(g, source, boundary, cutoff)
+        def counted(g, sources, *args, **kwargs):
+            calls.append(tuple(sources))
+            return real(g, sources, *args, **kwargs)
 
-        monkeypatch.setattr(drisk.projections, "_avoiding_bfs", counted)
+        monkeypatch.setattr(drisk.projections, "multi_source_distances", counted)
         g = corpus.twin_stars(16, 9)
         dom = greedy_ball_cover(g, corpus.twin_star_leaves(16), 1)
         res = closure(g, dom, 6, 1)
         assert res.converged and res.iterations >= 4
+        # the first scan alone searches from every vertex outside dom
+        assert len(calls) >= g.n - len(dom)
         # one full rescan per iteration would take about
         # (iterations + 1) * n BFS calls
         assert len(calls) < (res.iterations + 1) * g.n

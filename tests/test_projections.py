@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 import corpus
+import drisk.projections
 from drisk.generators import cycle_graph, grid_graph, path_graph, star_graph
 from drisk.graph import Graph, GraphError, distances_from, induced_subgraph
 from drisk.projections import (
@@ -239,6 +240,29 @@ class TestPathClosure:
         # two parallel length-2 routes between 0 and 3: via 1 or via 2
         g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
         assert path_closure(g, [0, 3], 2) == (0, 1, 3)
+
+    def test_one_induced_search_per_member_with_a_partner(self, monkeypatch):
+        calls = []
+        real = drisk.projections.distances_from
+
+        def counted(g, source, cutoff=None):
+            calls.append(g.n)
+            return real(g, source, cutoff)
+
+        monkeypatch.setattr(drisk.projections, "distances_from", counted)
+        g = path_graph(8)
+        # 0, 1 and 2 each have a later member within 3; 3 and 7 do not
+        closed = path_closure(g, [0, 1, 2, 3, 7], 3)
+        assert closed == (0, 1, 2, 3, 7)
+        assert calls == [8] * 5 + [len(closed)] * 3
+
+    def test_unpreserved_distance_is_an_internal_error(self, monkeypatch):
+        # a descent that adds no inner vertex cuts 0 from 3 (two apart
+        # through 2); 0's other partner, 1, is adjacent and stays fine
+        monkeypatch.setattr(drisk.projections, "_descend", lambda g, dist, start: [start])
+        g = Graph(4, [(0, 1), (0, 2), (2, 3)])
+        with pytest.raises(RuntimeError, match="induced distance not preserved"):
+            path_closure(g, [0, 1, 3], 2)
 
     def test_preserves_short_distances_on_corpus(self):
         for name, g in corpus.small_corpus():
