@@ -26,7 +26,6 @@ from .generators import (
     complete_graph,
     cycle_graph,
     exact_subdivision,
-    family,
     gnm_random,
     grid_graph,
     hardness_reduction,

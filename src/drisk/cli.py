@@ -22,8 +22,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .ballvc import balls_system, restrict_system, two_vc_dimension
 from .generators import (
     FAMILIES,
+    _family,
+    bucket_model,
     exact_subdivision,
-    family,
     hardness_reduction,
     pendant_construction,
 )
@@ -249,13 +250,16 @@ def _cmd_gen(args) -> int:
         if any(getattr(args, p) is None for p in names):
             need = " and ".join(f"--{p}" for p in names if p != "seed")
             raise GraphError(f"gen {kind} needs {need}")
-        g = built = family(kind, **{p: getattr(args, p) for p in names})
+        params = {p: getattr(args, p) for p in names}
         if kind == "bucket":
-            g = built.g
+            sample = bucket_model(**params)
+            g = sample.g
             comments.append(
-                f"n {built.n} d {built.d} seed {seed} trimmed {built.removed_edges}"
+                f"n {sample.n} d {sample.d} seed {seed} trimmed {sample.removed_edges}"
             )
-        elif kind == "gnm":
+        else:
+            g = _family(kind, params)
+        if kind == "gnm":
             comments.append(f"n {args.n} m {args.m} seed {seed}")
     write_edge_list(g, args.out, comments=comments)
     if special:
@@ -479,9 +483,7 @@ def _bench_graph(row: dict) -> Graph:
     if "input" in row:
         return read_edge_list(row["input"])
     fam = row["family"]
-    kind = fam["kind"]
-    built = family(kind, **{p: v for p, v in fam.items() if p != "kind"})
-    return built.g if kind == "bucket" else built
+    return _family(fam["kind"], fam)
 
 
 def _bench_row(row: dict) -> Dict[str, str]:

@@ -270,27 +270,30 @@ def bucket_model(n: int, d: int, seed: int) -> BucketModelSample:
 # families by name
 
 
-# name -> (builder, the names of its parameters in order); a missing
-# "seed" is 0, every other parameter is required
+# name -> (builder's name in this module, the names of its parameters in
+# order); a missing "seed" is 0, every other parameter is required
 FAMILIES = {
-    "path": (path_graph, ("n",)),
-    "cycle": (cycle_graph, ("n",)),
-    "grid": (grid_graph, ("rows", "cols")),
-    "star": (star_graph, ("leaves",)),
-    "complete": (complete_graph, ("n",)),
-    "gnm": (gnm_random, ("n", "m", "seed")),
-    "bucket": (bucket_model, ("n", "d", "seed")),
+    "path": ("path_graph", ("n",)),
+    "cycle": ("cycle_graph", ("n",)),
+    "grid": ("grid_graph", ("rows", "cols")),
+    "star": ("star_graph", ("leaves",)),
+    "complete": ("complete_graph", ("n",)),
+    "gnm": ("gnm_random", ("n", "m", "seed")),
+    "bucket": ("bucket_model", ("n", "d", "seed")),
 }
 
 
-def family(kind: str, **params):
-    """Build a family of FAMILIES by name from its parameters; used by the
-    command line.  Every family gives a Graph except bucket, which gives
-    its BucketModelSample."""
-    if kind not in FAMILIES:
+def _family(kind, params: dict) -> Graph:
+    """The graph of a family of FAMILIES (bucket: its sample's trimmed
+    graph) from a dict of its parameters; `gen` and `bench` build by name
+    through it.  Private, and the builder is looked up when called, so a
+    profiler that rebinds the builders gives each its own span."""
+    if not isinstance(kind, str) or kind not in FAMILIES:
         raise GraphError(f"unknown family kind {kind!r}")
-    build, names = FAMILIES[kind]
-    return build(*(params.get(p, 0) if p == "seed" else params[p] for p in names))
+    name, names = FAMILIES[kind]
+    built = globals()[name](
+        *(params.get(p, 0) if p == "seed" else params[p] for p in names))
+    return built.g if kind == "bucket" else built
 
 
 # ---------------------------------------------------------------------------

@@ -219,9 +219,9 @@ def girth(g: Graph, cap: Optional[int] = None):
     best = INF
     if g.multigraph:
         if any(u == v for u, v in g.edges):
-            return 1
+            return 1 if cap is None or cap >= 1 else INF
         if len(set(g.edges)) != len(g.edges):
-            return 2
+            return 2 if cap is None or cap >= 2 else INF
         g = _simple_view(g)
     limit = cap if cap is not None else g.n  # no simple cycle exceeds n
     adj = g.adjacency

@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from drisk.graph import (
     GraphError,
-    _simple_view,
     induced_subgraph,
     is_distance_dominating,
     is_distance_independent,
@@ -544,8 +543,8 @@ def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...
 
 # The level-BFS loops and the greedy level descent as they were before
 # they became calls of multi_source_distances, graph._shortest_cycle_at
-# and graph._descend: projections._avoiding_bfs, uqw._avoiding_bfs_set,
-# graph.girth, generators._bfs_short_cycle and the walk inside
+# and graph._descend: projections._avoiding_bfs,
+# generators._bfs_short_cycle and the walk inside
 # ballvc.extract_minor_model.  They are kept verbatim apart from their
 # names (walk takes its closure's g and dist_to as arguments), so tests
 # can pin the shared ones to them.
@@ -569,74 +568,6 @@ def avoiding_bfs(g, source: int, boundary: set, cutoff: int) -> Dict[int, int]:
                         nxt.append(w)
         frontier = nxt
     return dist
-
-
-def avoiding_bfs_set(g, source: int, removed: set, cutoff: int) -> set:
-    """Vertices within cutoff of source in the graph minus removed."""
-    seen = {source}
-    frontier = [source]
-    depth = 0
-    adj = g.adjacency
-    while frontier and depth < cutoff:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen and w not in removed:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def girth_levels(g, cap: Optional[int] = None):
-    """Length of a shortest cycle, or math.inf if there is none.
-
-    With cap set, the search is truncated: the exact girth is returned when
-    it is <= cap, math.inf otherwise.  Loops count as 1-cycles and parallel
-    edges as 2-cycles.
-    """
-    best = INF
-    if g.multigraph:
-        if any(u == v for u, v in g.edges):
-            return 1
-        if len(set(g.edges)) != len(g.edges):
-            return 2
-        g = _simple_view(g)
-    limit = cap if cap is not None else g.n  # no simple cycle exceeds n
-    adj = g.adjacency
-    for root in range(g.n):
-        if not adj[root]:
-            continue
-        bound = min(best - 1, limit) if best != INF else limit
-        depth_cap = bound // 2
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        d = 0
-        while frontier and d < depth_cap:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = d
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
-        for u, du in dist.items():
-            for w in adj[u]:
-                if w <= u:
-                    continue
-                dw = dist.get(w)
-                if dw is None or parent[u] == w or parent[w] == u:
-                    continue
-                cand = du + dw + 1
-                if cand < best:
-                    best = cand
-    if cap is not None and best > cap:
-        return INF
-    return best
 
 
 def bfs_short_cycle(adj: List[Dict[int, int]], root: int, d: int):

@@ -513,6 +513,8 @@ class TestBench:
                 for fam, _ in families]
         rows.append({"name": "cube", "family": {"kind": "hypercube", "n": 3},
                      "task": "duality"})
+        rows.append({"name": "listed", "family": {"kind": ["path"], "n": 3},
+                     "task": "duality"})
         rows.append({"name": "half-grid", "family": {"kind": "grid", "rows": 3},
                      "task": "duality"})
         man_path = tmp_path / "manifest.json"
@@ -524,7 +526,8 @@ class TestBench:
         for row, (_, g) in zip(got, families):
             assert (row["n"], row["m"], row["error"]) == (str(g.n), str(g.m), "")
             assert row["outcome"] == "ok"
-        assert got[-2]["error"] == "GraphError: unknown family kind 'hypercube'"
+        assert got[-3]["error"] == "GraphError: unknown family kind 'hypercube'"
+        assert got[-2]["error"] == "GraphError: unknown family kind ['path']"
         assert got[-1]["error"] == "KeyError: 'cols'"
 
     def test_lp_rows_are_one_solve_matching_two_solves_on_corpus(

@@ -15,11 +15,11 @@ from drisk.generators import (
     BucketModelSample,
     HardnessInstance,
     PendantGraph,
+    _family,
     bucket_model,
     complete_graph,
     cycle_graph,
     exact_subdivision,
-    family,
     gnm_random,
     grid_graph,
     hardness_reduction,
@@ -81,17 +81,18 @@ class TestFamilies:
             gnm_random(3, 4, 0)
 
     def test_family_dispatch(self):
-        assert family("path", n=3).edges == path_graph(3).edges
-        assert family("grid", rows=2, cols=2).n == 4
-        assert family("gnm", n=6, m=5, seed=3).edges == gnm_random(6, 5, 3).edges
-        # a missing seed is 0; bucket gives the whole sample
-        assert family("gnm", n=6, m=5).edges == gnm_random(6, 5, 0).edges
-        sample = family("bucket", n=10, d=3)
-        assert sample.g.edges == bucket_model(10, 3, 0).g.edges
+        assert _family("path", {"n": 3}).edges == path_graph(3).edges
+        assert _family("grid", {"rows": 2, "cols": 2}).n == 4
+        assert _family("gnm", {"n": 6, "m": 5, "seed": 3}).edges == gnm_random(6, 5, 3).edges
+        # a missing seed is 0; bucket gives the sample's trimmed graph
+        assert _family("gnm", {"n": 6, "m": 5}).edges == gnm_random(6, 5, 0).edges
+        assert _family("bucket", {"n": 10, "d": 3}).edges == bucket_model(10, 3, 0).g.edges
         with pytest.raises(GraphError, match="unknown family kind 'hypercube'"):
-            family("hypercube", n=3)
+            _family("hypercube", {"n": 3})
+        with pytest.raises(GraphError, match=r"unknown family kind \['path'\]"):
+            _family(["path"], {"n": 3})
         with pytest.raises(KeyError):
-            family("grid", rows=2)
+            _family("grid", {"rows": 2})
 
 
 class TestExactSubdivision:

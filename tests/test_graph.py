@@ -272,12 +272,15 @@ class TestGirth:
                 (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))
             ]
             g = Graph(n, edges, multigraph=True)
-            assert girth(g) == bruteforce.girth(g), (n, edges)
+            want = bruteforce.girth(g)
+            assert girth(g) == want, (n, edges)
+            # a capped search gives the girth within the cap, inf beyond it
+            for cap in range(1, 8):
+                assert girth(g, cap) == (want if want <= cap else math.inf), (n, edges, cap)
 
 
-def draw_graph(data, max_n=12, extras=False):
-    """A graph on 1..max_n vertices with up to 2n distinct edges; with
-    extras, a multigraph that may also carry a loop and a parallel copy."""
+def draw_graph(data, max_n=12):
+    """A graph on 1..max_n vertices with up to 2n distinct edges."""
     n = data.draw(st.integers(1, max_n), label="n")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(
@@ -285,14 +288,7 @@ def draw_graph(data, max_n=12, extras=False):
         if pairs else st.just([]),
         label="edges",
     )
-    if not extras:
-        return Graph(n, edges)
-    loops = data.draw(st.lists(st.integers(0, n - 1), max_size=1), label="loops")
-    copies = data.draw(
-        st.lists(st.sampled_from(edges), max_size=1) if edges else st.just([]),
-        label="copies",
-    )
-    return Graph(n, edges + [(v, v) for v in loops] + copies, multigraph=True)
+    return Graph(n, edges)
 
 
 class TestSharedSearches:
@@ -313,17 +309,6 @@ class TestSharedSearches:
 
     @settings(max_examples=200)
     @given(st.data())
-    def test_blocked_search_matches_the_deleted_ball(self, data):
-        g = draw_graph(data)
-        vertex = st.integers(0, g.n - 1)
-        source = data.draw(vertex, label="source")
-        removed = data.draw(st.sets(vertex, max_size=5), label="removed") - {source}
-        cutoff = data.draw(st.integers(0, 6), label="cutoff")
-        got = multi_source_distances(g, (source,), cutoff, removed)
-        assert set(got) == bruteforce.avoiding_bfs_set(g, source, removed, cutoff)
-
-    @settings(max_examples=200)
-    @given(st.data())
     def test_sources_stop_and_blocked_together(self, data):
         g = draw_graph(data)
         vertex = st.integers(0, g.n - 1)
@@ -339,13 +324,6 @@ class TestSharedSearches:
             for v, d in reach.items():
                 want[v] = min(d, want.get(v, d))
         assert multi_source_distances(g, sources, cutoff, blocked, stop) == want
-
-    @settings(max_examples=300)
-    @given(st.data())
-    def test_girth_matches_the_per_root_loop(self, data):
-        g = draw_graph(data, extras=True)
-        for cap in (None, 1, 2, 3, 4, 5, 6, 7):
-            assert girth(g, cap) == bruteforce.girth_levels(g, cap), cap
 
     @settings(max_examples=200)
     @given(st.data())
