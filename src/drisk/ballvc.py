@@ -38,8 +38,6 @@ class SetSystem:
 
 def balls_system(g: Graph, r: int) -> SetSystem:
     """The system of all radius-r balls of g over the universe V(g)."""
-    if g.multigraph:
-        raise GraphError("ball systems require a simple graph")
     if r < 0:
         raise GraphError("radius must be >= 0")
     universe = tuple(range(g.n))
@@ -245,8 +243,6 @@ def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:
     is validated before returning; a validation failure is a hard error
     since the construction guarantees it.
     """
-    if g.multigraph:
-        raise GraphError("minor extraction requires a simple graph")
     validate_two_shatter(g, r, w)
     members = tuple(sorted(w.members))
     t = len(members)

@@ -192,7 +192,6 @@ def _build_parser() -> _Parser:
                        help="skip the exact LP inside duality reports")
     solve.add_argument("--timing", action="store_true")
     solve.add_argument("--out")
-    solve.add_argument("--format", choices=["json"], default="json")
 
     kern = sub.add_parser("kernel", help="shrink an instance or decide it")
     kern.add_argument("--input", required=True)
@@ -207,7 +206,6 @@ def _build_parser() -> _Parser:
     kern.add_argument("--out-prefix", help="write Y/B files and removal log")
     kern.add_argument("--timing", action="store_true")
     kern.add_argument("--out")
-    kern.add_argument("--format", choices=["json"], default="json")
 
     ver = sub.add_parser("verify-cert", help="replay removal certificates")
     ver.add_argument("--input", required=True)
@@ -220,7 +218,6 @@ def _build_parser() -> _Parser:
     bench = sub.add_parser("bench", help="run a manifest, emit CSV")
     bench.add_argument("--manifest", required=True)
     bench.add_argument("--out")
-    bench.add_argument("--format", choices=["csv"], default="csv")
     return top
 
 
@@ -371,11 +368,16 @@ def _cmd_solve(args) -> int:
 
 
 def _replay_log(g: Graph, members: Tuple[int, ...], entries: List[dict]) -> dict:
+    if not isinstance(entries, list):
+        raise GraphError("malformed removal log: expected a list of entries")
     current = list(members)
     failures: List[dict] = []
     for index, entry in enumerate(entries):
-        cert = _cert_from_json(entry["certificate"])
-        removed = int(entry["removed"])
+        try:
+            cert = _cert_from_json(entry["certificate"])
+            removed = int(entry["removed"])
+        except TypeError as exc:
+            raise GraphError(f"malformed removal log entry {index}: {exc}")
         reason = check_certificate(g, current, cert)
         if reason is None and removed not in cert.l_prime:
             reason = "removed vertex outside the certified class"
@@ -488,9 +490,11 @@ def _bench_graph(row: dict) -> Graph:
 
 def _bench_row(row: dict) -> Dict[str, str]:
     out = {col: "" for col in _BENCH_COLUMNS}
-    out["name"] = str(row.get("name", ""))
     started = time.perf_counter()
     try:
+        if not isinstance(row, dict):
+            raise GraphError(f"bench row {row!r} is not an object")
+        out["name"] = str(row.get("name", ""))
         g = _bench_graph(row)
         members = (
             vset(read_vertex_set(row["a_file"]), g)
@@ -544,6 +548,8 @@ def _cmd_bench(args) -> int:
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     rows = manifest["rows"] if isinstance(manifest, dict) else manifest
+    if not isinstance(rows, list):
+        raise GraphError("malformed bench manifest: expected a list of rows")
     lines = [",".join(_BENCH_COLUMNS)]
     for row in rows:
         done = _bench_row(row)

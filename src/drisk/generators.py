@@ -9,8 +9,9 @@ shuffle inside bucket_model.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .graph import INF, Graph, GraphError, _shortest_cycle_at, distances_from, girth
 
@@ -83,8 +84,6 @@ def exact_subdivision(g: Graph, r: int) -> Tuple[Graph, Dict[int, int]]:
     """
     if r < 1:
         raise GraphError("subdivision radius must be >= 1")
-    if g.multigraph:
-        raise GraphError("subdivision requires a simple graph")
     origin = {v: v for v in range(g.n)}
     if r == 1:
         return Graph(g.n, g.edges), origin
@@ -158,9 +157,11 @@ def pendant_construction(g: Graph, r: int) -> PendantGraph:
 @dataclass(frozen=True)
 class BucketModelSample:
     """Seeded draw of the bucket model: g0 is the raw d-regular collapse of
-    a uniform perfect matching on d*n points, g the simple trimmed graph."""
+    a uniform perfect matching on d*n points, as its sorted (u, v) pairs
+    with u <= v (a multigraph: loops and repeated pairs included), and g
+    the trimmed graph."""
 
-    g0: Graph
+    g0: Tuple[Tuple[int, int], ...]
     g: Graph
     n: int
     d: int
@@ -168,12 +169,11 @@ class BucketModelSample:
     removed_edges: int
 
     def __post_init__(self):
-        if self.g0.m != self.d * self.n // 2:
+        if len(self.g0) != self.d * self.n // 2:
             raise GraphError("bucket sample: wrong edge count in g0")
-        if any(self.g0.degree(v) != self.d for v in range(self.n)):
+        ends = Counter(v for pair in self.g0 for v in pair)  # a loop adds 2
+        if any(ends[v] != self.d for v in range(self.n)):
             raise GraphError("bucket sample: g0 is not d-regular")
-        if self.g.multigraph:
-            raise GraphError("bucket sample: trimmed graph must be simple")
         if girth(self.g, cap=self.d) != INF:
             raise GraphError("bucket sample: short cycle survived trimming")
         if any(self.g.degree(v) > self.d for v in range(self.n)):
@@ -206,32 +206,35 @@ def _bfs_short_cycle(adj: List[Dict[int, int]], root: int, d: int):
     return cycle
 
 
-def trim_short_cycles(g0: Graph, d: int) -> Tuple[Graph, int]:
-    """Delete one edge from every cycle of length <= d until none remains.
+def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple[Graph, int]:
+    """Delete one edge from every cycle of length <= d of the multigraph
+    on n vertices with the given (u, v) pairs until none remains; returns
+    the simple graph left and the number of edges removed.
 
-    Loops are 1-cycles and parallel edges 2-cycles.  Among the edges of a
+    Loops are 1-cycles and repeated pairs 2-cycles.  Among the edges of a
     found cycle, the lexicographically smallest is removed.  Edge removal
     never creates cycles, so a single pass over root vertices with a local
-    fixpoint at each reaches the global fixpoint.
+    fixpoint at each reaches the global fixpoint.  The search visits
+    neighbours in the order the pairs first list them.
     """
     if d < 1:
         raise GraphError("trim threshold must be >= 1")
-    adj: List[Dict[int, int]] = [dict() for _ in range(g0.n)]
+    adj: List[Dict[int, int]] = [dict() for _ in range(n)]
     removed = 0
-    for u, v in g0.edges:
+    for u, v in pairs:
         if u == v:
             removed += 1  # every loop is a 1-cycle
             continue
         adj[u][v] = adj[u].get(v, 0) + 1
         adj[v][u] = adj[v].get(u, 0) + 1
     if d >= 2:
-        for u in range(g0.n):
+        for u in range(n):
             for v, mult in list(adj[u].items()):
                 if v > u and mult > 1:
                     removed += mult - 1
                     adj[u][v] = adj[v][u] = 1
     if d >= 3:
-        for root in range(g0.n):
+        for root in range(n):
             while True:
                 cycle = _bfs_short_cycle(adj, root, d)
                 if cycle is None:
@@ -241,8 +244,8 @@ def trim_short_cycles(g0: Graph, d: int) -> Tuple[Graph, int]:
                 del adj[eu][ev]
                 del adj[ev][eu]
                 removed += 1
-    edges = [(u, v) for u in range(g0.n) for v in adj[u] if u < v]
-    return Graph(g0.n, edges), removed
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+    return Graph(n, edges), removed
 
 
 def bucket_model(n: int, d: int, seed: int) -> BucketModelSample:
@@ -258,11 +261,9 @@ def bucket_model(n: int, d: int, seed: int) -> BucketModelSample:
     rng = random.Random(seed)
     points = list(range(d * n))
     rng.shuffle(points)
-    edges = [
-        (points[i] // d, points[i + 1] // d) for i in range(0, d * n, 2)
-    ]
-    g0 = Graph(n, edges, multigraph=True)
-    g, removed = trim_short_cycles(g0, d)
+    ends = [p // d for p in points]
+    g0 = tuple(sorted((min(u, v), max(u, v)) for u, v in zip(ends[::2], ends[1::2])))
+    g, removed = trim_short_cycles(n, g0, d)
     return BucketModelSample(g0, g, n, d, seed, removed)
 
 
@@ -328,8 +329,6 @@ def hardness_reduction(g: Graph, r: int) -> HardnessInstance:
     of length 3, then take the exact r-subdivision of the whole gadget."""
     if r < 1:
         raise GraphError("hardness reduction requires r >= 1")
-    if g.multigraph:
-        raise GraphError("hardness reduction requires a simple graph")
     sub3, _ = exact_subdivision(g, 3)
     subdiv = tuple(subdivision_vertex_range(g, 3))
     edges = list(sub3.edges)

@@ -1,9 +1,8 @@
 """Immutable undirected graphs plus the BFS-based distance queries every
 other module is built on.
 
-Vertices are always 0..n-1.  Simple mode (the default) rejects loops and
-parallel edges; multigraph mode permits both and exists only so the random
-regular-graph generator can hold its intermediate bucket graph.
+Vertices are always 0..n-1.  Graphs are simple: loops and parallel edges
+are rejected.
 """
 
 from __future__ import annotations
@@ -20,16 +19,12 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Undirected graph with a tuple-of-tuples adjacency view.
+    """Simple undirected graph with a tuple-of-tuples adjacency view.
+    Instances never mutate after construction."""
 
-    The adjacency list of v mirrors the edge multiset: in multigraph mode a
-    parallel edge contributes one entry per copy and a loop lists v in its
-    own adjacency.  Instances never mutate after construction.
-    """
+    __slots__ = ("n", "edges", "adjacency")
 
-    __slots__ = ("n", "edges", "adjacency", "multigraph")
-
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = (), multigraph: bool = False):
+    def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         norm = []
@@ -37,37 +32,32 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             norm.append((u, v) if u <= v else (v, u))
-        if not multigraph:
-            if any(u == v for u, v in norm):
-                raise GraphError("loops are not allowed in simple mode")
-            if len(set(norm)) != len(norm):
-                raise GraphError("parallel edges are not allowed in simple mode")
+        if any(u == v for u, v in norm):
+            raise GraphError("loops are not allowed")
+        if len(set(norm)) != len(norm):
+            raise GraphError("parallel edges are not allowed")
         adj = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
-            if v != u:
-                adj[v].append(u)
+            adj[v].append(u)
         self.n = n
         self.edges = tuple(sorted(norm))
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-        self.multigraph = multigraph
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        # a loop contributes 2, matching the handshake convention
-        return len(self.adjacency[v]) + sum(1 for w in self.adjacency[v] if w == v)
+        return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        # O(deg u); a loop lists u in its own adjacency.  Out-of-range
-        # ids are simply absent, as they are from the edge list.
+        # O(deg u).  Out-of-range ids are simply absent, as they are
+        # from the edge list.
         return 0 <= u < self.n and v in self.adjacency[u]
 
     def __repr__(self):
-        kind = "Multigraph" if self.multigraph else "Graph"
-        return f"{kind}(n={self.n}, m={self.m})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 def vset(ids: Iterable[int], g: Optional[Graph] = None) -> Tuple[int, ...]:
@@ -173,7 +163,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]
     keep = vset(s, g)
     idmap = {v: i for i, v in enumerate(keep)}
     edges = [(idmap[u], idmap[v]) for u, v in g.edges if u in idmap and v in idmap]
-    return Graph(len(keep), edges, multigraph=g.multigraph), idmap
+    return Graph(len(keep), edges), idmap
 
 
 def is_distance_independent(
@@ -203,26 +193,13 @@ def is_distance_dominating(g: Graph, d: Iterable[int], a: Iterable[int], r: int)
     return all(v in reach for v in targets)
 
 
-def _simple_view(g: Graph) -> Graph:
-    """Underlying simple graph: loops dropped, multiplicities collapsed."""
-    seen = sorted({(u, v) for u, v in g.edges if u != v})
-    return Graph(g.n, seen)
-
-
 def girth(g: Graph, cap: Optional[int] = None):
     """Length of a shortest cycle, or math.inf if there is none.
 
     With cap set, the search is truncated: the exact girth is returned when
-    it is <= cap, math.inf otherwise.  Loops count as 1-cycles and parallel
-    edges as 2-cycles.
+    it is <= cap, math.inf otherwise.
     """
     best = INF
-    if g.multigraph:
-        if any(u == v for u, v in g.edges):
-            return 1 if cap is None or cap >= 1 else INF
-        if len(set(g.edges)) != len(g.edges):
-            return 2 if cap is None or cap >= 2 else INF
-        g = _simple_view(g)
     limit = cap if cap is not None else g.n  # no simple cycle exceeds n
     adj = g.adjacency
     for root in range(g.n):

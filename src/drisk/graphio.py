@@ -23,7 +23,7 @@ def write_edge_list(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_edge_list(path: str, multigraph: bool = False) -> Graph:
+def read_edge_list(path: str) -> Graph:
     n = None
     m = None
     edges: List[Tuple[int, int]] = []
@@ -51,7 +51,7 @@ def read_edge_list(path: str, multigraph: bool = False) -> Graph:
         raise GraphError(f"{path}: missing p header")
     if m != len(edges):
         raise GraphError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return Graph(n, edges, multigraph=multigraph)
+    return Graph(n, edges)
 
 
 def write_vertex_set(ids: Iterable[int], path: str) -> None:

@@ -323,14 +323,10 @@ def validate_minor_model(g: Graph, model: MinorModel) -> None:
                 raise GraphError(f"no edge between branch sets {i} and {j}")
 
 
-def _connected_sets_bounded(g: Graph, cap: int) -> List[int]:
-    """Bitmasks of all connected vertex sets of size <= cap."""
-    n = g.n
-    adjm = [0] * n
-    for u, v in g.edges:
-        if u != v:
-            adjm[u] |= 1 << v
-            adjm[v] |= 1 << u
+def _connected_sets_bounded(adjm: List[int], cap: int) -> List[int]:
+    """Bitmasks of all connected vertex sets of size <= cap in the graph
+    whose vertex v has the neighbour bitmask adjm[v]."""
+    n = len(adjm)
     out: List[int] = []
 
     def rec(s_mask, s_size, ext, forb, allowed):
@@ -370,8 +366,6 @@ def find_clique_minor(
         raise OracleLimitError(
             f"clique-minor search limited to {vertex_limit} vertices, got {g.n}"
         )
-    if g.multigraph:
-        raise GraphError("clique-minor search requires a simple graph")
     if t == 1:
         if g.n == 0:
             return None
@@ -386,7 +380,7 @@ def find_clique_minor(
         return tuple(i for i in range(g.n) if (mask >> i) & 1)
 
     cands = []
-    for mask in _connected_sets_bounded(g, cap):
+    for mask in _connected_sets_bounded(adjm, cap):
         members = frozenset(unpack(mask))
         if _radius_at_most(g, members, r):
             nbr = 0

@@ -105,10 +105,8 @@ def order_heuristic(g: Graph, r: int = 1) -> VertexOrder:
     end up late and their back-connections stay sparse.
 
     The result is the (degree, id)-minimal peel: each step removes the
-    live vertex with the smallest (degree, id), where a loop counts 2
-    and never decreases, and each parallel copy to a removed vertex
-    decreases the degree by one.  A lazy-deletion heap finds that
-    vertex in O((n+m) log n) total.
+    live vertex with the smallest (degree, id).  A lazy-deletion heap
+    finds that vertex in O((n+m) log n) total.
 
     The radius argument is accepted for interface uniformity; the
     peeling strategy itself is radius-free.

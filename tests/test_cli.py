@@ -407,6 +407,26 @@ class TestKernel:
     def test_missing_required_flags_exit_three(self, path10):
         assert main(["kernel", "--input", path10, "--r", "2"]) == 3
 
+    @pytest.mark.parametrize(
+        "edges", ["e 0 0\ne 0 1\n", "e 0 1\ne 1 0\n"], ids=["loop", "parallel"]
+    )
+    def test_loop_or_parallel_edge_in_graph_file_exits_three(
+        self, edges, tmp_path, capsys
+    ):
+        graph_path = tmp_path / "multi.gr"
+        graph_path.write_text("p 3 2\n" + edges)
+        code = main(["kernel", "--input", str(graph_path), "--r", "1", "--k", "1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "alpha", "--input", "g.gr", "--format", "json"],
+        ["kernel", "--input", "g.gr", "--r", "1", "--k", "1", "--format", "json"],
+        ["bench", "--manifest", "m.json", "--format", "csv"],
+    ], ids=["solve", "kernel", "bench"])
+    def test_format_flag_is_refused(self, command):
+        assert main(command) == 3
+
 
 class TestVerifyCert:
     def test_single_certificate(self, twin, tmp_path, capsys):
@@ -463,6 +483,19 @@ class TestVerifyCert:
         assert main([
             "verify-cert", "--input", graph_path, "--cert", str(cert_path)
         ]) == 3
+
+    @pytest.mark.parametrize("log", [[[1, 2]], 5], ids=["list-entry", "number"])
+    def test_malformed_log_exits_three(self, log, twin, tmp_path, capsys):
+        graph_path, a_path = twin
+        log_path = tmp_path / "bad.log.json"
+        log_path.write_text(json.dumps(log))
+        code = main([
+            "verify-cert", "--input", graph_path, "--a-file", a_path,
+            "--log", str(log_path),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
 
     def test_cert_and_log_are_mutually_exclusive(self, twin, tmp_path):
         graph_path, _ = twin
@@ -569,6 +602,25 @@ class TestBench:
 
     def test_missing_manifest_exits_three(self, tmp_path):
         assert main(["bench", "--manifest", str(tmp_path / "no.json")]) == 3
+
+    def test_manifest_that_is_not_a_list_exits_three(self, tmp_path, capsys):
+        man_path = tmp_path / "m.json"
+        man_path.write_text("7")
+        assert main(["bench", "--manifest", str(man_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_row_that_is_not_an_object_is_an_error_row(self, tmp_path, capsys):
+        manifest = [5, {"name": "p4", "family": {"kind": "path", "n": 4},
+                        "task": "lp"}]
+        man_path = tmp_path / "m.json"
+        man_path.write_text(json.dumps(manifest))
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["name"] for row in rows] == ["", "p4"]
+        assert rows[0]["error"] == "GraphError: bench row 5 is not an object"
+        assert rows[1]["outcome"] == "equal" and rows[1]["error"] == ""
 
 
 def child_env():

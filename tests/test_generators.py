@@ -128,8 +128,6 @@ class TestExactSubdivision:
     def test_rejects_bad_inputs(self):
         with pytest.raises(GraphError):
             exact_subdivision(cycle_graph(3), 0)
-        with pytest.raises(GraphError):
-            exact_subdivision(Graph(2, [(0, 1), (0, 1)], multigraph=True), 2)
 
 
 class TestPendantConstruction:
@@ -165,20 +163,23 @@ class TestPendantConstruction:
 
 class TestTrimShortCycles:
     def test_kills_loops_parallels_and_short_cycles(self):
-        g0 = Graph(
-            5,
-            [(0, 0), (1, 2), (1, 2), (2, 3), (3, 4), (2, 4), (0, 1)],
-            multigraph=True,
-        )
-        g, removed = trim_short_cycles(g0, 3)
+        pairs = [(0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+        g, removed = trim_short_cycles(5, pairs, 3)
         assert removed == 3  # the loop, one parallel copy, one triangle edge
-        assert g.m == g0.m - removed
+        assert g.edges == ((0, 1), (1, 2), (2, 4), (3, 4))
         assert girth(g) > 3
 
+    def test_low_thresholds_cut_loops_then_parallel_copies(self):
+        g, removed = trim_short_cycles(3, [(0, 0), (0, 1), (1, 2), (2, 2)], 1)
+        assert removed == 2 and g.edges == ((0, 1), (1, 2))
+        pairs = [(0, 0), (0, 1), (0, 1), (0, 1), (0, 2), (1, 2), (1, 2), (2, 3)]
+        g, removed = trim_short_cycles(4, pairs, 2)
+        assert removed == 4 and g.edges == ((0, 1), (0, 2), (1, 2), (2, 3))
+
     def test_acyclic_graph_untouched(self):
-        g0 = Graph(4, [(0, 1), (1, 2), (2, 3)], multigraph=True)
-        g, removed = trim_short_cycles(g0, 5)
-        assert removed == 0 and g.edges == g0.edges
+        pairs = [(0, 1), (1, 2), (2, 3)]
+        g, removed = trim_short_cycles(4, pairs, 5)
+        assert removed == 0 and g.edges == tuple(pairs)
 
     def test_girth_exceeds_threshold_on_random_multigraphs(self):
         import random
@@ -186,14 +187,17 @@ class TestTrimShortCycles:
         rng = random.Random(11)
         for trial in range(20):
             n = rng.randint(4, 10)
-            edges = [
-                (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(3, 16))
-            ]
-            g0 = Graph(n, edges, multigraph=True)
-            for d in (3, 4, 5):
-                g, removed = trim_short_cycles(g0, d)
+            # raw pairs with loops and repeats, normalised and sorted as
+            # the bucket sampler hands them over
+            edges = sorted(
+                tuple(sorted((rng.randrange(n), rng.randrange(n))))
+                for _ in range(rng.randint(3, 16))
+            )
+            for d in (2, 3, 4, 5):
+                g, removed = trim_short_cycles(n, edges, d)
                 assert bruteforce.girth(g) > d, (n, edges, d)
-                assert g.m == g0.m - removed
+                assert g.m == len(edges) - removed
+                assert set(g.edges) <= set(edges)
 
 
     @settings(max_examples=150)
@@ -237,17 +241,25 @@ class TestBucketModel:
         a = bucket_model(20, 3, 4)
         b = bucket_model(20, 3, 4)
         c = bucket_model(20, 3, 5)
-        assert a.g.edges == b.g.edges and a.g0.edges == b.g0.edges
+        assert a.g.edges == b.g.edges and a.g0 == b.g0
         assert a.g.edges != c.g.edges
 
     @pytest.mark.parametrize("n,d,seed", [(10, 3, 0), (14, 4, 2), (20, 5, 9)])
     def test_invariants(self, n, d, seed):
         s = bucket_model(n, d, seed)
-        assert s.g0.m == d * n // 2
-        assert all(s.g0.degree(v) == d for v in range(n))
+        assert len(s.g0) == d * n // 2
+        assert list(s.g0) == sorted(s.g0) and all(u <= v for u, v in s.g0)
+        # every vertex ends d pairs, a loop counting at both ends
+        ends = [v for pair in s.g0 for v in pair]
+        assert all(ends.count(v) == d for v in range(n))
         assert all(s.g.degree(v) <= d for v in range(n))
         assert bruteforce.girth(s.g) > d
-        assert s.g.m == s.g0.m - s.removed_edges
+        assert s.g.m == len(s.g0) - s.removed_edges
+        # the trim gets the raw pairs, loops and repeats included, as
+        # each of these samples has
+        assert any(u == v for u, v in s.g0) and len(set(s.g0)) < len(s.g0)
+        g, removed = trim_short_cycles(n, s.g0, d)
+        assert (g.edges, removed) == (s.g.edges, s.removed_edges)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(GraphError):
@@ -259,8 +271,19 @@ class TestBucketModel:
 
     def test_validation_rejects_wrong_claims(self):
         s = bucket_model(10, 3, 1)
+        # a trim to girth > 2 only keeps a triangle here
+        kept, removed = trim_short_cycles(s.n, s.g0, 2)
+        assert girth(kept) == 3
         with pytest.raises(GraphError):
-            BucketModelSample(s.g0, s.g0, s.n, s.d, s.seed, s.removed_edges)
+            BucketModelSample(s.g0, kept, s.n, s.d, s.seed, removed)
+        with pytest.raises(GraphError):
+            BucketModelSample(s.g0[1:], s.g, s.n, s.d, s.seed, s.removed_edges)
+        with pytest.raises(GraphError):
+            shifted = ((0, 0),) + s.g0[1:]  # one end moved: not 3-regular
+            BucketModelSample(shifted, s.g, s.n, s.d, s.seed, s.removed_edges)
+        with pytest.raises(GraphError):
+            star = Graph(s.n, [(0, v) for v in range(1, 5)])  # degree 4 > 3
+            BucketModelSample(s.g0, star, s.n, s.d, s.seed, 0)
 
 
 class TestHardnessReduction:
@@ -294,5 +317,3 @@ class TestHardnessReduction:
     def test_rejects_bad_inputs(self):
         with pytest.raises(GraphError):
             hardness_reduction(cycle_graph(3), 0)
-        with pytest.raises(GraphError):
-            hardness_reduction(Graph(2, [(0, 1), (0, 1)], multigraph=True), 1)

@@ -31,14 +31,12 @@ class TestEdgeListRoundTrip:
         assert text.startswith("c hello\nc world\np 3 1\n")
         assert read_edge_list(str(p)).edges == ((0, 1),)
 
-    def test_multigraph_round_trip(self, tmp_path):
-        g = Graph(3, [(0, 0), (0, 1), (0, 1)], multigraph=True)
+    def test_loops_and_parallel_edges_are_refused(self, tmp_path):
         p = tmp_path / "mg.gr"
-        write_edge_list(g, str(p))
-        back = read_edge_list(str(p), multigraph=True)
-        assert back.edges == g.edges
-        with pytest.raises(GraphError):
-            read_edge_list(str(p))  # simple mode must refuse it
+        for edges in ("e 0 0\ne 0 1\n", "e 0 1\ne 1 0\n"):
+            p.write_text("p 3 2\n" + edges)
+            with pytest.raises(GraphError):
+                read_edge_list(str(p))
 
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "g.gr"

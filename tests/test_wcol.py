@@ -139,17 +139,6 @@ class TestOrderHeuristic:
         g = Graph(n + extra, edges)
         assert order_heuristic(g).sequence == bruteforce.degeneracy_order(g)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_matches_min_scan_peel_on_multigraphs(self, data):
-        # loops and parallel edges: a loop counts 2 toward the degree,
-        # each parallel copy is one decrement when its other end peels
-        n = data.draw(st.integers(1, 16), label="n")
-        vertex = st.integers(0, n - 1)
-        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40), label="edges")
-        g = Graph(n, edges, multigraph=True)
-        assert order_heuristic(g).sequence == bruteforce.degeneracy_order(g)
-
     def test_empty_and_edgeless_graphs(self):
         assert order_heuristic(Graph(0)).sequence == ()
         # all degrees tie at 0: peeled by id, so placed in reverse
