@@ -12,6 +12,7 @@ bytes (wall-clock timing only appears under --timing).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -160,7 +161,10 @@ def _outcome_to_json(outcome: KernelOutcome) -> dict:
 # gen
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args leaves the parser as it was, and
+    # no argument has a mutable default or an append action.
     top = _Parser(prog="drisk", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

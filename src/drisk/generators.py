@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .graph import INF, Graph, GraphError, _shortest_cycle_at, distances_from, girth
+from .graph import INF, Graph, GraphError, _CycleSearch, distances_from, girth
 
 
 # ---------------------------------------------------------------------------
@@ -180,69 +180,44 @@ class BucketModelSample:
             raise GraphError("bucket sample: degree bound violated")
 
 
-def _bfs_short_cycle(adj: List[Dict[int, int]], root: int, d: int):
-    """Shortest cycle of length <= d visible from a BFS at root, as a vertex
-    sequence, or None.  adj is a mutable neighbor->multiplicity view of a
-    simple graph."""
-    best, dist, parent = _shortest_cycle_at(adj, root, d)
-    if best is None:
-        return None
-    _, u, w = best
-    # walk both endpoints up to their lowest common ancestor
-    up, wp = [u], [w]
-    a, b = u, w
-    while dist[a] > dist[b]:
-        a = parent[a]
-        up.append(a)
-    while dist[b] > dist[a]:
-        b = parent[b]
-        wp.append(b)
-    while a != b:
-        a = parent[a]
-        up.append(a)
-        b = parent[b]
-        wp.append(b)
-    cycle = up + wp[-2::-1]  # u .. lca .. w, closed by the edge (w, u)
-    return cycle
-
-
 def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple[Graph, int]:
     """Delete one edge from every cycle of length <= d of the multigraph
     on n vertices with the given (u, v) pairs until none remains; returns
     the simple graph left and the number of edges removed.
 
-    Loops are 1-cycles and repeated pairs 2-cycles.  Among the edges of a
-    found cycle, the lexicographically smallest is removed.  Edge removal
-    never creates cycles, so a single pass over root vertices with a local
-    fixpoint at each reaches the global fixpoint.  The search visits
-    neighbours in the order the pairs first list them.
+    Loops are 1-cycles and repeated pairs 2-cycles.  Repeated pairs always
+    merge into one edge, since a Graph is simple, and every loop and every
+    extra copy counts as removed, so removed == len(pairs) - g.m for any
+    d.  Among the edges of a found cycle of length >= 3, the
+    lexicographically smallest is removed.  Edge removal never creates
+    cycles, so a single pass over root vertices with a local fixpoint at
+    each reaches the global fixpoint.  The search visits neighbours in the
+    order the pairs first list them.
     """
     if d < 1:
         raise GraphError("trim threshold must be >= 1")
-    adj: List[Dict[int, int]] = [dict() for _ in range(n)]
-    removed = 0
+    norm = []
     for u, v in pairs:
-        if u == v:
-            removed += 1  # every loop is a 1-cycle
-            continue
-        adj[u][v] = adj[u].get(v, 0) + 1
-        adj[v][u] = adj[v].get(u, 0) + 1
-    if d >= 2:
-        for u in range(n):
-            for v, mult in list(adj[u].items()):
-                if v > u and mult > 1:
-                    removed += mult - 1
-                    adj[u][v] = adj[v][u] = 1
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"pair ({u},{v}) out of range for n={n}")
+        norm.append((u, v) if u <= v else (v, u))
+    simple = [(u, v) for u, v in dict.fromkeys(norm) if u != v]
+    removed = len(norm) - len(simple)
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for u, v in simple:
+        adj[u].append(v)
+        adj[v].append(u)
     if d >= 3:
+        search = _CycleSearch(adj)
         for root in range(n):
             while True:
-                cycle = _bfs_short_cycle(adj, root, d)
-                if cycle is None:
+                found = search.at(root, d)
+                if found is None:
                     break
-                closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
-                eu, ev = min((min(a, b), max(a, b)) for a, b in closed)
-                del adj[eu][ev]
-                del adj[ev][eu]
+                eu, ev = min((min(a, b), max(a, b))
+                             for a, b in search.cycle_edges(found[1], found[2]))
+                adj[eu].remove(ev)
+                adj[ev].remove(eu)
                 removed += 1
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
     return Graph(n, edges), removed

@@ -201,47 +201,101 @@ def girth(g: Graph, cap: Optional[int] = None):
     """
     best = INF
     limit = cap if cap is not None else g.n  # no simple cycle exceeds n
-    adj = g.adjacency
-    for root in range(g.n):
-        if not adj[root]:
+    search = _CycleSearch(g.adjacency)
+    for root, nbrs in enumerate(g.adjacency):
+        bound = limit if best == INF else min(best - 1, limit)
+        if bound < 3:  # a simple graph has no shorter cycle
+            break
+        # A shortest cycle is found from its smallest vertex, searching
+        # only the vertices above it, and its two cycle neighbours are
+        # larger (adjacency lists are sorted).
+        if len(nbrs) < 2 or nbrs[-2] < root:
             continue
-        bound = min(best - 1, limit) if best != INF else limit
-        found, _, _ = _shortest_cycle_at(adj, root, bound)
+        found = search.at(root, bound, low=root)
         if found is not None:
             best = found[0]
     return best
 
 
-def _shortest_cycle_at(adj, root: int, bound: int):
-    """Smallest (length, u, w) over the non-tree edges u < w seen by a
-    BFS from root to depth bound // 2, where length = dist[u] + dist[w]
-    + 1 <= bound, or None; returned with the BFS tree as (best, dist,
-    parent).  adj is any per-vertex neighbour view of a simple graph;
-    the BFS tree follows its iteration order."""
-    depth_cap = bound // 2
-    dist = {root: 0}
-    parent = {root: -1}
-    frontier = [root]
-    d = 0
-    while frontier and d < depth_cap:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    best = None
-    for u, du in dist.items():
-        for w in adj[u]:
-            if w <= u:
-                continue
-            dw = dist.get(w)
-            if dw is None or parent[u] == w or parent[w] == u:
-                continue
-            cand = du + dw + 1
-            if cand <= bound and (best is None or (cand, u, w) < best):
-                best = (cand, u, w)
-    return best, dist, parent
+class _CycleSearch:
+    """Itai and Rodeh's per-root BFS for short cycles, on mark and parent
+    arrays that are allocated once and reused across roots.  A search
+    stamps the vertices it reaches with base + depth, above every stamp of
+    the searches before it, so nothing is cleared between roots.  adj is
+    any per-vertex neighbour view of a simple graph on len(adj) vertices;
+    it may change between searches, and each BFS tree follows its
+    iteration order."""
+
+    __slots__ = ("adj", "mark", "parent", "top")
+
+    def __init__(self, adj):
+        n = len(adj)
+        self.adj = adj
+        self.mark = [-1] * n
+        self.parent = [0] * n
+        self.top = -1  # the highest stamp written so far
+
+    def at(self, root: int, bound: int, low: int = 0):
+        """Smallest (length, u, w) over the non-tree edges u < w seen by a
+        BFS from root to depth bound // 2 among the vertices >= low, where
+        length = dist[u] + dist[w] + 1 <= bound; None if there is none.
+
+        Non-tree edges are recorded while a level is expanded, and the
+        lengths they give grow with the level.  So the search stops after
+        the first level that gives one: that level holds every candidate
+        of the least length, and the tree above it is final."""
+        adj, mark, parent = self.adj, self.mark, self.parent
+        cap = bound // 2
+        base = self.top + 1
+        self.top = base + cap
+        mark[root] = base
+        parent[root] = -1
+        frontier = [root]
+        best = None
+        depth = 0
+        while frontier and depth < cap:
+            depth += 1
+            stamp = base + depth
+            off = base - depth  # a seen w closes a cycle of mark[w] - off
+            # the last level is only listed if its inner edges are short enough
+            listing = depth < cap or bound % 2
+            nxt = []
+            for u in frontier:
+                pu = parent[u]
+                for w in adj[u]:
+                    mw = mark[w]
+                    if mw < base:
+                        if w >= low:
+                            mark[w] = stamp
+                            parent[w] = u
+                            if listing:
+                                nxt.append(w)
+                    elif w != pu:  # u is on level depth - 1
+                        key = (mw - off, u, w) if u < w else (mw - off, w, u)
+                        if best is None or key < best:
+                            best = key
+            if best is not None:
+                return best
+            frontier = nxt
+        if 2 * depth + 1 <= bound:  # the edges inside the last level
+            stamp = base + depth
+            for u in frontier:
+                for w in adj[u]:
+                    if w > u and mark[w] == stamp:
+                        key = (2 * depth + 1, u, w)
+                        if best is None or key < best:
+                            best = key
+        return best
+
+    def cycle_edges(self, u: int, w: int) -> List[Tuple[int, int]]:
+        """Edges of the cycle that the non-tree edge (u, w) of the last
+        search closes: (u, w) and the tree paths from u and from w up to
+        their lowest common ancestor."""
+        mark, parent = self.mark, self.parent
+        edges = [(u, w)]
+        while u != w:
+            if mark[u] < mark[w]:
+                u, w = w, u
+            edges.append((parent[u], u))
+            u = parent[u]
+        return edges

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from drisk.graph import (
+    Graph,
     GraphError,
     induced_subgraph,
     is_distance_dominating,
@@ -542,12 +543,12 @@ def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...
 
 
 # The level-BFS loops and the greedy level descent as they were before
-# they became calls of multi_source_distances, graph._shortest_cycle_at
-# and graph._descend: projections._avoiding_bfs,
-# generators._bfs_short_cycle and the walk inside
-# ballvc.extract_minor_model.  They are kept verbatim apart from their
-# names (walk takes its closure's g and dist_to as arguments), so tests
-# can pin the shared ones to them.
+# they became calls of multi_source_distances, the short-cycle search in
+# graph.py and graph._descend: projections._avoiding_bfs, the dict-based
+# cycle search and trim of generators.trim_short_cycles, and the walk
+# inside ballvc.extract_minor_model.  They are kept verbatim apart from
+# their names (walk takes its closure's g and dist_to as arguments), so
+# tests can pin the shared ones to them.
 
 
 def avoiding_bfs(g, source: int, boundary: set, cutoff: int) -> Dict[int, int]:
@@ -619,6 +620,48 @@ def bfs_short_cycle(adj: List[Dict[int, int]], root: int, d: int):
         wp.append(b)
     cycle = up + wp[-2::-1]  # u .. lca .. w, closed by the edge (w, u)
     return cycle
+
+
+def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple[Graph, int]:
+    """Delete one edge from every cycle of length <= d of the multigraph
+    on n vertices with the given (u, v) pairs until none remains; returns
+    the simple graph left and the number of edges removed.
+
+    Loops are 1-cycles and repeated pairs 2-cycles.  Among the edges of a
+    found cycle, the lexicographically smallest is removed.  Edge removal
+    never creates cycles, so a single pass over root vertices with a local
+    fixpoint at each reaches the global fixpoint.  The search visits
+    neighbours in the order the pairs first list them.
+    """
+    if d < 1:
+        raise GraphError("trim threshold must be >= 1")
+    adj: List[Dict[int, int]] = [dict() for _ in range(n)]
+    removed = 0
+    for u, v in pairs:
+        if u == v:
+            removed += 1  # every loop is a 1-cycle
+            continue
+        adj[u][v] = adj[u].get(v, 0) + 1
+        adj[v][u] = adj[v].get(u, 0) + 1
+    if d >= 2:
+        for u in range(n):
+            for v, mult in list(adj[u].items()):
+                if v > u and mult > 1:
+                    removed += mult - 1
+                    adj[u][v] = adj[v][u] = 1
+    if d >= 3:
+        for root in range(n):
+            while True:
+                cycle = bfs_short_cycle(adj, root, d)
+                if cycle is None:
+                    break
+                closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
+                eu, ev = min((min(a, b), max(a, b)) for a, b in closed)
+                del adj[eu][ev]
+                del adj[ev][eu]
+                removed += 1
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+    return Graph(n, edges), removed
 
 
 def walk(g, dist_to, u, target):

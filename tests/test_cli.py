@@ -2,6 +2,7 @@
 codes, byte-identical reruns, and the file side-cars."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -114,6 +115,28 @@ class TestGen:
         g = read_edge_list(str(out))
         assert g.n == 20
         assert all(g.degree(v) <= 3 for v in range(20))
+
+    # sha256 of gen bucket's edge-list files: the short-cycle trim must
+    # keep choosing the same cycle and the same edge, so the bytes are fixed
+    BUCKET_DIGESTS = {
+        (500, 3, 1): "403dea3c0203729e7f02355a121809b578450d3891713ed95774e7d8d8611c30",
+        (500, 5, 1): "facfc9c71ed868c6eef099e2be039d9230c1de40f2c4265837ba84284769475d",
+        (500, 6, 1): "455d8a398b82309ffcb75f82a14cce3b480468c4ca359541b14ba5ade50526a6",
+        (850, 6, 1): "4d10a19bb06717dc2d57b233e57c32ad63f4950c6a3f2684754532515a05a9b3",
+        (2000, 3, 1): "1174724d3465816ad0ffb7ccdc2dbad5e04122469c697ed386c567edfaa561ad",
+    }
+
+    @pytest.mark.parametrize("n,d,seed", sorted(BUCKET_DIGESTS))
+    def test_bucket_bytes_are_pinned(self, n, d, seed, tmp_path, capsys):
+        out = tmp_path / "bk.gr"
+        code, rep = run_json(
+            capsys, "gen", "bucket", "--n", str(n), "--d", str(d),
+            "--seed", str(seed), "--out", str(out),
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == rep["outputs"]["out_digest"]
+        assert digest == self.BUCKET_DIGESTS[n, d, seed]
 
     def test_pendant_writes_special_sidecar(self, tmp_path, capsys):
         base = tmp_path / "base.gr"
@@ -653,3 +676,33 @@ class TestConsoleEntry:
             env=child_env(),
         )
         assert proc.returncode == 3
+
+    def test_repeated_calls_in_one_process_match_single_calls(self, tmp_path, capsys):
+        # the parser is built once per process, so a call must not see
+        # what an earlier one parsed, even one that failed mid-parse
+        graph = str(tmp_path / "p.gr")
+        good = [
+            ["gen", "path", "--n", "10", "--out", graph],
+            ["solve", "alpha", "--input", graph, "--r", "2"],
+            ["kernel", "--input", graph, "--r", "2", "--k", "2"],
+        ]
+        bad = [
+            ["solve", "alpha", "--input", graph, "--r", "zero"],
+            ["gen", "no-such-kind", "--n", "3"],
+        ]
+        single = []
+        for argv in good:
+            proc = subprocess.run(
+                [sys.executable, "-m", "drisk.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            single.append(proc.stdout)
+        for _ in range(2):
+            for argv, want in zip(good, single):
+                assert main(bad[0]) == 3
+                assert main(argv) == 0
+                assert capsys.readouterr().out == want
+                assert main(bad[1]) == 3

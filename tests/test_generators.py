@@ -3,14 +3,12 @@ subdivisions, the pendant gadget, the bucket sampler and the distance
 dichotomy gadget."""
 
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-import drisk.generators
 from drisk.generators import (
     BucketModelSample,
     HardnessInstance,
@@ -29,7 +27,7 @@ from drisk.generators import (
     subdivision_vertex_range,
     trim_short_cycles,
 )
-from drisk.graph import Graph, GraphError, distances_from, girth
+from drisk.graph import Graph, GraphError, _CycleSearch, distances_from, girth
 
 
 class TestFamilies:
@@ -175,6 +173,11 @@ class TestTrimShortCycles:
         pairs = [(0, 0), (0, 1), (0, 1), (0, 1), (0, 2), (1, 2), (1, 2), (2, 3)]
         g, removed = trim_short_cycles(4, pairs, 2)
         assert removed == 4 and g.edges == ((0, 1), (0, 2), (1, 2), (2, 3))
+        # repeated pairs merge into one edge at every d, since a Graph is
+        # simple, and each extra copy counts as removed, at d = 1 too
+        for d in (1, 2, 3):
+            g, removed = trim_short_cycles(2, [(0, 1), (1, 0), (0, 1)], d)
+            assert g.edges == ((0, 1),) and removed == 2, d
 
     def test_acyclic_graph_untouched(self):
         pairs = [(0, 1), (1, 2), (2, 3)]
@@ -199,26 +202,63 @@ class TestTrimShortCycles:
                 assert g.m == len(edges) - removed
                 assert set(g.edges) <= set(edges)
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 3), (3, 3)])
+    def test_out_of_range_pairs_are_rejected(self, pair):
+        with pytest.raises(GraphError):
+            trim_short_cycles(3, [(0, 1), pair], 3)
 
     @settings(max_examples=150)
     @given(st.data())
     def test_short_cycle_search_matches_the_reference(self, data):
         n = data.draw(st.integers(1, 12), label="n")
+        # raw pairs in any order and orientation, loops and repeats
+        # included: the search follows the order the pairs first list
+        # each neighbour, which is drawn too
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(
+            st.lists(st.tuples(vertex, vertex), max_size=3 * n), label="pairs"
+        )
+        links = [tuple(sorted(p)) for p in pairs if p[0] != p[1]]
+        repeats = len(links) - len(set(links))
+        for d in range(1, 8):
+            g, removed = trim_short_cycles(n, pairs, d)
+            want_g, want_removed = bruteforce.trim_short_cycles(n, pairs, d)
+            assert g.edges == want_g.edges, d
+            # at d = 1 the reference merges repeats without counting them
+            if d == 1:
+                want_removed += repeats
+            assert removed == want_removed == len(pairs) - g.m, d
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_each_root_closes_the_reference_cycle(self, data):
+        n = data.draw(st.integers(1, 14), label="n")
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = data.draw(
-            st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)
+            st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)
             if pairs else st.just([]),
             label="edges",
         )
-        # the search follows the dicts' insertion order, which is drawn too
-        adj = [dict() for _ in range(n)]
+        # both searches follow the order the edges list each neighbour
+        adj = [[] for _ in range(n)]
+        ref_adj = [dict() for _ in range(n)]
         for u, v in edges:
-            adj[u][v] = adj[v][u] = 1
+            adj[u].append(v)
+            adj[v].append(u)
+            ref_adj[u][v] = ref_adj[v][u] = 1
+        search = _CycleSearch(adj)
         for root in range(n):
             for d in range(1, 8):
-                assert drisk.generators._bfs_short_cycle(
-                    adj, root, d
-                ) == bruteforce.bfs_short_cycle(adj, root, d), (root, d)
+                want = bruteforce.bfs_short_cycle(ref_adj, root, d)
+                found = search.at(root, d)
+                if want is None:
+                    assert found is None, (root, d)
+                    continue
+                # the reference cycle runs from u to w over the edge u < w
+                assert found is not None and found[1:] == (want[0], want[-1]), (root, d)
+                got = {tuple(sorted(e)) for e in search.cycle_edges(found[1], found[2])}
+                ring = zip(want, want[1:] + want[:1])
+                assert got == {tuple(sorted(e)) for e in ring}, (root, d)
 
 
 class TestBucketModel:
@@ -230,12 +270,9 @@ class TestBucketModel:
     )
     def test_samples_match_the_reference_cycle_search(self, n, d, seed):
         got = bucket_model(n, d, seed)
-        with mock.patch.object(
-            drisk.generators, "_bfs_short_cycle", bruteforce.bfs_short_cycle
-        ):
-            want = bucket_model(n, d, seed)
-        assert got.g.edges == want.g.edges
-        assert got.removed_edges == want.removed_edges
+        want_g, want_removed = bruteforce.trim_short_cycles(n, got.g0, d)
+        assert got.g.edges == want_g.edges
+        assert got.removed_edges == want_removed
 
     def test_seeded_determinism(self):
         a = bucket_model(20, 3, 4)

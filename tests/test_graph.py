@@ -254,10 +254,10 @@ class TestGirth:
         import random
 
         rng = random.Random(5)
-        for trial in range(30):
-            n = rng.randint(2, 9)
+        for trial in range(200):
+            n = rng.randint(2, 12)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            edges = rng.sample(pairs, rng.randint(0, min(12, len(pairs))))
+            edges = rng.sample(pairs, rng.randint(0, min(2 * n, len(pairs))))
             g = Graph(n, edges)
             want = bruteforce.girth(g)
             assert girth(g) == want, (n, edges)
