@@ -103,6 +103,16 @@ def _load_members(g: Graph, a_file: Optional[str]) -> Tuple[int, ...]:
     return vset(read_vertex_set(a_file), g)
 
 
+def _load_instance(args) -> Tuple[Graph, Tuple[int, ...], Dict[str, str]]:
+    """The --input graph, the --a-file members and the digests of both."""
+    g = read_edge_list(args.input)
+    members = _load_members(g, args.a_file)
+    digests = {"input": _sha256(args.input)}
+    if args.a_file:
+        digests["a_file"] = _sha256(args.a_file)
+    return g, members, digests
+
+
 def _report(command: str, digests: Dict[str, str], parameters: dict,
             outputs: dict, seed: Optional[int] = None,
             started: Optional[float] = None) -> dict:
@@ -203,9 +213,7 @@ def _build_parser() -> _Parser:
     kern.add_argument("--r", type=int, required=True)
     kern.add_argument("--k", type=int, required=True)
     kern.add_argument("--target", type=int, help="closure projection target")
-    kern.add_argument("--closure-cap", type=int)
     kern.add_argument("--s-max", type=int, default=3)
-    kern.add_argument("--uqw-m", type=int)
     kern.add_argument("--max-rounds", type=int)
     kern.add_argument("--out-prefix", help="write Y/B files and removal log")
     kern.add_argument("--timing", action="store_true")
@@ -281,6 +289,8 @@ def _cmd_gen(args) -> int:
 def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     problem = args.problem
     r = args.r
+    if r < 0:
+        raise GraphError("radius must be nonnegative")
     if problem == "alpha":
         limit = args.limit if args.limit is not None else 40
         value, witness = independence_number(g, members, r, limit=limit)
@@ -353,11 +363,7 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
 
 def _cmd_solve(args) -> int:
     started = time.perf_counter() if args.timing else None
-    g = read_edge_list(args.input)
-    members = _load_members(g, args.a_file)
-    digests = {"input": _sha256(args.input)}
-    if args.a_file:
-        digests["a_file"] = _sha256(args.a_file)
+    g, members, digests = _load_instance(args)
     outputs = _solve_outputs(args, g, members)
     params = {"problem": args.problem, "r": args.r}
     for key in ("t", "m", "limit"):
@@ -398,11 +404,7 @@ def _replay_log(g: Graph, members: Tuple[int, ...], entries: List[dict]) -> dict
 
 
 def _cmd_verify_cert(args) -> int:
-    g = read_edge_list(args.input)
-    members = _load_members(g, args.a_file)
-    digests = {"input": _sha256(args.input)}
-    if args.a_file:
-        digests["a_file"] = _sha256(args.a_file)
+    g, members, digests = _load_instance(args)
     if args.cert:
         with open(args.cert) as fh:
             data = json.load(fh)
@@ -421,29 +423,15 @@ def _cmd_verify_cert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel(args) -> int:
-    started = time.perf_counter() if args.timing else None
-    g = read_edge_list(args.input)
-    members = _load_members(g, args.a_file)
-    digests = {"input": _sha256(args.input)}
-    if args.a_file:
-        digests["a_file"] = _sha256(args.a_file)
-    policy = KernelPolicy(
-        closure_target=args.target,
-        closure_max_additions=args.closure_cap,
-        uqw_s_max=args.s_max,
-        uqw_m=args.uqw_m,
-        max_rounds=args.max_rounds,
-    )
-    inst = AnnotatedInstance(g, members, args.r, args.k)
-    outcome = kernelize(inst, policy)
-    # Emitted sets are re-validated, and the removal log is replayed from
-    # its serialized form, before anything is written.
+def _run_kernel(g: Graph, members: Tuple[int, ...], r: int, k: int,
+                policy: KernelPolicy) -> Tuple[KernelOutcome, dict]:
+    """kernelize, then re-validate what it emits before anything is
+    written: the YES witness, the removal log replayed from its
+    serialized form, and B inside Y.  Returns the outcome and its JSON."""
+    outcome = kernelize(AnnotatedInstance(g, members, r, k), policy)
     if outcome.tag == "YES":
-        assert outcome.witness is not None
-        if len(outcome.witness) < args.k or not is_distance_independent(
-            g, outcome.witness, args.r
-        ):
+        witness = outcome.witness or ()
+        if len(witness) < k or not is_distance_independent(g, witness, r):
             raise RuntimeError("internal: YES witness failed revalidation")
     serial = _outcome_to_json(outcome)
     if outcome.removal_log:
@@ -452,8 +440,17 @@ def _cmd_kernel(args) -> int:
             raise RuntimeError("internal: removal log failed replay")
     if outcome.tag == "KERNEL" and not set(outcome.b) <= set(outcome.y):
         raise RuntimeError("internal: kernel members not inside Y")
+    return outcome, serial
+
+
+def _cmd_kernel(args) -> int:
+    started = time.perf_counter() if args.timing else None
+    g, members, digests = _load_instance(args)
+    policy = KernelPolicy(closure_target=args.target, uqw_s_max=args.s_max,
+                          max_rounds=args.max_rounds)
+    outcome, serial = _run_kernel(g, members, args.r, args.k, policy)
     params = {"r": args.r, "k": args.k, "s_max": args.s_max}
-    for key in ("target", "closure_cap", "uqw_m", "max_rounds"):
+    for key in ("target", "max_rounds"):
         value = getattr(args, key)
         if value is not None:
             params[key] = value
@@ -500,25 +497,18 @@ def _bench_row(row: dict) -> Dict[str, str]:
             raise GraphError(f"bench row {row!r} is not an object")
         out["name"] = str(row.get("name", ""))
         g = _bench_graph(row)
-        members = (
-            vset(read_vertex_set(row["a_file"]), g)
-            if "a_file" in row
-            else tuple(range(g.n))
-        )
+        members = _load_members(g, row.get("a_file"))
         r = int(row.get("r", 1))
         task = row.get("task", "kernel")
         out.update(n=str(g.n), m=str(g.m), r=str(r), task=task)
         if task == "kernel":
             k = int(row["k"])
             out["k"] = str(k)
-            outcome = kernelize(
-                AnnotatedInstance(g, members, r, k),
-                KernelPolicy(
-                    closure_target=row.get("target"),
-                    uqw_s_max=int(row.get("s_max", 3)),
-                    max_rounds=row.get("max_rounds"),
-                ),
-            )
+            outcome, _ = _run_kernel(g, members, r, k, KernelPolicy(
+                closure_target=row.get("target"),
+                uqw_s_max=int(row.get("s_max", 3)),
+                max_rounds=row.get("max_rounds"),
+            ))
             out["outcome"] = outcome.tag
             if outcome.tag == "KERNEL":
                 out["y_size"] = str(len(outcome.y))
@@ -526,20 +516,19 @@ def _bench_row(row: dict) -> Dict[str, str]:
                 out["y_over_k"] = f"{len(outcome.y) / k:.6g}"
             elif outcome.tag == "YES":
                 out["witness_size"] = str(len(outcome.witness or ()))
-        elif task == "duality":
-            rep = duality_report(g, members, r)
-            out["outcome"] = "ok"
-            out["y_size"] = str(len(rep.dominating_set))
-            out["witness_size"] = str(len(rep.independent_witness))
-            if rep.lp_value is not None:
-                out["lp_value"] = _rat(rep.lp_value)
-        elif task == "lp":
-            cover = lp_domination(g, members, r)
-            packing = cover.dual
-            out["outcome"] = (
-                "equal" if cover.value == packing.value else "gap"
+        elif task in ("lp", "duality"):
+            # the figures and checks of `solve lp|duality` at its defaults
+            got = _solve_outputs(
+                argparse.Namespace(problem=task, r=r, no_lp=False), g, members
             )
-            out["lp_value"] = _rat(cover.value)
+            if task == "lp":
+                out["outcome"] = "equal" if got["duality_gap_zero"] else "gap"
+                out["lp_value"] = got["cover_optimum"]
+            else:
+                out["outcome"] = "ok"
+                out["y_size"] = str(len(got["dominating_set"]))
+                out["witness_size"] = str(len(got["independent_witness"]))
+                out["lp_value"] = got["lp_value"] or ""
         else:
             raise GraphError(f"unknown bench task {task!r}")
     except Exception as exc:  # per-row failures recorded, run continues

@@ -8,6 +8,7 @@ shuffle inside bucket_model.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -62,12 +63,19 @@ def complete_graph(n: int) -> Graph:
 
 
 def gnm_random(n: int, m: int, seed: int) -> Graph:
-    """Uniform simple graph with n vertices and m edges (seeded)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if m > len(pairs):
-        raise GraphError(f"m={m} exceeds the {len(pairs)} available pairs")
-    rng = random.Random(seed)
-    return Graph(n, rng.sample(pairs, m))
+    """Uniform simple graph with n vertices and m edges (seeded).  Edges
+    are drawn as indices into the lexicographic list of pairs i < j, which
+    is never built, so memory is O(n + m) however sparse the draw."""
+    total = n * (n - 1) // 2 if n > 0 else 0
+    if m > total:
+        raise GraphError(f"m={m} exceeds the {total} available pairs")
+    edges = []
+    for index in random.Random(seed).sample(range(total), m):
+        # counted from the last pair, the rows hold 1, 2, 3, ... pairs
+        back = total - 1 - index
+        t = (math.isqrt(8 * back + 1) - 1) // 2
+        edges.append((n - 2 - t, n - 1 - back + t * (t + 1) // 2))
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

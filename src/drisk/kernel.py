@@ -29,7 +29,7 @@ from .graph import (
     vset,
 )
 from .projections import closure, path_closure, profile_classes
-from .uqw import scattered_ladder, find_uqw
+from .uqw import scattered_ladder
 from .wcol import dual_witness, greedy_ball_cover
 
 
@@ -103,17 +103,21 @@ class KernelPolicy:
     soundness rests on per-removal certificates, never on the policy.
 
     closure_target of None picks max(1, ceil(|D|^0.2)) per round;
-    closure_max_additions of None lets the closure run to its fixpoint;
-    uqw_m of None walks the deletion ladder adaptively instead of
-    aiming at a fixed scattered-set size; max_rounds of None keeps
-    removing until no certificate is found.
+    max_rounds of None keeps removing until no certificate is found.
+    Budgets are checked here, so a bad one is refused on every input.
     """
 
     closure_target: Optional[int] = None
-    closure_max_additions: Optional[int] = None
     uqw_s_max: int = 3
-    uqw_m: Optional[int] = None
     max_rounds: Optional[int] = None
+
+    def __post_init__(self):
+        if self.uqw_s_max < 0:
+            raise GraphError("deletion budget must be nonnegative")
+        if self.closure_target is not None and self.closure_target < 1:
+            raise GraphError("projection target must be >= 1")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise GraphError("round cap must be nonnegative")
 
 
 RemovalLog = Tuple[Tuple[int, IrrelevanceCertificate], ...]
@@ -145,32 +149,17 @@ def _find_removable_class(
     classes = profile_classes(g, candidates, z, 2 * r)
     bulk = classes[0]
     d = r // 2
-    # Bad budgets are rejected even in rounds where the cap below skips
-    # the ladder that would otherwise reject them.
-    if policy.uqw_m is not None and policy.uqw_m < 1:
-        raise GraphError("target size must be at least 1")
-    if policy.uqw_s_max < 0:
-        raise GraphError("deletion budget must be nonnegative")
     # A rung with deletion set s certifies only with |s|+2 far members of
     # its b, a subset of bulk, so rungs past |bulk|-2 deletions are futile.
     s_max = min(policy.uqw_s_max, len(bulk) - 2)
     if s_max < 0:
         return None
-    if policy.uqw_m is not None:
-        found = find_uqw(g, bulk, 4 * r, policy.uqw_m, s_max)
-        rungs = [(found.s, found.b)] if found else []
-    else:
-        rungs = scattered_ladder(g, bulk, 4 * r, s_max)
-    for s, b in rungs:
+    for s, b in scattered_ladder(g, bulk, 4 * r, s_max):
         need = len(s) + 2
         far = _far_members(g, b, z, s, r)
         if len(far) < need:
             continue
-        if s:
-            groups = profile_classes(g, far, s, r)
-        else:
-            groups = (far,)
-        for cls in groups:
+        for cls in profile_classes(g, far, s, r) if s else (far,):
             if len(cls) >= need:
                 return IrrelevanceCertificate(z, s, cls, r, d)
     return None
@@ -188,9 +177,9 @@ def remove_irrelevant(
     the round cap is hit, or fewer than k members remain.
 
     Every logged certificate has passed verify_certificate against the
-    member set it was applied to.  Sub-procedure failures (closure cut
-    short, ladder exhausted) end the loop without removing anything
-    further; they can cost kernel size, never correctness.
+    member set it was applied to.  An exhausted ladder ends the loop
+    without removing anything further; it can cost kernel size, never
+    correctness.
     """
     if r < 1:
         raise GraphError("radius must be at least 1")
@@ -204,16 +193,8 @@ def remove_irrelevant(
         if policy.max_rounds is not None and len(log) >= policy.max_rounds:
             break
         dom = greedy_ball_cover(g, members, d)
-        target = (
-            policy.closure_target
-            if policy.closure_target is not None
-            else max(1, math.ceil(len(dom) ** 0.2))
-        )
-        closed = closure(
-            g, dom, 2 * r, target, max_additions=policy.closure_max_additions
-        )
-        if not closed.converged:
-            break
+        target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
+        closed = closure(g, dom, 2 * r, target)
         cert = _find_removable_class(g, members, closed.closed_set, r, policy)
         if cert is None:
             break

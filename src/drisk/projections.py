@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .graph import (
     Graph,
@@ -106,23 +106,14 @@ class ClosureResult:
     closed_set: Tuple[int, ...]
     max_projection: int
     iterations: int
-    converged: bool
     target: int
 
 
-def closure(
-    g: Graph,
-    x: Iterable[int],
-    r: int,
-    target: int,
-    max_additions: Optional[int] = None,
-) -> ClosureResult:
+def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
     """Grow x until every outside vertex projects onto at most target
     members of the grown set, by repeatedly absorbing the outside vertex
-    with the largest projection (smallest id on ties).
-
-    Stops early after max_additions vertices, reporting converged=False;
-    the reported max_projection is always recomputed on the final set.
+    with the largest projection (smallest id on ties).  The fixpoint is
+    reached after at most n additions.
     """
     if target < 1:
         raise GraphError("projection target must be >= 1")
@@ -136,13 +127,7 @@ def closure(
     while True:
         mx = max(sizes.values(), default=0)
         if mx <= target:
-            return ClosureResult(
-                tuple(sorted(closed)), mx, additions, True, target
-            )
-        if max_additions is not None and additions >= max_additions:
-            return ClosureResult(
-                tuple(sorted(closed)), mx, additions, False, target
-            )
+            return ClosureResult(tuple(sorted(closed)), mx, additions, target)
         best = max(sizes, key=lambda u: (sizes[u], -u))
         # Only a vertex with a path of length <= r to best whose interior
         # avoids the closed set can gain best or lose a member reached

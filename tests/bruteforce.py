@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -24,7 +25,7 @@ from drisk.graph import (
 from drisk.kernel import IrrelevanceCertificate
 from drisk.projections import ClosureResult, profile
 from drisk.simplex import LpInfeasible, LpUnbounded, SimplexStall
-from drisk.uqw import find_uqw, scattered_ladder
+from drisk.uqw import scattered_ladder
 
 INF = math.inf
 
@@ -429,11 +430,12 @@ def dense_solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> Tup
 # checks ran as blocked BFS, the closure rescanned only what an absorbed
 # vertex touched, profile classes skipped profile(), and the deletion
 # ladder was capped at |bulk| - 2.  They are kept verbatim apart from
-# their names (and the names of each other they call), so tests can pin
-# the new ones to them.
+# their names (and the names of each other they call) and the closure cap
+# and fixed-target ladder the pipeline no longer has, so tests can pin the
+# new ones to them.
 
 
-def closure_rescan(g, x: Iterable[int], r: int, target: int, max_additions: Optional[int] = None) -> ClosureResult:
+def closure_rescan(g, x: Iterable[int], r: int, target: int) -> ClosureResult:
     if target < 1:
         raise GraphError("projection target must be >= 1")
     closed = set(vset(x, g))
@@ -447,13 +449,7 @@ def closure_rescan(g, x: Iterable[int], r: int, target: int, max_additions: Opti
             sizes[u] = sum(1 for v, d in dist.items() if v in closed and d <= r)
         mx = max(sizes.values(), default=0)
         if mx <= target:
-            return ClosureResult(
-                tuple(sorted(closed)), mx, additions, True, target
-            )
-        if max_additions is not None and additions >= max_additions:
-            return ClosureResult(
-                tuple(sorted(closed)), mx, additions, False, target
-            )
+            return ClosureResult(tuple(sorted(closed)), mx, additions, target)
         best = max(sizes, key=lambda u: (sizes[u], -u))
         closed.add(best)
         additions += 1
@@ -522,12 +518,7 @@ def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...
     classes = profile_classes_via_profile(g, candidates, z, 2 * r)
     bulk = classes[0]
     d = r // 2
-    if policy.uqw_m is not None:
-        found = find_uqw(g, bulk, 4 * r, policy.uqw_m, policy.uqw_s_max)
-        rungs = [(found.s, found.b)] if found else []
-    else:
-        rungs = scattered_ladder(g, bulk, 4 * r, policy.uqw_s_max)
-    for s, b in rungs:
+    for s, b in scattered_ladder(g, bulk, 4 * r, policy.uqw_s_max):
         need = len(s) + 2
         far, _, _ = far_members_induced(g, b, z, s, r)
         if len(far) < need:
@@ -673,3 +664,17 @@ def walk(g, dist_to, u, target):
         cur = min(x for x in g.adjacency[cur] if d.get(x) == d[cur] - 1)
         path.append(cur)
     return path
+
+
+# generators.gnm_random as it was before it sampled pair indices instead
+# of a list of every pair, kept verbatim apart from its name, so tests can
+# pin the index decoding to it.
+
+
+def gnm_random_listed(n: int, m: int, seed: int) -> Graph:
+    """Uniform simple graph with n vertices and m edges (seeded)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if m > len(pairs):
+        raise GraphError(f"m={m} exceeds the {len(pairs)} available pairs")
+    rng = random.Random(seed)
+    return Graph(n, rng.sample(pairs, m))

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import corpus
+import drisk.cli
 import drisk.oracle
 from drisk.cli import main
 from drisk.generators import (
@@ -24,6 +25,7 @@ from drisk.generators import (
     star_graph,
 )
 from drisk.graphio import read_edge_list, read_vertex_set, write_edge_list, write_vertex_set
+from drisk.kernel import KernelOutcome
 from drisk.oracle import lp_domination, lp_packing
 
 
@@ -358,6 +360,15 @@ class TestSolve:
         assert main(["solve", "wrong-problem", "--input", path10]) == 3
         assert main(["solve", "alpha", "--input", path10, "--r", "zero"]) == 3
 
+    @pytest.mark.parametrize("problem", [
+        ["alpha"], ["gamma"], ["lp"], ["vc2"], ["minor", "--t", "2"],
+        ["duality"], ["uqw", "--m", "2"],
+    ], ids=lambda problem: problem[0])
+    def test_negative_radius_exits_three(self, problem, path10, capsys):
+        code = main(["solve", *problem, "--input", path10, "--r", "-1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("input error:")
+
 
 class TestKernel:
     def test_yes_outcome(self, path10, capsys):
@@ -430,6 +441,17 @@ class TestKernel:
     def test_missing_required_flags_exit_three(self, path10):
         assert main(["kernel", "--input", path10, "--r", "2"]) == 3
 
+    @pytest.mark.parametrize("flag", [
+        ["--s-max", "-1"], ["--target", "0"], ["--max-rounds", "-1"],
+    ], ids=lambda flag: flag[0])
+    def test_bad_policy_exits_three_on_a_yes_instance(self, flag, path10, capsys):
+        # the path answers YES before any removal round would use the policy
+        assert main(["kernel", "--input", path10, "--r", "2", "--k", "2"]) == 0
+        capsys.readouterr()
+        code = main(["kernel", "--input", path10, "--r", "2", "--k", "2", *flag])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("input error:")
+
     @pytest.mark.parametrize(
         "edges", ["e 0 0\ne 0 1\n", "e 0 1\ne 1 0\n"], ids=["loop", "parallel"]
     )
@@ -449,6 +471,13 @@ class TestKernel:
     ], ids=["solve", "kernel", "bench"])
     def test_format_flag_is_refused(self, command):
         assert main(command) == 3
+
+    @pytest.mark.parametrize("flag", [["--uqw-m", "2"], ["--closure-cap", "0"]],
+                             ids=lambda flag: flag[0])
+    def test_removed_policy_flags_are_refused(self, flag, twin):
+        graph_path, a_path = twin
+        assert main(["kernel", "--input", graph_path, "--a-file", a_path,
+                     "--r", "2", "--k", "3", *flag]) == 3
 
 
 class TestVerifyCert:
@@ -611,6 +640,43 @@ class TestBench:
             assert row["outcome"] == ("equal" if cover == packing else "gap")
             assert row["lp_value"] == f"{cover.numerator}/{cover.denominator}"
             assert row["error"] == ""
+
+    def test_kernel_rows_revalidate_like_the_kernel_command(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a YES witness whose members are adjacent is not 2-independent
+        monkeypatch.setattr(
+            drisk.cli, "kernelize",
+            lambda inst, policy: KernelOutcome("YES", inst.r, inst.k, witness=(0, 1)),
+        )
+        manifest = [{"name": "p12", "family": {"kind": "path", "n": 12},
+                     "task": "kernel", "r": 2, "k": 2}]
+        man_path = tmp_path / "m.json"
+        man_path.write_text(json.dumps(manifest))
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["outcome"] == ""
+        assert row["error"] == "RuntimeError: internal: YES witness failed revalidation"
+
+    def test_rows_refuse_what_the_commands_refuse(self, tmp_path, capsys):
+        path = {"kind": "path", "n": 6}
+        manifest = [
+            {"name": "lp", "family": path, "task": "lp", "r": -1},
+            {"name": "duality", "family": path, "task": "duality", "r": -1},
+            {"name": "kernel", "family": path, "task": "kernel", "r": 2, "k": 2,
+             "s_max": -1},
+        ]
+        man_path = tmp_path / "m.json"
+        man_path.write_text(json.dumps(manifest))
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        errors = [row["error"] for row in csv.DictReader(io.StringIO(out))]
+        assert errors == [
+            "GraphError: radius must be nonnegative",
+            "GraphError: radius must be nonnegative",
+            "GraphError: deletion budget must be nonnegative",
+        ]
 
     def test_graph_rows_can_point_at_files(self, path10, tmp_path, capsys):
         manifest = [{"name": "file-row", "input": path10, "task": "kernel",

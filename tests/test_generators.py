@@ -3,6 +3,7 @@ subdivisions, the pendant gadget, the bucket sampler and the distance
 dichotomy gadget."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,38 @@ class TestFamilies:
         assert len(set(a.edges)) == 20
         with pytest.raises(GraphError):
             gnm_random(3, 4, 0)
+
+    def test_gnm_matches_the_listed_sampler(self):
+        # n up to 39 reaches both branches of random.sample: a pool copy
+        # for draws near the pair count and a seen-set for sparse ones
+        cases = [(n, m) for n in range(40)
+                 for m in {0, 1, n * (n - 1) // 6, n * (n - 1) // 4,
+                           n * (n - 1) // 2 - 1, n * (n - 1) // 2}
+                 if 0 <= m <= n * (n - 1) // 2]
+        cases += [(200, 10), (200, 300), (1000, 10), (1000, 1500)]
+        for n, m in cases:
+            for seed in range(3):
+                want = bruteforce.gnm_random_listed(n, m, seed)
+                assert gnm_random(n, m, seed).edges == want.edges, (n, m, seed)
+
+    def test_gnm_keeps_the_listed_sampler_errors(self):
+        for n, m in ((-1, 0), (-1, 1), (-3, 0), (3, 4), (3, -1)):
+            with pytest.raises((GraphError, ValueError)) as want:
+                bruteforce.gnm_random_listed(n, m, 0)
+            with pytest.raises(want.type, match=str(want.value)):
+                gnm_random(n, m, 0)
+
+    def test_sparse_gnm_never_lists_the_pairs(self):
+        # 2,000 vertices have 1,999,000 pairs; as a list of tuples they
+        # take about 190 MB, while the graph itself needs well under 1 MB
+        tracemalloc.start()
+        try:
+            g = gnm_random(2000, 10, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (2000, 10)
+        assert peak < 2_000_000
 
     def test_family_dispatch(self):
         assert _family("path", {"n": 3}).edges == path_graph(3).edges

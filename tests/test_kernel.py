@@ -191,12 +191,6 @@ class TestRemoveIrrelevant:
         assert len(survivors) >= 9
         assert len(TWIN_LEAVES) - len(log) == len(survivors)
 
-    def test_unconverged_closure_breaks_gracefully(self):
-        policy = KernelPolicy(closure_target=1, closure_max_additions=0)
-        survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2, policy)
-        assert survivors == TWIN_LEAVES
-        assert log == ()
-
     def test_radius_one_never_finds_certificates(self):
         # at radius 1 the half-radius cover contains every member, so no
         # class is ever far from it; the loop must stop without removals
@@ -293,14 +287,6 @@ class TestKernelize:
                             sub, [idmap[v] for v in out.b], r
                         )
                         assert (inner >= k) == truth, (seed, r, k)
-
-    def test_policy_with_fixed_ladder_target_stays_sound(self):
-        inst = AnnotatedInstance(TWIN, TWIN_LEAVES, 2, 3)
-        out = kernelize(inst, KernelPolicy(uqw_m=5, uqw_s_max=1))
-        assert out.tag == "KERNEL"
-        sub, idmap = induced_subgraph(TWIN, out.y)
-        inner = bruteforce.alpha(sub, [idmap[v] for v in out.b], 2)
-        assert min(inner, 3) == min(bruteforce.alpha(TWIN, TWIN_LEAVES, 2), 3)
 
     def test_outcome_defaults(self):
         out = KernelOutcome("NO", 2, 3)
@@ -400,7 +386,6 @@ class TestMatchesInducedSubgraphReference:
             k = data.draw(st.integers(2, 5), label="k")
             policy = KernelPolicy(
                 uqw_s_max=data.draw(st.integers(0, 3), label="s_max"),
-                uqw_m=data.draw(st.none() | st.integers(1, 5), label="m"),
             )
             got = remove_irrelevant(g, a, k, r, policy)
             with reference_pipeline():
@@ -412,39 +397,28 @@ class TestMatchesInducedSubgraphReference:
         assert sum(removals) > 0
 
     def test_bad_ladder_budgets_still_rejected(self):
-        # a sweep round whose largest class is one vertex still validates
-        # the policy before it skips the ladder
-        g = grid_graph(7, 7)
-        for policy in (KernelPolicy(uqw_s_max=-1), KernelPolicy(uqw_m=0)):
+        # the policy refuses a bad budget when it is built, so no input
+        # (such as a sweep round that skips the ladder) can let it pass
+        for budget in ({"uqw_s_max": -1}, {"closure_target": 0}, {"max_rounds": -1}):
             with pytest.raises(GraphError):
-                remove_irrelevant(g, range(49), 11, 2, policy)
-            with reference_pipeline(), pytest.raises(GraphError):
-                remove_irrelevant(g, range(49), 11, 2, policy)
+                KernelPolicy(**budget)
+        assert KernelPolicy(uqw_s_max=0, closure_target=1, max_rounds=0)
 
 
 class TestWorkGuards:
     def test_ladder_skipped_when_largest_class_is_a_singleton(self, monkeypatch):
         entered = []
-        real_ladder, real_find = drisk.kernel.scattered_ladder, drisk.kernel.find_uqw
+        real_ladder = drisk.kernel.scattered_ladder
 
         def ladder(g, a, r, s_max):
             entered.append((len(a), s_max))
             return real_ladder(g, a, r, s_max)
 
-        def find(g, a, r, m, s_max):
-            entered.append((len(a), s_max))
-            return real_find(g, a, r, m, s_max)
-
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
-        monkeypatch.setattr(drisk.kernel, "find_uqw", find)
         g = grid_graph(7, 7)
-        for policy in (KernelPolicy(), KernelPolicy(uqw_m=2)):
-            # a sweep round: k is the greedy 2-scattered size plus one and
-            # the largest profile class is a single vertex
-            assert remove_irrelevant(g, range(49), 11, 2, policy) == (
-                tuple(range(49)),
-                (),
-            )
+        # a sweep round: k is the greedy 2-scattered size plus one and the
+        # largest profile class is a single vertex
+        assert remove_irrelevant(g, range(49), 11, 2) == (tuple(range(49)), ())
         assert entered == []
         remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2)
         assert entered
@@ -456,10 +430,8 @@ class TestWorkGuards:
 
         for module in (drisk.graph, drisk.kernel, drisk.uqw):
             monkeypatch.setattr(module, "induced_subgraph", forbidden, raising=False)
-        # the fixed-target ladder also runs UqwResult.validate
-        for policy in (KernelPolicy(), KernelPolicy(uqw_m=3)):
-            survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2, policy)
-            assert log
+        survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2)
+        assert log
         for g, a, cert in certificate_seeds():
             check_certificate(g, a, cert)
             b = tuple(x for x in a if x not in cert.s)
@@ -477,7 +449,7 @@ class TestWorkGuards:
         g = corpus.twin_stars(16, 9)
         dom = greedy_ball_cover(g, corpus.twin_star_leaves(16), 1)
         res = closure(g, dom, 6, 1)
-        assert res.converged and res.iterations >= 4
+        assert res.iterations >= 4
         # the first scan alone searches from every vertex outside dom
         assert len(calls) >= g.n - len(dom)
         # one full rescan per iteration would take about

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import bruteforce
 import corpus
 import drisk.projections
-from drisk.generators import cycle_graph, grid_graph, path_graph, star_graph
+from drisk.generators import cycle_graph, path_graph, star_graph
 from drisk.graph import Graph, GraphError, distances_from, induced_subgraph
 from drisk.projections import (
     ClosureResult,
@@ -164,7 +164,6 @@ class TestClosure:
         res = closure(g, [0, 5], 1, 1)
         assert res.closed_set == (0, 5)
         assert res.iterations == 0
-        assert res.converged
         assert res.max_projection <= 1
 
     def test_grows_until_projection_target_met(self):
@@ -173,7 +172,6 @@ class TestClosure:
         # center, so the center must be absorbed
         res = closure(g, [1, 2], 2, 1)
         assert 0 in res.closed_set
-        assert res.converged
         assert res.max_projection <= 1
 
     def test_absorbs_largest_projection_first(self):
@@ -182,15 +180,6 @@ class TestClosure:
         # the center sees all three members; absorbing it ends the process
         assert res.closed_set == (0, 1, 2, 3)
         assert res.iterations == 1
-
-    def test_max_additions_reports_non_convergence(self):
-        g = grid_graph(4, 4)
-        full = closure(g, [0, 3, 12, 15], 3, 1)
-        if full.iterations > 1:
-            res = closure(g, [0, 3, 12, 15], 3, 1, max_additions=1)
-            assert not res.converged
-            assert res.iterations == 1
-            assert res.max_projection > 1
 
     def test_bad_target_rejected(self):
         with pytest.raises(GraphError):
@@ -201,7 +190,6 @@ class TestClosure:
             if not 4 <= g.n <= 12:
                 continue
             res = closure(g, [0, g.n - 1], 2, 2)
-            assert res.converged, name
             closed = set(res.closed_set)
             for u in range(g.n):
                 if u in closed:
@@ -220,10 +208,7 @@ class TestClosure:
         )
         r = data.draw(st.integers(1, 4), label="r")
         target = data.draw(st.integers(1, 2), label="target")
-        cap = data.draw(st.none() | st.integers(0, 6), label="max_additions")
-        assert closure(g, x, r, target, cap) == bruteforce.closure_rescan(
-            g, x, r, target, cap
-        )
+        assert closure(g, x, r, target) == bruteforce.closure_rescan(g, x, r, target)
 
 
 class TestPathClosure:
