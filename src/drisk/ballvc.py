@@ -92,56 +92,51 @@ def validate_two_shatter(g: Graph, r: int, w: TwoShatterWitness) -> None:
         raise GraphError("witness misses a pair")
 
 
-def _search_pair_shattered(
-    n: int, residues: Dict[Tuple[int, int], List[int]]
-) -> int:
-    """Largest subset (as a bitmask) in which every internal pair keeps
-    at least one residue mask disjoint from the subset.
+def _masks(sys: SetSystem) -> List[int]:
+    """Each set of the system as a bitmask over the universe's positions."""
+    idx = {v: i for i, v in enumerate(sys.universe)}
+    masks = []
+    for member in sys.sets:
+        m = 0
+        for v in member:
+            m |= 1 << idx[v]
+        masks.append(m)
+    return masks
 
-    residues[(i, j)] holds, for each member containing both i and j,
-    the mask of its other elements; the pair stays realizable inside X
-    while some residue avoids X entirely.
+
+def _search_pair_shattered(n: int, masks: List[int]) -> int:
+    """Largest X (as a bitmask) every 2-element subset of which is a
+    trace m & X of some mask; the first found when elements are added
+    in ascending order.
+
+    An element can only join X if it shares a mask with every element
+    of X, so the candidates are cut by the co-occurrence mask co[x] of
+    each element x that joins.
     """
+    masks = {m for m in masks if m & (m - 1)}  # smaller sets trace no pair
+    co = [0] * n
+    for m in masks:
+        y = m
+        while y:
+            b = y & -y
+            y ^= b
+            co[b.bit_length() - 1] |= m
     best_mask = 0
     best_size = 0
 
-    def dfs(start, x_mask, x_size, alive):
+    def dfs(x_mask, x_size, cands):
         nonlocal best_mask, best_size
         if x_size > best_size:
             best_size, best_mask = x_size, x_mask
-        if x_size + (n - start) <= best_size:
-            return
-        for x in range(start, n):
-            bit = 1 << x
-            nxt = {}
-            ok = True
-            for pair, masks in alive.items():
-                kept = [m for m in masks if not m & bit]
-                if not kept:
-                    ok = False
-                    break
-                nxt[pair] = kept
-            if not ok:
-                continue
-            y = x_mask
-            while ok and y:
-                b = y & -y
-                y ^= b
-                i = b.bit_length() - 1
-                pair = (i, x) if i < x else (x, i)
-                masks = residues.get(pair)
-                if masks is None:
-                    ok = False
-                    break
-                kept = [m for m in masks if not m & (x_mask | bit)]
-                if not kept:
-                    ok = False
-                    break
-                nxt[pair] = kept
-            if ok:
-                dfs(x + 1, x_mask | bit, x_size + 1, nxt)
+        pairs = x_size * (x_size + 1) // 2  # 2-subsets of X plus one element
+        while x_size + cands.bit_count() > best_size:
+            b = cands & -cands
+            cands ^= b
+            x = x_mask | b
+            if len({t for m in masks if (t := m & x).bit_count() == 2}) == pairs:
+                dfs(x, x_size + 1, cands & co[b.bit_length() - 1])
 
-    dfs(0, 0, 0, {})
+    dfs(0, 0, (1 << n) - 1)
     return best_mask
 
 
@@ -158,39 +153,17 @@ def two_vc_dimension(
         )
     if n == 0:
         return 0, None
-    idx = {v: i for i, v in enumerate(uni)}
-    masks = []
-    for member in sys.sets:
-        m = 0
-        for v in member:
-            m |= 1 << idx[v]
-        masks.append(m)
-    residues: Dict[Tuple[int, int], List[int]] = {}
-    for m in masks:
-        bits = []
-        mm = m
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            bits.append(b.bit_length() - 1)
-        for p in range(len(bits)):
-            for q in range(p + 1, len(bits)):
-                pair = (bits[p], bits[q])
-                residues.setdefault(pair, []).append(
-                    m & ~(1 << bits[p]) & ~(1 << bits[q])
-                )
-    best = _search_pair_shattered(n, residues)
-    members = tuple(uni[i] for i in range(n) if (best >> i) & 1)
-    mem_mask = best
+    masks = _masks(sys)
+    best = _search_pair_shattered(n, masks)
+    picked = [i for i in range(n) if best >> i & 1]
     pair_witnesses: Dict[Tuple[int, int], int] = {}
-    for p in range(len(members)):
-        for q in range(p + 1, len(members)):
-            i, j = idx[members[p]], idx[members[q]]
-            want = (1 << i) | (1 << j)
-            for m, center in zip(masks, sys.centers):
-                if m & mem_mask == want:
-                    pair_witnesses[(members[p], members[q])] = center
-                    break
+    for p, i in enumerate(picked):
+        for j in picked[p + 1:]:
+            want = 1 << i | 1 << j
+            pair_witnesses[(uni[i], uni[j])] = next(
+                c for m, c in zip(masks, sys.centers) if m & best == want
+            )
+    members = tuple(uni[i] for i in picked)
     return len(members), TwoShatterWitness(members, pair_witnesses)
 
 
@@ -203,13 +176,7 @@ def vc_dimension(sys: SetSystem, limit: int = 24) -> int:
         raise OracleLimitError(
             f"shattering search limited to {limit} elements, got {n}"
         )
-    idx = {v: i for i, v in enumerate(uni)}
-    masks = []
-    for member in sys.sets:
-        m = 0
-        for v in member:
-            m |= 1 << idx[v]
-        masks.append(m)
+    masks = _masks(sys)
 
     def shattered(x_mask, size):
         seen = {m & x_mask for m in masks}

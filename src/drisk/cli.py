@@ -291,6 +291,8 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     r = args.r
     if r < 0:
         raise GraphError("radius must be nonnegative")
+    if args.limit is not None and args.limit < 0:
+        raise GraphError("limit must be nonnegative")
     if problem == "alpha":
         limit = args.limit if args.limit is not None else 40
         value, witness = independence_number(g, members, r, limit=limit)
@@ -455,8 +457,7 @@ def _cmd_kernel(args) -> int:
         if value is not None:
             params[key] = value
     report = _report("kernel", digests, params, serial, started=started)
-    _emit(_dump(report), args.out)
-    if args.out_prefix:
+    if args.out_prefix:  # written first, so a bad prefix emits no report
         write_vertex_set(outcome.y, f"{args.out_prefix}.y")
         write_vertex_set(outcome.b, f"{args.out_prefix}.b")
         log = {
@@ -469,6 +470,7 @@ def _cmd_kernel(args) -> int:
         }
         with open(f"{args.out_prefix}.log.json", "w") as fh:
             fh.write(_dump(log))
+    _emit(_dump(report), args.out)
     return EXIT_OK
 
 
@@ -519,7 +521,7 @@ def _bench_row(row: dict) -> Dict[str, str]:
         elif task in ("lp", "duality"):
             # the figures and checks of `solve lp|duality` at its defaults
             got = _solve_outputs(
-                argparse.Namespace(problem=task, r=r, no_lp=False), g, members
+                argparse.Namespace(problem=task, r=r, limit=None, no_lp=False), g, members
             )
             if task == "lp":
                 out["outcome"] = "equal" if got["duality_gap_zero"] else "gap"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container, Dict, Iterable, List, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 INF = math.inf
 
@@ -153,6 +153,19 @@ def ball(g: Graph, center: int, r: int) -> Tuple[int, ...]:
     if r < 0:
         raise GraphError("ball radius must be >= 0")
     return tuple(sorted(multi_source_distances(g, (center,), r)))
+
+
+def _ball_masks(g: Graph, members: Sequence[int], r: int) -> List[int]:
+    """The radius-r balls of g traced on members, as bitmasks: bit i of
+    masks[v] is set iff members[i] is within distance r of v.  One BFS
+    per member; distances are symmetric, so this is the trace of v's
+    ball."""
+    masks = [0] * g.n
+    for i, u in enumerate(members):
+        bit = 1 << i
+        for v in multi_source_distances(g, (u,), r):
+            masks[v] |= bit
+    return masks
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:

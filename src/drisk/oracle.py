@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, distances_from, vset
+from .graph import Graph, GraphError, _ball_masks, distances_from, vset
 from .simplex import solve_max, solve_min
 
 F0 = Fraction(0)
@@ -85,16 +85,11 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
         )
     if not members:
         return 0, ()
-    idx = {v: i for i, v in enumerate(members)}
     n = len(members)
-    conflict = [0] * n
-    for i, v in enumerate(members):
-        for w in distances_from(g, v, r):
-            j = idx.get(w)
-            if j is not None and j != i:
-                conflict[i] |= 1 << j
+    masks = _ball_masks(g, members, r)
     full = (1 << n) - 1
-    comp = [(full ^ (1 << i)) & ~conflict[i] for i in range(n)]
+    # members[i]'s own trace holds bit i, so comp[i] has no loop
+    comp = [full & ~masks[v] for v in members]
     size, mask = _max_clique(n, comp)
     witness = tuple(members[i] for i in range(n) if (mask >> i) & 1)
     return size, witness
@@ -113,15 +108,9 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
         )
     if not members:
         return 0, ()
-    idx = {v: i for i, v in enumerate(members)}
-    cover: Dict[int, int] = {}
-    for i, u in enumerate(members):
-        for v in distances_from(g, u, r):
-            cover[v] = cover.get(v, 0) | (1 << i)
     by_mask: Dict[int, int] = {}
-    for v in sorted(cover):
-        m = cover[v]
-        if m not in by_mask:
+    for v, m in enumerate(_ball_masks(g, members, r)):
+        if m and m not in by_mask:
             by_mask[m] = v
     masks = sorted(by_mask, key=lambda m: (-m.bit_count(), by_mask[m]))
     kept: List[int] = []
@@ -217,18 +206,13 @@ def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     members = vset(a, g)
     if not members:
         return LpSolution(F0, {})
-    mem = set(members)
-    col = {v: j for j, v in enumerate(members)}
-    rows = []
-    for u in range(g.n):
-        near = [w for w in distances_from(g, u, r) if w in mem]
-        if near:
-            row = [F0] * len(members)
-            for w in near:
-                row[col[w]] = F1
-            rows.append(row)
+    rows = [
+        [F1 if m >> j & 1 else F0 for j in range(len(members))]
+        for m in _ball_masks(g, members, r)
+        if m
+    ]
     res = solve_max([F1] * len(members), rows, [F1] * len(rows))
-    weights = {v: res.x[col[v]] for v in members}
+    weights = dict(zip(members, res.x))
     total = sum(weights.values(), F0)
     if total != res.value or any(w < 0 for w in weights.values()):
         raise RuntimeError("internal: packing solution failed audit")

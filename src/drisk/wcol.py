@@ -19,11 +19,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .graph import (
     Graph,
     GraphError,
-    ball,
-    distances_from,
+    _ball_masks,
     is_distance_dominating,
     is_distance_independent,
-    multi_source_distances,
     vset,
 )
 from .oracle import lp_domination
@@ -141,29 +139,23 @@ def greedy_ball_cover(g: Graph, a: Iterable[int], r: int) -> Tuple[int, ...]:
         return ()
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    mem = set(members)
-    covers = {}
-    for v in range(g.n):
-        hit = mem.intersection(ball(g, v, r))
-        if hit:
-            covers[v] = hit
-    uncovered = set(members)
-    # Lazy-deletion heap; stale gains are recomputed on pop.
-    heap = [(-len(hit), v) for v, hit in covers.items()]
+    covers = _ball_masks(g, members, r)
+    uncovered = (1 << len(members)) - 1
+    # Lazy-deletion heap; stale gains are recomputed on pop.  Every
+    # member covers itself, so the heap outlasts the uncovered set.
+    heap = [(-m.bit_count(), v) for v, m in enumerate(covers) if m]
     heapq.heapify(heap)
     picks: List[int] = []
     while uncovered:
-        if not heap:
-            raise GraphError("some member is unreachable within the radius")
         gain, v = heapq.heappop(heap)
-        cur = len(covers[v] & uncovered)
+        cur = (covers[v] & uncovered).bit_count()
         if cur == 0:
             continue
         if cur != -gain:
             heapq.heappush(heap, (-cur, v))
             continue
         picks.append(v)
-        uncovered -= covers[v]
+        uncovered &= ~covers[v]
     if not is_distance_dominating(g, picks, members, r):
         raise RuntimeError("internal: greedy cover failed to dominate")
     return tuple(picks)

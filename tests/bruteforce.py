@@ -7,15 +7,18 @@ sides of every comparison are computed by different routes.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from drisk.ballvc import SetSystem, TwoShatterWitness
 from drisk.graph import (
     Graph,
     GraphError,
+    ball,
     induced_subgraph,
     is_distance_dominating,
     is_distance_independent,
@@ -23,6 +26,7 @@ from drisk.graph import (
     vset,
 )
 from drisk.kernel import IrrelevanceCertificate
+from drisk.oracle import OracleLimitError
 from drisk.projections import ClosureResult, profile
 from drisk.simplex import LpInfeasible, LpUnbounded, SimplexStall
 from drisk.uqw import scattered_ladder
@@ -678,3 +682,149 @@ def gnm_random_listed(n: int, m: int, seed: int) -> Graph:
         raise GraphError(f"m={m} exceeds the {len(pairs)} available pairs")
     rng = random.Random(seed)
     return Graph(n, rng.sample(pairs, m))
+
+
+# ballvc's pair-shattering search on per-pair residue lists, with the
+# residue build of two_vc_dimension, and wcol.greedy_ball_cover on
+# per-vertex ball sets, as they were before both read bitmask ball traces.
+# They are kept verbatim apart from their names (and the names of each
+# other they call), so tests can pin the trace-based ones to them.
+
+
+def search_pair_shattered_residues(
+    n: int, residues: Dict[Tuple[int, int], List[int]]
+) -> int:
+    """Largest subset (as a bitmask) in which every internal pair keeps
+    at least one residue mask disjoint from the subset.
+
+    residues[(i, j)] holds, for each member containing both i and j,
+    the mask of its other elements; the pair stays realizable inside X
+    while some residue avoids X entirely.
+    """
+    best_mask = 0
+    best_size = 0
+
+    def dfs(start, x_mask, x_size, alive):
+        nonlocal best_mask, best_size
+        if x_size > best_size:
+            best_size, best_mask = x_size, x_mask
+        if x_size + (n - start) <= best_size:
+            return
+        for x in range(start, n):
+            bit = 1 << x
+            nxt = {}
+            ok = True
+            for pair, masks in alive.items():
+                kept = [m for m in masks if not m & bit]
+                if not kept:
+                    ok = False
+                    break
+                nxt[pair] = kept
+            if not ok:
+                continue
+            y = x_mask
+            while ok and y:
+                b = y & -y
+                y ^= b
+                i = b.bit_length() - 1
+                pair = (i, x) if i < x else (x, i)
+                masks = residues.get(pair)
+                if masks is None:
+                    ok = False
+                    break
+                kept = [m for m in masks if not m & (x_mask | bit)]
+                if not kept:
+                    ok = False
+                    break
+                nxt[pair] = kept
+            if ok:
+                dfs(x + 1, x_mask | bit, x_size + 1, nxt)
+
+    dfs(0, 0, 0, {})
+    return best_mask
+
+
+def two_vc_dimension_residues(
+    sys: SetSystem, limit: int = 24
+) -> Tuple[int, Optional[TwoShatterWitness]]:
+    """Largest set size all of whose 2-element subsets appear as exact
+    traces of the system, together with one witness at the maximum."""
+    uni = sys.universe
+    n = len(uni)
+    if n > limit:
+        raise OracleLimitError(
+            f"pair-shattering search limited to {limit} elements, got {n}"
+        )
+    if n == 0:
+        return 0, None
+    idx = {v: i for i, v in enumerate(uni)}
+    masks = []
+    for member in sys.sets:
+        m = 0
+        for v in member:
+            m |= 1 << idx[v]
+        masks.append(m)
+    residues: Dict[Tuple[int, int], List[int]] = {}
+    for m in masks:
+        bits = []
+        mm = m
+        while mm:
+            b = mm & -mm
+            mm ^= b
+            bits.append(b.bit_length() - 1)
+        for p in range(len(bits)):
+            for q in range(p + 1, len(bits)):
+                pair = (bits[p], bits[q])
+                residues.setdefault(pair, []).append(
+                    m & ~(1 << bits[p]) & ~(1 << bits[q])
+                )
+    best = search_pair_shattered_residues(n, residues)
+    members = tuple(uni[i] for i in range(n) if (best >> i) & 1)
+    mem_mask = best
+    pair_witnesses: Dict[Tuple[int, int], int] = {}
+    for p in range(len(members)):
+        for q in range(p + 1, len(members)):
+            i, j = idx[members[p]], idx[members[q]]
+            want = (1 << i) | (1 << j)
+            for m, center in zip(masks, sys.centers):
+                if m & mem_mask == want:
+                    pair_witnesses[(members[p], members[q])] = center
+                    break
+    return len(members), TwoShatterWitness(members, pair_witnesses)
+
+
+def greedy_ball_cover_sets(g: Graph, a: Iterable[int], r: int) -> Tuple[int, ...]:
+    """Greedy set cover of a by radius-r balls centered anywhere:
+    repeatedly take the center covering the most still-uncovered
+    members (smallest id on ties).  Returned in pick order."""
+    members = vset(a, g)
+    if not members:
+        return ()
+    if r < 0:
+        raise GraphError("radius must be nonnegative")
+    mem = set(members)
+    covers = {}
+    for v in range(g.n):
+        hit = mem.intersection(ball(g, v, r))
+        if hit:
+            covers[v] = hit
+    uncovered = set(members)
+    # Lazy-deletion heap; stale gains are recomputed on pop.
+    heap = [(-len(hit), v) for v, hit in covers.items()]
+    heapq.heapify(heap)
+    picks: List[int] = []
+    while uncovered:
+        if not heap:
+            raise GraphError("some member is unreachable within the radius")
+        gain, v = heapq.heappop(heap)
+        cur = len(covers[v] & uncovered)
+        if cur == 0:
+            continue
+        if cur != -gain:
+            heapq.heappush(heap, (-cur, v))
+            continue
+        picks.append(v)
+        uncovered -= covers[v]
+    if not is_distance_dominating(g, picks, members, r):
+        raise RuntimeError("internal: greedy cover failed to dominate")
+    return tuple(picks)

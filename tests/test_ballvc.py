@@ -1,7 +1,11 @@
 """Unit tests for ball set systems, shattering dimensions, and clique-minor
 extraction from pair-shattered sets."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import corpus
@@ -144,6 +148,48 @@ class TestTwoVcDimension:
             for r in (1, 2):
                 sys = balls_system(g, r)
                 assert vc_dimension(sys) <= two_vc_dimension(sys)[0], (name, r)
+
+
+class TestTwoVcAgainstResidueSearch:
+    """The trace-based search against the per-pair residue search it
+    replaced, kept verbatim in bruteforce: the same dimension, members
+    and pair witnesses."""
+
+    @staticmethod
+    def assert_same(sys, label):
+        got = two_vc_dimension(sys)
+        want = bruteforce.two_vc_dimension_residues(sys)
+        assert got == want, label
+        if want[1] is not None:
+            assert got[1].pair_witnesses == want[1].pair_witnesses, label
+            assert list(got[1].pair_witnesses) == list(want[1].pair_witnesses), label
+
+    def test_corpus_ball_systems(self):
+        rng = random.Random(5)
+        for name, g in corpus.small_corpus():
+            for r in (1, 2):
+                full = balls_system(g, r)
+                self.assert_same(full, (name, r))
+                for trial in range(3):
+                    keep = rng.sample(range(g.n), rng.randint(0, g.n))
+                    self.assert_same(restrict_system(full, keep), (name, r, keep))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_set_systems_with_empty_and_repeated_sets(self, data):
+        n = data.draw(st.integers(0, 10), label="n")
+        universe = tuple(range(n))
+        member = st.lists(st.integers(0, n - 1), unique=True).map(
+            lambda s: tuple(sorted(s))
+        ) if n else st.just(())
+        sets = data.draw(st.lists(member, max_size=16), label="sets")
+        repeats = data.draw(
+            st.lists(st.sampled_from(sets), max_size=4) if sets else st.just([]),
+            label="repeats",
+        )
+        sets = tuple(sets + repeats + [()])
+        sys = SetSystem(universe, sets, tuple(range(len(sets))))
+        self.assert_same(sys, sets)
 
 
 class TestValidateTwoShatter:

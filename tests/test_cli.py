@@ -369,6 +369,16 @@ class TestSolve:
         assert code == 3
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("problem", [
+        ["alpha"], ["gamma"], ["vc2"], ["minor", "--t", "2"],
+    ], ids=lambda problem: problem[0])
+    def test_negative_limit_exits_three(self, problem, path10, capsys):
+        code = main(["solve", *problem, "--input", path10, "--limit", "-1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("input error:")
+        # a zero limit is well formed: the oracle refuses the instance
+        assert main(["solve", *problem, "--input", path10, "--limit", "0"]) == 2
+
 
 class TestKernel:
     def test_yes_outcome(self, path10, capsys):
@@ -398,6 +408,17 @@ class TestKernel:
         assert log["schema"] == 1
         assert log["r"] == 2 and log["k"] == 3
         assert len(log["entries"]) == 5
+
+    def test_unwritable_prefix_exits_three_without_a_report(
+        self, path10, tmp_path, capsys
+    ):
+        prefix = str(tmp_path / "no" / "such" / "run")
+        code, out = run(
+            capsys, "kernel", "--input", path10, "--r", "2", "--k", "2",
+            "--out-prefix", prefix,
+        )
+        assert code == 3
+        assert out == ""
 
     def test_log_sidecar_replays_clean(self, twin, tmp_path, capsys):
         graph_path, a_path = twin

@@ -12,6 +12,7 @@ from drisk.graph import (
     AnnotatedInstance,
     Graph,
     GraphError,
+    _ball_masks,
     _descend,
     ball,
     distances_from,
@@ -323,3 +324,33 @@ class TestSharedSearches:
             assert _descend(g, dist, start) == bruteforce.walk(
                 g, {target: dist}, start, target
             )
+
+
+class TestBallMasks:
+    """The one table of radius-r balls traced on a member list."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_bits_match_the_distance_matrix(self, data):
+        g = draw_graph(data)
+        members = data.draw(
+            st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n),
+            label="members",
+        )
+        r = data.draw(st.integers(0, 4), label="r")
+        dm = bruteforce.dist_matrix(g)
+        masks = _ball_masks(g, members, r)
+        assert len(masks) == g.n
+        for v in range(g.n):
+            for i, u in enumerate(members):
+                near = dm[u].get(v, math.inf) <= r
+                assert bool(masks[v] >> i & 1) == near, (v, u)
+            assert masks[v] >> len(members) == 0
+
+    def test_empty_members_and_radius_zero(self):
+        g = corpus.twin_stars(3, 2)
+        assert _ball_masks(g, (), 3) == [0] * g.n
+        assert _ball_masks(Graph(0), (), 1) == []
+        members = (0, 2, 5)
+        masks = _ball_masks(g, members, 0)
+        assert masks == [1 << members.index(v) if v in members else 0 for v in range(g.n)]

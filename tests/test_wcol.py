@@ -181,6 +181,15 @@ class TestGreedyBallCover:
                 picks = greedy_ball_cover(g, members, r)
                 assert is_distance_dominating(g, picks, members, r), (name, r)
 
+    def test_picks_match_the_set_based_cover_on_corpus(self):
+        rng = random.Random(9)
+        for name, g in corpus.small_corpus():
+            for trial in range(3):
+                members = rng.sample(range(g.n), rng.randint(0, g.n))
+                for r in (0, 1, 2):
+                    want = bruteforce.greedy_ball_cover_sets(g, members, r)
+                    assert greedy_ball_cover(g, members, r) == want, (name, members, r)
+
     def test_logarithmic_bound_on_corpus(self):
         for name, g in corpus.small_corpus():
             if not 2 <= g.n <= 12:
