@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, _descend, ball, distances_from, vset
+from .graph import Graph, GraphError, _descend, ball, distances_from
 from .oracle import MinorModel, OracleLimitError, validate_minor_model
 
 
@@ -177,27 +177,18 @@ def vc_dimension(sys: SetSystem, limit: int = 24) -> int:
             f"shattering search limited to {limit} elements, got {n}"
         )
     masks = _masks(sys)
-
-    def shattered(x_mask, size):
-        seen = {m & x_mask for m in masks}
-        return len(seen) == 1 << size
-
-    level = [0] if shattered(0, 0) else []
-    dim = -1 if not level else 0
-    size = 0
-    while level:
-        size += 1
-        nxt = []
-        for x_mask in level:
-            top = x_mask.bit_length()
-            for i in range(top, n):
-                cand = x_mask | (1 << i)
-                if shattered(cand, size):
-                    nxt.append(cand)
-        if nxt:
-            dim = size
-        level = nxt
-    return max(dim, 0)
+    # X grows by ascending elements while it stays shattered: every
+    # subset of a shattered set is shattered, so this reaches them all
+    best = 0
+    stack = [(0, 0)]
+    while stack:
+        x_mask, size = stack.pop()
+        best = max(best, size)
+        for i in range(x_mask.bit_length(), n):
+            x = x_mask | 1 << i
+            if len({m & x for m in masks}) == 2 << size:
+                stack.append((x, size + 1))
+    return best
 
 
 def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:

@@ -6,7 +6,8 @@ Reports are JSON with a schema marker; every rational is rendered as a
 "num/den" string, every emitted vertex set is re-validated before it is
 written, and a rerun with identical inputs and seed produces the same
 bytes (wall-clock timing only appears under --timing).  Exit codes:
-0 solved, 2 oracle refusal (instance above a hard limit), 3 bad input.
+0 solved, 1 internal error (a failed self-check), 2 oracle refusal
+(instance above a hard limit), 3 bad input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .ballvc import balls_system, restrict_system, two_vc_dimension
+from .ballvc import balls_system, restrict_system, two_vc_dimension, validate_two_shatter
 from .generators import (
     FAMILIES,
     _family,
@@ -63,6 +64,7 @@ from .uqw import find_uqw
 from .wcol import duality_report
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_ORACLE = 2
 EXIT_INPUT = 3
 
@@ -286,9 +288,16 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# the solve options that only some problems read, and those problems
+_SOLVE_OPTIONS = {"limit": ("alpha", "gamma", "vc2", "minor"), "t": ("minor",), "m": ("uqw",)}
+
+
 def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     problem = args.problem
     r = args.r
+    for key, problems in _SOLVE_OPTIONS.items():
+        if getattr(args, key, None) is not None and problem not in problems:
+            raise GraphError(f"solve {problem} takes no --{key}")
     if r < 0:
         raise GraphError("radius must be nonnegative")
     if args.limit is not None and args.limit < 0:
@@ -321,6 +330,10 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
         dim, witness = two_vc_dimension(system, limit=limit)
         out = {"dimension": dim, "witness": None}
         if witness is not None:
+            try:
+                validate_two_shatter(g, r, witness)
+            except GraphError as exc:
+                raise RuntimeError(f"internal: invalid pair-shattering witness: {exc}")
             out["witness"] = {
                 "members": list(witness.members),
                 "pair_witnesses": [
@@ -368,7 +381,7 @@ def _cmd_solve(args) -> int:
     g, members, digests = _load_instance(args)
     outputs = _solve_outputs(args, g, members)
     params = {"problem": args.problem, "r": args.r}
-    for key in ("t", "m", "limit"):
+    for key in _SOLVE_OPTIONS:
         value = getattr(args, key)
         if value is not None:
             params[key] = value
@@ -574,6 +587,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:  # a failed self-check, or RecursionError
+        print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

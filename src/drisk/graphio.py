@@ -5,6 +5,9 @@ then `e <u> <v>` lines with 0-based endpoints.  Vertex sets are one id per
 line.  Generator metadata (origin maps, special vertices) goes into
 side-car files next to the graph: `<name>.origin` and `<name>.special`,
 one `key value` pair per line.
+
+A header may declare at most MAX_VERTICES vertices; a larger `n` is
+refused before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import os
 from typing import Dict, Iterable, List, Tuple
 
 from .graph import Graph, GraphError
+
+MAX_VERTICES = 10_000_000
 
 
 def write_edge_list(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
@@ -39,6 +44,8 @@ def read_edge_list(path: str) -> Graph:
                 if len(parts) != 3:
                     raise GraphError(f"{path}:{lineno}: malformed header")
                 n, m = int(parts[1]), int(parts[2])
+                if n > MAX_VERTICES:
+                    raise GraphError(f"{path}:{lineno}: more than {MAX_VERTICES} vertices")
             elif parts[0] == "e":
                 if n is None:
                     raise GraphError(f"{path}:{lineno}: edge before header")

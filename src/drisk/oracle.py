@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, _ball_masks, distances_from, vset
+from .graph import Graph, GraphError, _ball_masks, vset
 from .simplex import solve_max, solve_min
 
 F0 = Fraction(0)
@@ -185,16 +184,13 @@ def lp_domination(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     feasibility and for equal totals, which by weak duality certifies that
     each is optimal."""
     members = vset(a, g)
-    if not members:
-        return LpSolution(F0, {v: F0 for v in range(g.n)}, LpSolution(F0, {}))
-    balls = {u: distances_from(g, u, r) for u in members}
-    rows = [[F1 if v in balls[u] else F0 for v in range(g.n)] for u in members]
+    masks = _ball_masks(g, members, r)
+    rows = [[F1 if m >> i & 1 else F0 for m in masks] for i in range(len(members))]
     res = solve_min([F1] * g.n, rows, [F1] * len(rows))
-    weights = {v: res.x[v] for v in range(g.n)}
-    _audit_cover(balls, weights, res.value)
-    packing = dict(zip(members, res.y))
-    _audit_packing(g.n, balls, packing, res.value)
-    return LpSolution(res.value, weights, LpSolution(res.value, packing))
+    _audit_cover(masks, res.x, res.value)
+    _audit_packing(masks, res.y, res.value)
+    packing = LpSolution(res.value, dict(zip(members, res.y)))
+    return LpSolution(res.value, dict(enumerate(res.x)), packing)
 
 
 def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
@@ -204,48 +200,34 @@ def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     value is quoted with doubled radius (weights r-close to a common vertex
     pairwise interact within 2r)."""
     members = vset(a, g)
-    if not members:
-        return LpSolution(F0, {})
-    rows = [
-        [F1 if m >> j & 1 else F0 for j in range(len(members))]
-        for m in _ball_masks(g, members, r)
-        if m
-    ]
+    masks = _ball_masks(g, members, r)
+    rows = [[F1 if m >> i & 1 else F0 for i in range(len(members))] for m in masks if m]
     res = solve_max([F1] * len(members), rows, [F1] * len(rows))
-    weights = dict(zip(members, res.x))
-    total = sum(weights.values(), F0)
-    if total != res.value or any(w < 0 for w in weights.values()):
-        raise RuntimeError("internal: packing solution failed audit")
-    for row in rows:
-        s = sum(f * x for f, x in zip(row, res.x))
-        if s > 1:
-            raise RuntimeError("internal: packing constraint violated")
-    return LpSolution(res.value, weights)
+    _audit_packing(masks, res.x, res.value)
+    return LpSolution(res.value, dict(zip(members, res.x)))
 
 
-def _audit_cover(balls, weights, value):
-    if any(w < 0 for w in weights.values()):
+def _audit_cover(masks, x, value):
+    """x weights the vertices; bit i of masks[v] puts v in member i's ball."""
+    if any(w < 0 for w in x):
         raise RuntimeError("internal: negative covering weight")
-    if sum(weights.values(), F0) != value:
+    if sum(x, F0) != value:
         raise RuntimeError("internal: covering value mismatch")
-    for u, near in balls.items():
-        if sum(weights[v] for v in near) < 1:
+    # member i's own mask holds bit i, so the highest bit names the last one
+    for i in range(max(masks, default=0).bit_length()):
+        if sum((w for w, m in zip(x, masks) if m >> i & 1), F0) < 1:
             raise RuntimeError("internal: covering constraint violated")
 
 
-def _audit_packing(n, balls, weights, value):
-    if any(w < 0 for w in weights.values()):
+def _audit_packing(masks, y, value):
+    """y weights the members; vertex v sees the members on the bits of masks[v]."""
+    if any(w < 0 for w in y):
         raise RuntimeError("internal: negative packing weight")
-    if sum(weights.values(), F0) != value:
-        raise RuntimeError("internal: packing value differs from the cover value")
-    load = [F0] * n
-    for u, near in balls.items():
-        w = weights[u]
-        if w:
-            for v in near:
-                load[v] += w
-    if any(x > 1 for x in load):
-        raise RuntimeError("internal: packing constraint violated")
+    if sum(y, F0) != value:
+        raise RuntimeError("internal: packing value mismatch")
+    for m in masks:
+        if sum((w for i, w in enumerate(y) if m >> i & 1), F0) > 1:
+            raise RuntimeError("internal: packing constraint violated")
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +291,24 @@ def validate_minor_model(g: Graph, model: MinorModel) -> None:
 
 def _connected_sets_bounded(adjm: List[int], cap: int) -> List[int]:
     """Bitmasks of all connected vertex sets of size <= cap in the graph
-    whose vertex v has the neighbour bitmask adjm[v]."""
-    n = len(adjm)
-    out: List[int] = []
+    whose vertex v has the neighbour bitmask adjm[v], each once.
 
-    def rec(s_mask, s_size, ext, forb, allowed):
+    A set grows only above its lowest vertex: ext holds the vertices it
+    may still take, forb the ones an earlier sibling already took."""
+    out: List[int] = []
+    stack = [(1 << v, 1, adjm[v] & -(2 << v), 0) for v in range(len(adjm))]
+    while stack:
+        s_mask, s_size, ext, forb = stack.pop()
         out.append(s_mask)
         if s_size == cap:
-            return
+            continue
+        allowed = -2 * (s_mask & -s_mask)  # the vertices above the lowest
         while ext:
             b = ext & -ext
             ext ^= b
-            w = b.bit_length() - 1
-            nxt = (ext | (adjm[w] & allowed)) & ~(s_mask | b | forb)
-            rec(s_mask | b, s_size + 1, nxt, forb, allowed)
+            nxt = (ext | (adjm[b.bit_length() - 1] & allowed)) & ~(s_mask | b | forb)
+            stack.append((s_mask | b, s_size + 1, nxt, forb))
             forb |= b
-
-    full = (1 << n) - 1
-    for v in range(n):
-        allowed = full & ~((1 << (v + 1)) - 1)
-        rec(1 << v, 1, adjm[v] & allowed, 0, allowed)
     return out
 
 
@@ -373,17 +353,15 @@ def find_clique_minor(
             cands.append((mask & -mask, mask, nbr))
     cands.sort()
 
-    def dfs(chosen, used, floor):
+    def dfs(chosen, used, start):
+        # picks ascend in cands, so a set is tried only after the last pick
         if len(chosen) == t:
-            return list(chosen)
-        for low, mask, nbr in cands:
-            if low <= floor:
+            return chosen
+        for i in range(start, len(cands)):
+            mask = cands[i][1]
+            if mask & used or any(mask & cn == 0 for _, _, cn in chosen):
                 continue
-            if mask & used:
-                continue
-            if any(mask & cn == 0 for _, _, cn in chosen):
-                continue
-            got = dfs(chosen + [(low, mask, nbr)], used | mask, low)
+            got = dfs(chosen + [cands[i]], used | mask, i + 1)
             if got:
                 return got
         return None

@@ -253,10 +253,10 @@ def duality_report(
     bound = harmonic(len(members))
     lp_value: Optional[Fraction] = None
     if include_lp:
-        lp_value = lp_domination(g, members, r).value if members else Fraction(0)
-    if len(witness) > len(dominating) and members:
+        lp_value = lp_domination(g, members, r).value
+    if len(witness) > len(dominating):
         raise RuntimeError("internal: witness larger than cover")
-    if lp_value is not None and members:
+    if lp_value is not None:
         if Fraction(len(witness)) > lp_value:
             raise RuntimeError("internal: witness exceeds fractional optimum")
         if Fraction(len(dominating)) > bound * lp_value:

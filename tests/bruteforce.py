@@ -14,11 +14,12 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from drisk.ballvc import SetSystem, TwoShatterWitness
+from drisk.ballvc import SetSystem, TwoShatterWitness, _masks
 from drisk.graph import (
     Graph,
     GraphError,
     ball,
+    distances_from,
     induced_subgraph,
     is_distance_dominating,
     is_distance_independent,
@@ -26,9 +27,15 @@ from drisk.graph import (
     vset,
 )
 from drisk.kernel import IrrelevanceCertificate
-from drisk.oracle import OracleLimitError
+from drisk.oracle import (
+    LpSolution,
+    MinorModel,
+    OracleLimitError,
+    _radius_at_most,
+    validate_minor_model,
+)
 from drisk.projections import ClosureResult, profile
-from drisk.simplex import LpInfeasible, LpUnbounded, SimplexStall
+from drisk.simplex import LpInfeasible, LpUnbounded, SimplexStall, solve_min
 from drisk.uqw import scattered_ladder
 
 INF = math.inf
@@ -828,3 +835,180 @@ def greedy_ball_cover_sets(g: Graph, a: Iterable[int], r: int) -> Tuple[int, ...
     if not is_distance_dominating(g, picks, members, r):
         raise RuntimeError("internal: greedy cover failed to dominate")
     return tuple(picks)
+
+
+# oracle.lp_domination with its cover and packing audits on per-member
+# distance dicts, ballvc.vc_dimension's level-wise search, and
+# oracle.find_clique_minor's floor-skipping walk over the recursive
+# connected-set enumeration, as they were before the first two read the
+# bitmask ball traces and the last two dropped their recursion and rescans.
+# They are kept verbatim apart from their names (and the names of each
+# other they call), so tests can pin the current ones to them.
+
+
+def lp_domination_balls(g: Graph, a: Iterable[int], r: int) -> LpSolution:
+    """Fractional covering optimum: nonnegative weights on all of V, each
+    member of a must see total weight >= 1 inside its r-ball.
+
+    Its `dual` is the fractional packing optimum (see lp_packing), read from
+    the covering solve's row duals.  Both weight vectors are audited for
+    feasibility and for equal totals, which by weak duality certifies that
+    each is optimal."""
+    members = vset(a, g)
+    if not members:
+        return LpSolution(F0, {v: F0 for v in range(g.n)}, LpSolution(F0, {}))
+    balls = {u: distances_from(g, u, r) for u in members}
+    rows = [[F1 if v in balls[u] else F0 for v in range(g.n)] for u in members]
+    res = solve_min([F1] * g.n, rows, [F1] * len(rows))
+    weights = {v: res.x[v] for v in range(g.n)}
+    _audit_cover_balls(balls, weights, res.value)
+    packing = dict(zip(members, res.y))
+    _audit_packing_balls(g.n, balls, packing, res.value)
+    return LpSolution(res.value, weights, LpSolution(res.value, packing))
+
+
+def _audit_cover_balls(balls, weights, value):
+    if any(w < 0 for w in weights.values()):
+        raise RuntimeError("internal: negative covering weight")
+    if sum(weights.values(), F0) != value:
+        raise RuntimeError("internal: covering value mismatch")
+    for u, near in balls.items():
+        if sum(weights[v] for v in near) < 1:
+            raise RuntimeError("internal: covering constraint violated")
+
+
+def _audit_packing_balls(n, balls, weights, value):
+    if any(w < 0 for w in weights.values()):
+        raise RuntimeError("internal: negative packing weight")
+    if sum(weights.values(), F0) != value:
+        raise RuntimeError("internal: packing value differs from the cover value")
+    load = [F0] * n
+    for u, near in balls.items():
+        w = weights[u]
+        if w:
+            for v in near:
+                load[v] += w
+    if any(x > 1 for x in load):
+        raise RuntimeError("internal: packing constraint violated")
+
+
+def vc_dimension_levels(sys: SetSystem, limit: int = 24) -> int:
+    """Classic shattering dimension: largest X with every subset of X,
+    the empty set included, realized as a trace."""
+    uni = sys.universe
+    n = len(uni)
+    if n > limit:
+        raise OracleLimitError(
+            f"shattering search limited to {limit} elements, got {n}"
+        )
+    masks = _masks(sys)
+
+    def shattered(x_mask, size):
+        seen = {m & x_mask for m in masks}
+        return len(seen) == 1 << size
+
+    level = [0] if shattered(0, 0) else []
+    dim = -1 if not level else 0
+    size = 0
+    while level:
+        size += 1
+        nxt = []
+        for x_mask in level:
+            top = x_mask.bit_length()
+            for i in range(top, n):
+                cand = x_mask | (1 << i)
+                if shattered(cand, size):
+                    nxt.append(cand)
+        if nxt:
+            dim = size
+        level = nxt
+    return max(dim, 0)
+
+
+def connected_sets_bounded_recursive(adjm: List[int], cap: int) -> List[int]:
+    """Bitmasks of all connected vertex sets of size <= cap in the graph
+    whose vertex v has the neighbour bitmask adjm[v]."""
+    n = len(adjm)
+    out: List[int] = []
+
+    def rec(s_mask, s_size, ext, forb, allowed):
+        out.append(s_mask)
+        if s_size == cap:
+            return
+        while ext:
+            b = ext & -ext
+            ext ^= b
+            w = b.bit_length() - 1
+            nxt = (ext | (adjm[w] & allowed)) & ~(s_mask | b | forb)
+            rec(s_mask | b, s_size + 1, nxt, forb, allowed)
+            forb |= b
+
+    full = (1 << n) - 1
+    for v in range(n):
+        allowed = full & ~((1 << (v + 1)) - 1)
+        rec(1 << v, 1, adjm[v] & allowed, 0, allowed)
+    return out
+
+
+def find_clique_minor_floor(
+    g: Graph, t: int, r: int, vertex_limit: int = 16
+) -> Optional[MinorModel]:
+    """Search exhaustively for a depth-r model of the complete graph on t
+    branch sets; returns a validated model or None.
+
+    Any model can be shrunk until each branch set is a union of at most
+    t-1 paths of length <= r from its center, so only connected sets of
+    size up to 1 + (t-1)*r need to be enumerated.
+    """
+    if t < 1:
+        raise GraphError("clique minor order must be >= 1")
+    if t > 5:
+        raise OracleLimitError("clique-minor search limited to t <= 5")
+    if g.n > vertex_limit:
+        raise OracleLimitError(
+            f"clique-minor search limited to {vertex_limit} vertices, got {g.n}"
+        )
+    if t == 1:
+        if g.n == 0:
+            return None
+        return MinorModel(((0,),), r)
+    cap = 1 + (t - 1) * r
+    adjm = [0] * g.n
+    for u, v in g.edges:
+        adjm[u] |= 1 << v
+        adjm[v] |= 1 << u
+
+    def unpack(mask):
+        return tuple(i for i in range(g.n) if (mask >> i) & 1)
+
+    cands = []
+    for mask in connected_sets_bounded_recursive(adjm, cap):
+        members = frozenset(unpack(mask))
+        if _radius_at_most(g, members, r):
+            nbr = 0
+            for v in members:
+                nbr |= adjm[v]
+            cands.append((mask & -mask, mask, nbr))
+    cands.sort()
+
+    def dfs(chosen, used, floor):
+        if len(chosen) == t:
+            return list(chosen)
+        for low, mask, nbr in cands:
+            if low <= floor:
+                continue
+            if mask & used:
+                continue
+            if any(mask & cn == 0 for _, _, cn in chosen):
+                continue
+            got = dfs(chosen + [(low, mask, nbr)], used | mask, low)
+            if got:
+                return got
+        return None
+
+    found = dfs([], 0, 0)
+    if found is None:
+        return None
+    model = MinorModel(tuple(unpack(mask) for _, mask, _ in found), r)
+    validate_minor_model(g, model)
+    return model

@@ -103,6 +103,39 @@ class TestVcDimension:
                 assert vc_dimension(sys) == want, (name, r)
 
 
+class TestVcAgainstLevelSearch:
+    """The depth-first search against the level-wise search it replaced,
+    kept verbatim in bruteforce."""
+
+    def test_corpus_ball_systems(self):
+        rng = random.Random(11)
+        for name, g in corpus.small_corpus():
+            for r in (0, 1, 2):
+                full = balls_system(g, r)
+                assert vc_dimension(full) == bruteforce.vc_dimension_levels(full), (name, r)
+                for trial in range(3):
+                    keep = rng.sample(range(g.n), rng.randint(0, g.n))
+                    sub = restrict_system(full, keep)
+                    assert vc_dimension(sub) == bruteforce.vc_dimension_levels(sub), (name, r, keep)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_set_systems_with_empty_and_repeated_sets(self, data):
+        n = data.draw(st.integers(0, 10), label="n")
+        member = st.lists(st.integers(0, n - 1), unique=True).map(
+            lambda s: tuple(sorted(s))
+        ) if n else st.just(())
+        sets = data.draw(st.lists(member, max_size=24), label="sets")
+        repeats = data.draw(
+            st.lists(st.sampled_from(sets), max_size=4) if sets else st.just([]),
+            label="repeats",
+        )
+        with_empty = data.draw(st.booleans(), label="with_empty")
+        sets = tuple(sets + repeats + ([()] if with_empty else []))
+        sys = SetSystem(tuple(range(n)), sets, tuple(range(len(sets))))
+        assert vc_dimension(sys) == bruteforce.vc_dimension_levels(sys), sets
+
+
 class TestTwoVcDimension:
     def test_path_example(self):
         dim, w = two_vc_dimension(balls_system(path_graph(3), 1))

@@ -24,7 +24,14 @@ from drisk.generators import (
     path_graph,
     star_graph,
 )
-from drisk.graphio import read_edge_list, read_vertex_set, write_edge_list, write_vertex_set
+from drisk.ballvc import TwoShatterWitness
+from drisk.graphio import (
+    MAX_VERTICES,
+    read_edge_list,
+    read_vertex_set,
+    write_edge_list,
+    write_vertex_set,
+)
 from drisk.kernel import KernelOutcome
 from drisk.oracle import lp_domination, lp_packing
 
@@ -378,6 +385,68 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("input error:")
         # a zero limit is well formed: the oracle refuses the instance
         assert main(["solve", *problem, "--input", path10, "--limit", "0"]) == 2
+
+    @pytest.mark.parametrize("problem,option", [
+        pytest.param(["lp"], ["--limit", "1"], id="lp-limit"),
+        pytest.param(["duality"], ["--limit", "4", "--t", "3"], id="duality-limit"),
+        pytest.param(["duality"], ["--t", "3"], id="duality-t"),
+        pytest.param(["uqw", "--m", "2"], ["--limit", "3"], id="uqw-limit"),
+        pytest.param(["alpha"], ["--t", "5", "--m", "7"], id="alpha-t"),
+        pytest.param(["gamma"], ["--m", "7"], id="gamma-m"),
+        pytest.param(["vc2"], ["--t", "2"], id="vc2-t"),
+        pytest.param(["minor", "--t", "2"], ["--m", "2"], id="minor-m"),
+        pytest.param(["uqw", "--m", "2"], ["--t", "2"], id="uqw-t"),
+    ])
+    def test_options_the_problem_never_reads_exit_three(
+        self, problem, option, path10, capsys
+    ):
+        code = main(["solve", *problem, "--input", path10, *option])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"input error: solve {problem[0]} takes no {option[0]}\n"
+
+    def test_options_the_problem_reads_are_recorded(self, path10, capsys):
+        code, rep = run_json(
+            capsys, "solve", "minor", "--input", path10, "--t", "2", "--limit", "16"
+        )
+        assert code == 0
+        assert rep["parameters"] == {"problem": "minor", "r": 1, "t": 2, "limit": 16}
+        code, rep = run_json(capsys, "solve", "uqw", "--input", path10, "--m", "2")
+        assert code == 0
+        assert rep["parameters"] == {"problem": "uqw", "r": 1, "m": 2, "s_max": 3}
+
+    def test_vc2_witness_is_rechecked(self, path10, capsys, monkeypatch):
+        # the 1-ball of vertex 5 misses both 0 and 2, so it traces no pair
+        bad = TwoShatterWitness((0, 2), {(0, 2): 5})
+        monkeypatch.setattr(drisk.cli, "two_vc_dimension", lambda system, limit: (2, bad))
+        code = main(["solve", "vc2", "--input", path10, "--r", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("internal error: invalid pair-shattering witness")
+
+    def test_failed_self_check_exits_one_with_one_line(self, path10, capsys, monkeypatch):
+        # an adjacent pair is not a 1-independent witness
+        monkeypatch.setattr(
+            drisk.cli, "independence_number", lambda g, a, r, limit: (2, (0, 1))
+        )
+        code = main(["solve", "alpha", "--input", path10, "--r", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "internal error: invalid independence witness\n"
+        assert "Traceback" not in captured.err
+
+    def test_header_above_the_vertex_cap_exits_three(self, tmp_path, capsys):
+        huge = tmp_path / "huge.gr"
+        huge.write_text(f"p {MAX_VERTICES + 1} 0\n")
+        code = main(["solve", "lp", "--input", str(huge)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
 
 
 class TestKernel:

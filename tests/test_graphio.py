@@ -55,6 +55,8 @@ class TestEdgeListErrors:
             ("p 2 1\nx 0 1\n", "unknown record"),
             ("p 2 2\ne 0 1\n", "promises 2 edges"),
             ("c nothing else\n", "missing p header"),
+            # one above the documented cap, refused before any allocation
+            ("p 10000001 0\n", "more than 10000000 vertices"),
         ],
     )
     def test_malformed_inputs_report_reason(self, tmp_path, body, message_part):

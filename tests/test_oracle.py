@@ -1,6 +1,7 @@
 """Unit tests for the exact solvers: independence and domination numbers,
 their linear relaxations, and depth-bounded clique-minor search."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from drisk.oracle import (
     LpSolution,
     MinorModel,
     _audit_packing,
+    _connected_sets_bounded,
     _max_clique,
     OracleLimitError,
     domination_number,
@@ -146,17 +148,29 @@ class TestLinearRelaxations:
                         assert load <= 1, (name, r, v)
 
     def test_packing_audit_rejects_bad_duals(self):
-        # path 0-1-2, members {0, 2}, r = 1: optimum 1, e.g. weights 1/2, 1/2
-        balls = {0: {0: 0, 1: 1}, 2: {2: 0, 1: 1}}
+        # path 0-1-2, members {0, 2}, r = 1: optimum 1, e.g. weights 1/2, 1/2;
+        # vertex 1 sees both members, vertices 0 and 2 only themselves
+        masks = [0b01, 0b11, 0b10]
         half = Fraction(1, 2)
-        _audit_packing(3, balls, {0: half, 2: half}, Fraction(1))
+        _audit_packing(masks, (half, half), Fraction(1))
         for weights, value in (
-            ({0: Fraction(3, 2), 2: Fraction(-1, 2)}, Fraction(1)),  # negative
-            ({0: Fraction(1), 2: Fraction(1)}, Fraction(2)),  # vertex 1 loaded 2
-            ({0: half, 2: half}, Fraction(3, 2)),  # total differs from the cover
+            ((Fraction(3, 2), Fraction(-1, 2)), Fraction(1)),  # negative
+            ((Fraction(1), Fraction(1)), Fraction(2)),  # vertex 1 loaded 2
+            ((half, half), Fraction(3, 2)),  # total differs from the cover
         ):
             with pytest.raises(RuntimeError):
-                _audit_packing(3, balls, weights, value)
+                _audit_packing(masks, weights, value)
+
+    def test_matches_ball_dict_version_on_corpus(self):
+        # the same value, weights and dual weights as the per-member
+        # distance-dict version kept verbatim in bruteforce
+        rng = random.Random(7)
+        for name, g in corpus.small_corpus():
+            seeded = tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
+            for a in ((), tuple(range(g.n)), seeded):
+                for r in (1, 2):
+                    # LpSolution equality covers the dual and its weights
+                    assert lp_domination(g, a, r) == bruteforce.lp_domination_balls(g, a, r), (name, a, r)
 
     def test_sandwich_between_integral_optima(self):
         for name, g in corpus.small_corpus():
@@ -236,6 +250,51 @@ class TestMinorSearch:
             find_clique_minor(path_graph(4), 6, 1)
         with pytest.raises(GraphError):
             find_clique_minor(path_graph(4), 0, 1)
+
+
+class TestMinorSearchAgainstRecursion:
+    """The stack-based connected-set enumeration and the minor walk that
+    starts after its last pick, against the recursive enumeration and the
+    floor-skipping walk they replaced, kept verbatim in bruteforce."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_connected_sets_match_recursive_version(self, data):
+        n = data.draw(st.integers(0, 12), label="n")
+        cap = data.draw(st.integers(0, 13), label="cap")
+        density = data.draw(st.integers(0, 10), label="density")
+        rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
+        adjm = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rnd.randrange(10) < density:
+                    adjm[u] |= 1 << v
+                    adjm[v] |= 1 << u
+        got = _connected_sets_bounded(adjm, cap)
+        assert len(set(got)) == len(got)
+        assert sorted(got) == sorted(bruteforce.connected_sets_bounded_recursive(adjm, cap))
+
+    def test_deep_path_enumeration(self):
+        # deeper than Python's recursion limit: every interval of the path
+        n = 1010
+        adjm = [0] * n
+        for i in range(n - 1):
+            adjm[i] |= 1 << (i + 1)
+            adjm[i + 1] |= 1 << i
+        got = _connected_sets_bounded(adjm, n)
+        assert len(got) == n * (n + 1) // 2
+        assert all(m & (m + (m & -m)) == 0 for m in got)  # one run of bits
+        # an interval is fixed by its lowest vertex and its size
+        assert len({((m & -m).bit_length(), m.bit_count()) for m in got}) == len(got)
+
+    def test_models_match_floor_walk_on_corpus(self):
+        for name, g in corpus.small_corpus():
+            if g.n > 12:
+                continue
+            for t in (2, 3, 4):
+                for r in (1, 2):
+                    got = find_clique_minor(g, t, r)
+                    assert got == bruteforce.find_clique_minor_floor(g, t, r), (name, t, r)
 
 
 class TestValidateMinorModel:
