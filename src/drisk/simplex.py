@@ -6,11 +6,14 @@ ratio ties by the smallest basic variable.  That rule is slow in theory
 but terminates unconditionally, and exactness matters more than pivot
 count at the sizes this package solves.
 
-The tableau is stored as dense rows of `Fraction`s, but a pivot is sparse:
-it collects the pivot row's nonzero entries once and updates only those
-columns, in place, in every row (and the cost row) with a nonzero entry in
-the pivot column.  A zero entry b of the pivot row leaves a - f*b == a, so
-the pivot sequence and every value match a full dense update.
+The tableau is stored fraction-free: each row is a list of integers whose
+common denominator is its entry in its basic column (which stands for 1),
+and the cost row carries its denominator as one extra last entry.  A pivot
+updates only the rows with a nonzero entry in the pivot column, by integer
+cross-multiplication, and divides each such row by the gcd of its entries.
+Every sign and ratio the pivot rule reads is the exact rational one, so the
+pivot sequence and every value match a dense `Fraction` update; only the
+result is turned back into `Fraction`s.
 
 Conventions: maximize c.x subject to A.x <= b, x >= 0, where b may be
 negative (phase 1 introduces artificials for those rows).  Minimization
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 F0 = Fraction(0)
@@ -57,54 +61,63 @@ class LpOptimum:
 _MAX_PIVOTS = 200_000
 
 
-def _eliminate(line: List[Fraction], f: Fraction, nz) -> None:
-    for j, b in nz:
-        line[j] -= f * b
+def _combine(line: List[int], prow: List[int], col: int) -> List[int]:
+    """line - (line[col] / prow[col]) * prow, scaled by prow[col] > 0 to
+    stay integral and divided by the gcd of its entries.  Entries of line
+    past the end of prow (the cost row's denominator) scale only."""
+    f, pc = line[col], prow[col]
+    new = [a * pc - f * b for a, b in zip(line, prow)]
+    new += [a * pc for a in line[len(prow):]]
+    g = gcd(*new)
+    return new if g == 1 else [a // g for a in new]
 
 
-def _pivot(tableau: List[List[Fraction]], cost: List[Fraction], basis: List[int], row: int, col: int) -> None:
+def _pivot(tableau: List[List[int]], cost: List[int], basis: List[int], row: int, col: int) -> None:
     prow = tableau[row]
-    piv = prow[col]
-    nz = [(j, a) for j, a in enumerate(prow) if a]
-    if piv != F1:
-        nz = [(j, a / piv) for j, a in nz]
-        for j, a in nz:
-            prow[j] = a
+    if prow[col] < 0:
+        prow = tableau[row] = [-a for a in prow]
     for i, other in enumerate(tableau):
-        if i == row:
-            continue
-        f = other[col]
-        if f:
-            _eliminate(other, f, nz)
-    f = cost[col]
-    if f:
-        _eliminate(cost, f, nz)
+        if i != row and other[col]:
+            tableau[i] = _combine(other, prow, col)
+    if cost[col]:
+        cost[:] = _combine(cost, prow, col)
     basis[row] = col
 
 
 def _bland_loop(tableau, cost, basis, ncols) -> None:
     for _ in range(_MAX_PIVOTS):
-        col = -1
-        for j in range(ncols):
-            if cost[j] > 0:
-                col = j
-                break
+        col = next((j for j in range(ncols) if cost[j] > 0), -1)
         if col < 0:
             return
+        # least ratio rhs / a over a > 0, ties to the least basic variable;
+        # a row's denominator cancels from its ratio
         row = -1
-        best = None
         for i, trow in enumerate(tableau):
             a = trow[col]
             if a > 0:
-                ratio = trow[-1] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
+                d = 0 if row < 0 else trow[-1] * tableau[row][col] - tableau[row][-1] * a
+                if row < 0 or d < 0 or (d == 0 and basis[i] < basis[row]):
                     row = i
         if row < 0:
             raise LpUnbounded
         _pivot(tableau, cost, basis, row, col)
     raise SimplexStall("pivot budget exhausted")
+
+
+def _integral(values: Sequence[Fraction]) -> List[int]:
+    """values times the least common multiple of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _cost_row(obj: List[Fraction], tableau, basis) -> List[int]:
+    """The cost row of objective obj priced out on the basis: integers
+    over the denominator that follows the rhs entry."""
+    cost = _integral(obj + [F0, F1])
+    for i, bi in enumerate(basis):
+        if cost[bi]:
+            cost = _combine(cost, tableau[i], bi)
+    return cost
 
 
 def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum:
@@ -118,11 +131,9 @@ def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum
     art_rows = [i for i in range(m) if Fraction(rhs[i]) < 0]
     nart = len(art_rows)
     ncols = nvars + nslack + nart
-    art_col = {}
-    for k, i in enumerate(art_rows):
-        art_col[i] = nvars + nslack + k
+    art_col = {i: nvars + nslack + k for k, i in enumerate(art_rows)}
 
-    tableau: List[List[Fraction]] = []
+    tableau: List[List[int]] = []
     basis: List[int] = []
     for i in range(m):
         b = Fraction(rhs[i])
@@ -144,17 +155,13 @@ def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum
         else:
             basis.append(nvars + i)
         line.append(b)
-        tableau.append(line)
+        tableau.append(_integral(line))
 
     if nart:
-        # phase 1: maximize -sum(artificials); price out the artificial basis
-        cost = [F0] * (ncols + 1)
-        for i in art_rows:
-            cost = [a + b for a, b in zip(cost, tableau[i])]
-        for k in range(nart):
-            cost[nvars + nslack + k] = F0
+        # phase 1: maximize -sum(artificials), priced out on the artificial basis
+        cost = _cost_row([F0] * (nvars + nslack) + [-F1] * nart, tableau, basis)
         _bland_loop(tableau, cost, basis, ncols)
-        if cost[-1] != 0:
+        if cost[-2] != 0:
             raise LpInfeasible
         # Drive the artificials left basic (at level 0) out of the basis.
         # Each row has its own slack column, so the tableau's slack block
@@ -167,20 +174,15 @@ def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum
         tableau = [row[: nvars + nslack] + row[-1:] for row in tableau]
         ncols = nvars + nslack
 
-    cost = [F0] * (ncols + 1)
-    cost[:nvars] = list(c)
-    for i, bi in enumerate(basis):
-        f = cost[bi]
-        if f:
-            _eliminate(cost, f, [(j, a) for j, a in enumerate(tableau[i]) if a])
+    cost = _cost_row(c + [F0] * nslack, tableau, basis)
     _bland_loop(tableau, cost, basis, ncols)
 
     x = [F0] * nvars
     for i, bi in enumerate(basis):
         if bi < nvars:
-            x[bi] = tableau[i][-1]
-    y = tuple(-cost[nvars + i] for i in range(m))
-    return LpOptimum(-cost[-1], tuple(x), y)
+            x[bi] = Fraction(tableau[i][-1], tableau[i][bi])
+    y = tuple(Fraction(-cost[nvars + i], cost[-1]) for i in range(m))
+    return LpOptimum(Fraction(-cost[-2], cost[-1]), tuple(x), y)
 
 
 def solve_min(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum:

@@ -35,7 +35,7 @@ from drisk.oracle import (
     validate_minor_model,
 )
 from drisk.projections import ClosureResult, profile
-from drisk.simplex import LpInfeasible, LpUnbounded, SimplexStall, solve_min
+from drisk.simplex import LpInfeasible, LpOptimum, LpUnbounded, SimplexStall, solve_min
 from drisk.uqw import scattered_ladder
 
 INF = math.inf
@@ -306,8 +306,9 @@ def max_clique_recursive(n: int, adj: List[int]) -> Tuple[int, int]:
     return best_size, best_mask
 
 
-# The dense-update simplex that the sparse pivot in `drisk.simplex`
-# replaced, kept verbatim (it returns (value, x) instead of an LpOptimum).
+# The dense `Fraction`-update simplex that `drisk.simplex` replaced (first
+# by a sparse pivot, now by a fraction-free integer tableau), kept verbatim
+# (it returns (value, x) instead of an LpOptimum).
 # It raises drisk's own exception types, so the two can be compared.
 
 F0 = Fraction(0)
@@ -435,6 +436,136 @@ def dense_solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> Tup
         if bi < nvars:
             x[bi] = tableau[i][-1]
     return -cost[-1], tuple(x)
+
+
+# The sparse `Fraction` pivot that the fraction-free integer tableau in
+# `drisk.simplex` replaced, kept verbatim apart from its names.  It
+# returns the same LpOptimum, duals included, pivot for pivot.
+
+def _sparse_eliminate(line: List[Fraction], f: Fraction, nz) -> None:
+    for j, b in nz:
+        line[j] -= f * b
+
+
+def _sparse_pivot(tableau: List[List[Fraction]], cost: List[Fraction], basis: List[int], row: int, col: int) -> None:
+    prow = tableau[row]
+    piv = prow[col]
+    nz = [(j, a) for j, a in enumerate(prow) if a]
+    if piv != F1:
+        nz = [(j, a / piv) for j, a in nz]
+        for j, a in nz:
+            prow[j] = a
+    for i, other in enumerate(tableau):
+        if i == row:
+            continue
+        f = other[col]
+        if f:
+            _sparse_eliminate(other, f, nz)
+    f = cost[col]
+    if f:
+        _sparse_eliminate(cost, f, nz)
+    basis[row] = col
+
+
+def _sparse_bland_loop(tableau, cost, basis, ncols) -> None:
+    for _ in range(_MAX_PIVOTS):
+        col = -1
+        for j in range(ncols):
+            if cost[j] > 0:
+                col = j
+                break
+        if col < 0:
+            return
+        row = -1
+        best = None
+        for i, trow in enumerate(tableau):
+            a = trow[col]
+            if a > 0:
+                ratio = trow[-1] / a
+                key = (ratio, basis[i])
+                if best is None or key < best:
+                    best = key
+                    row = i
+        if row < 0:
+            raise LpUnbounded
+        _sparse_pivot(tableau, cost, basis, row, col)
+    raise SimplexStall("pivot budget exhausted")
+
+
+def sparse_solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum:
+    """Maximize c.x subject to rows.x <= rhs, x >= 0 (exact rationals).
+
+    The returned y satisfies y >= 0, y.rows >= c and y.rhs == value."""
+    nvars = len(c)
+    m = len(rows)
+    c = [Fraction(v) for v in c]
+    nslack = m
+    art_rows = [i for i in range(m) if Fraction(rhs[i]) < 0]
+    nart = len(art_rows)
+    ncols = nvars + nslack + nart
+    art_col = {}
+    for k, i in enumerate(art_rows):
+        art_col[i] = nvars + nslack + k
+
+    tableau: List[List[Fraction]] = []
+    basis: List[int] = []
+    for i in range(m):
+        b = Fraction(rhs[i])
+        coeffs = [Fraction(v) for v in rows[i]]
+        if len(coeffs) != nvars:
+            raise ValueError("row length does not match objective length")
+        sign = F1
+        if b < 0:
+            sign = -F1
+            b = -b
+        line = [sign * v for v in coeffs]
+        line.extend(F0 for _ in range(nslack + nart))
+        # the slack column keeps the row's sign, so -cost of it is the
+        # dual of the row as given, not of its negation
+        line[nvars + i] = sign
+        if i in art_col:
+            line[art_col[i]] = F1
+            basis.append(art_col[i])
+        else:
+            basis.append(nvars + i)
+        line.append(b)
+        tableau.append(line)
+
+    if nart:
+        # phase 1: maximize -sum(artificials); price out the artificial basis
+        cost = [F0] * (ncols + 1)
+        for i in art_rows:
+            cost = [a + b for a, b in zip(cost, tableau[i])]
+        for k in range(nart):
+            cost[nvars + nslack + k] = F0
+        _sparse_bland_loop(tableau, cost, basis, ncols)
+        if cost[-1] != 0:
+            raise LpInfeasible
+        # Drive the artificials left basic (at level 0) out of the basis.
+        # Each row has its own slack column, so the tableau's slack block
+        # is B^-1 diag(sign), an invertible matrix: every row has a nonzero
+        # x or slack entry to pivot on, and no row is ever redundant.
+        for i, bi in enumerate(basis):
+            if bi >= nvars + nslack:
+                piv_col = next(j for j in range(nvars + nslack) if tableau[i][j])
+                _sparse_pivot(tableau, cost, basis, i, piv_col)
+        tableau = [row[: nvars + nslack] + row[-1:] for row in tableau]
+        ncols = nvars + nslack
+
+    cost = [F0] * (ncols + 1)
+    cost[:nvars] = list(c)
+    for i, bi in enumerate(basis):
+        f = cost[bi]
+        if f:
+            _sparse_eliminate(cost, f, [(j, a) for j, a in enumerate(tableau[i]) if a])
+    _sparse_bland_loop(tableau, cost, basis, ncols)
+
+    x = [F0] * nvars
+    for i, bi in enumerate(basis):
+        if bi < nvars:
+            x[bi] = tableau[i][-1]
+    y = tuple(-cost[nvars + i] for i in range(m))
+    return LpOptimum(-cost[-1], tuple(x), y)
 
 
 # The removal pipeline's pieces as they were before the deleted-graph

@@ -175,7 +175,7 @@ class TestAgainstFloatSolver:
 
 
 class TestSparsePivot:
-    """The sparse pivot follows the dense-update simplex step for step."""
+    """The fraction-free pivot follows the dense `Fraction` simplex step for step."""
 
     @settings(max_examples=150)
     @given(st.booleans(), st.data())
@@ -187,6 +187,17 @@ class TestSparsePivot:
             assert got is want
         else:
             assert (got.value, got.x) == want
+
+
+class TestFractionFree:
+    """The integer tableau returns what the sparse `Fraction` pivot did:
+    the same value, primal optimum and row duals."""
+
+    @settings(max_examples=150)
+    @given(st.booleans(), st.data())
+    def test_matches_sparse_fraction_pivot(self, feasible, data):
+        c, rows, rhs = data.draw(random_lps(feasible), label="lp")
+        assert outcome(solve_max, c, rows, rhs) == outcome(bruteforce.sparse_solve_max, c, rows, rhs)
 
 
 class TestDuals:
