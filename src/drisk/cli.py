@@ -141,14 +141,27 @@ def _cert_to_json(cert: IrrelevanceCertificate) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # not int(): it would read "27" or 2.75, and a bool is an int subclass
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_ids(value, what: str) -> Tuple[int, ...]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise TypeError(f"{what} must be a list of integers, got {json.dumps(value)}")
+    return tuple(value)
+
+
 def _cert_from_json(data: dict) -> IrrelevanceCertificate:
     try:
         return IrrelevanceCertificate(
-            z=tuple(int(v) for v in data["z"]),
-            s=tuple(int(v) for v in data["s"]),
-            l_prime=tuple(int(v) for v in data["l_prime"]),
-            r=int(data["r"]),
-            d=int(data["d"]),
+            z=_json_ids(data["z"], "z"),
+            s=_json_ids(data["s"], "s"),
+            l_prime=_json_ids(data["l_prime"], "l_prime"),
+            r=_json_int(data["r"], "r"),
+            d=_json_int(data["d"], "d"),
         )
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed certificate: {exc}")
@@ -202,9 +215,9 @@ def _build_parser() -> _Parser:
     solve.add_argument("--r", type=int, default=1)
     solve.add_argument("--t", type=int, help="clique size for minor search")
     solve.add_argument("--m", type=int, help="target size for uqw")
-    solve.add_argument("--s-max", type=int, default=3)
+    solve.add_argument("--s-max", type=int, help="deletion budget for uqw (default 3)")
     solve.add_argument("--limit", type=int, help="oracle size cutoff")
-    solve.add_argument("--no-lp", action="store_true",
+    solve.add_argument("--no-lp", action="store_true", default=None,
                        help="skip the exact LP inside duality reports")
     solve.add_argument("--timing", action="store_true")
     solve.add_argument("--out")
@@ -288,8 +301,17 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# the solve options that only some problems read, and those problems
-_SOLVE_OPTIONS = {"limit": ("alpha", "gamma", "vc2", "minor"), "t": ("minor",), "m": ("uqw",)}
+# the solve options that only some problems read, and those problems;
+# the first three are recorded among a report's parameters
+_SOLVE_OPTIONS = {
+    "limit": ("alpha", "gamma", "vc2", "minor"), "t": ("minor",), "m": ("uqw",),
+    "s_max": ("uqw",), "no_lp": ("duality",),
+    "a_file": ("alpha", "gamma", "lp", "vc2", "duality", "uqw"),
+}
+
+
+def _uqw_s_max(args) -> int:
+    return 3 if args.s_max is None else args.s_max
 
 
 def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
@@ -297,7 +319,7 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     r = args.r
     for key, problems in _SOLVE_OPTIONS.items():
         if getattr(args, key, None) is not None and problem not in problems:
-            raise GraphError(f"solve {problem} takes no --{key}")
+            raise GraphError(f"solve {problem} takes no --{key.replace('_', '-')}")
     if r < 0:
         raise GraphError("radius must be nonnegative")
     if args.limit is not None and args.limit < 0:
@@ -369,7 +391,7 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     if problem == "uqw":
         if args.m is None:
             raise GraphError("solve uqw needs --m")
-        found = find_uqw(g, members, r, args.m, args.s_max)
+        found = find_uqw(g, members, r, args.m, _uqw_s_max(args))
         if found is None:
             return {"found": False, "s": None, "b": None}
         return {"found": True, "s": list(found.s), "b": list(found.b)}
@@ -381,12 +403,12 @@ def _cmd_solve(args) -> int:
     g, members, digests = _load_instance(args)
     outputs = _solve_outputs(args, g, members)
     params = {"problem": args.problem, "r": args.r}
-    for key in _SOLVE_OPTIONS:
+    for key in ("limit", "t", "m"):
         value = getattr(args, key)
         if value is not None:
             params[key] = value
     if args.problem == "uqw":
-        params["s_max"] = args.s_max
+        params["s_max"] = _uqw_s_max(args)
     report = _report("solve", digests, params, outputs, started=started)
     _emit(_dump(report), args.out)
     return EXIT_OK
@@ -400,7 +422,7 @@ def _replay_log(g: Graph, members: Tuple[int, ...], entries: List[dict]) -> dict
     for index, entry in enumerate(entries):
         try:
             cert = _cert_from_json(entry["certificate"])
-            removed = int(entry["removed"])
+            removed = _json_int(entry["removed"], "removed")
         except TypeError as exc:
             raise GraphError(f"malformed removal log entry {index}: {exc}")
         reason = check_certificate(g, current, cert)
@@ -534,7 +556,7 @@ def _bench_row(row: dict) -> Dict[str, str]:
         elif task in ("lp", "duality"):
             # the figures and checks of `solve lp|duality` at its defaults
             got = _solve_outputs(
-                argparse.Namespace(problem=task, r=r, limit=None, no_lp=False), g, members
+                argparse.Namespace(problem=task, r=r, limit=None, no_lp=None), g, members
             )
             if task == "lp":
                 out["outcome"] = "equal" if got["duality_gap_zero"] else "gap"

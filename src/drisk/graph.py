@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 INF = math.inf
 
@@ -155,15 +155,19 @@ def ball(g: Graph, center: int, r: int) -> Tuple[int, ...]:
     return tuple(sorted(multi_source_distances(g, (center,), r)))
 
 
-def _ball_masks(g: Graph, members: Sequence[int], r: int) -> List[int]:
+def _ball_masks(
+    g: Graph, members: Sequence[int], r: int, blocked: Optional[Collection[int]] = None
+) -> List[int]:
     """The radius-r balls of g traced on members, as bitmasks: bit i of
     masks[v] is set iff members[i] is within distance r of v.  One BFS
     per member; distances are symmetric, so this is the trace of v's
-    ball."""
+    ball.  With blocked, the balls are taken in g minus those vertices:
+    a blocked vertex's mask is 0, and a blocked member's bit is set
+    nowhere."""
     masks = [0] * g.n
     for i, u in enumerate(members):
         bit = 1 << i
-        for v in multi_source_distances(g, (u,), r):
+        for v in multi_source_distances(g, (u,), r, blocked):
             masks[v] |= bit
     return masks
 

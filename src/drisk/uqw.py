@@ -4,7 +4,8 @@ subset of A that is pairwise far apart once S is gone.
 The search is a ladder: at each rung a scattered subset is extracted
 greedily from A in G-S; if it is still too small, S gains the one
 outside vertex whose ball (in G-S) meets the most members of A, and
-the next rung is tried.  Success is certified by re-checking the
+the next rung is tried.  Both reads of a rung come from one ball-trace
+table of A in G-S.  Success is certified by re-checking the
 scatteredness brute-force; failure is an explicit outcome, never an
 invalid result.
 """
@@ -14,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .graph import (
-    Graph,
-    GraphError,
-    is_distance_independent,
-    multi_source_distances,
-    vset,
-)
+from .graph import Graph, GraphError, _ball_masks, is_distance_independent, vset
 
 
 @dataclass(frozen=True)
@@ -42,15 +37,15 @@ class UqwResult:
             raise GraphError("set is not scattered after the deletion")
 
 
-def _greedy_scattered(g: Graph, members: Tuple[int, ...], removed: set, r: int) -> Tuple[int, ...]:
-    """Ascending-id greedy packing: take a member, drop every member
-    within r of it in the graph minus removed."""
-    alive = set(members) - removed
+def _greedy_scattered(members: Tuple[int, ...], masks: List[int]) -> Tuple[int, ...]:
+    """Ascending-id greedy packing on the ball-trace table of members:
+    take a live member, drop every member its trace holds."""
+    alive = (1 << len(members)) - 1
     picked: List[int] = []
-    for v in members:
-        if v in alive:
+    for i, v in enumerate(members):
+        if alive >> i & 1:
             picked.append(v)
-            alive.difference_update(multi_source_distances(g, (v,), r, removed))
+            alive &= ~masks[v]
     return tuple(picked)
 
 
@@ -70,24 +65,19 @@ def scattered_ladder(
         raise GraphError("radius must be nonnegative")
     members = vset(a, g)
     mem = set(members)
+    outside = [v for v in range(g.n) if v not in mem]
     deleted: List[int] = []
-    removed: set = set()
     while True:
-        yield tuple(deleted), _greedy_scattered(g, members, removed, r)
+        # Members are never deleted, so each trace is the member set of
+        # a ball in g minus s; a deleted vertex's trace is empty.
+        masks = _ball_masks(g, members, r, deleted)
+        yield tuple(deleted), _greedy_scattered(members, masks)
         if len(deleted) >= s_max:
             return
-        best_v = -1
-        best_score = 0
-        for v in range(g.n):
-            if v in mem or v in removed:
-                continue
-            score = len(mem.intersection(multi_source_distances(g, (v,), r, removed)))
-            if score > best_score:
-                best_score, best_v = score, v
-        if best_v < 0:
+        best = max(outside, key=lambda v: masks[v].bit_count(), default=None)
+        if best is None or not masks[best]:
             return
-        deleted.append(best_v)
-        removed.add(best_v)
+        deleted.append(best)
 
 
 def find_uqw(

@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from drisk.ballvc import SetSystem, TwoShatterWitness, _masks
 from drisk.graph import (
@@ -36,7 +36,6 @@ from drisk.oracle import (
 )
 from drisk.projections import ClosureResult, profile
 from drisk.simplex import LpInfeasible, LpOptimum, LpUnbounded, SimplexStall, solve_min
-from drisk.uqw import scattered_ladder
 
 INF = math.inf
 
@@ -660,7 +659,7 @@ def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...
     classes = profile_classes_via_profile(g, candidates, z, 2 * r)
     bulk = classes[0]
     d = r // 2
-    for s, b in scattered_ladder(g, bulk, 4 * r, policy.uqw_s_max):
+    for s, b in scattered_ladder_bfs(g, bulk, 4 * r, policy.uqw_s_max):
         need = len(s) + 2
         far, _, _ = far_members_induced(g, b, z, s, r)
         if len(far) < need:
@@ -673,6 +672,61 @@ def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...
             if len(cls) >= need:
                 return IrrelevanceCertificate(z, s, cls, r, d)
     return None
+
+# uqw.scattered_ladder and its greedy packing as they were before both
+# read one ball-trace table per rung (graph._ball_masks on the members,
+# blocked at the deleted set) instead of one search per picked member and
+# one per non-member.  They are kept verbatim apart from their names (and
+# the name of each other they call), so tests can pin the table-based
+# ladder to them.
+
+
+def greedy_scattered_bfs(g: Graph, members: Tuple[int, ...], removed: set, r: int) -> Tuple[int, ...]:
+    """Ascending-id greedy packing: take a member, drop every member
+    within r of it in the graph minus removed."""
+    alive = set(members) - removed
+    picked: List[int] = []
+    for v in members:
+        if v in alive:
+            picked.append(v)
+            alive.difference_update(multi_source_distances(g, (v,), r, removed))
+    return tuple(picked)
+
+
+def scattered_ladder_bfs(
+    g: Graph, a: Iterable[int], r: int, s_max: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Yield (s, b) rungs with |s| = 0, 1, ... up to s_max, where b is
+    the greedy scattered subset of a in g minus s.
+
+    s grows by the non-member whose radius-r ball in the current
+    deleted graph covers the most members (smallest id on ties); the
+    ladder stops early when no non-member covers anything.
+    """
+    if s_max < 0:
+        raise GraphError("deletion budget must be nonnegative")
+    if r < 0:
+        raise GraphError("radius must be nonnegative")
+    members = vset(a, g)
+    mem = set(members)
+    deleted: List[int] = []
+    removed: set = set()
+    while True:
+        yield tuple(deleted), greedy_scattered_bfs(g, members, removed, r)
+        if len(deleted) >= s_max:
+            return
+        best_v = -1
+        best_score = 0
+        for v in range(g.n):
+            if v in mem or v in removed:
+                continue
+            score = len(mem.intersection(multi_source_distances(g, (v,), r, removed)))
+            if score > best_score:
+                best_score, best_v = score, v
+        if best_v < 0:
+            return
+        deleted.append(best_v)
+        removed.add(best_v)
 
 
 # The level-BFS loops and the greedy level descent as they were before

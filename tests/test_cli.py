@@ -396,11 +396,20 @@ class TestSolve:
         pytest.param(["vc2"], ["--t", "2"], id="vc2-t"),
         pytest.param(["minor", "--t", "2"], ["--m", "2"], id="minor-m"),
         pytest.param(["uqw", "--m", "2"], ["--t", "2"], id="uqw-t"),
+        pytest.param(["alpha"], ["--s-max", "9"], id="alpha-s-max"),
+        pytest.param(["gamma"], ["--s-max", "0"], id="gamma-s-max"),
+        pytest.param(["lp"], ["--no-lp"], id="lp-no-lp"),
+        pytest.param(["uqw", "--m", "2"], ["--no-lp"], id="uqw-no-lp"),
+        pytest.param(["minor", "--t", "2"], ["--a-file", "{members}"], id="minor-a-file"),
     ])
     def test_options_the_problem_never_reads_exit_three(
-        self, problem, option, path10, capsys
+        self, problem, option, path10, tmp_path, capsys
     ):
-        code = main(["solve", *problem, "--input", path10, *option])
+        # a well-formed member set, so only the option itself is wrong
+        a_path = tmp_path / "a.txt"
+        write_vertex_set((0, 3), str(a_path))
+        code = main(["solve", *problem, "--input", path10,
+                     *(o.format(members=a_path) for o in option)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -415,6 +424,15 @@ class TestSolve:
         code, rep = run_json(capsys, "solve", "uqw", "--input", path10, "--m", "2")
         assert code == 0
         assert rep["parameters"] == {"problem": "uqw", "r": 1, "m": 2, "s_max": 3}
+        code, rep = run_json(
+            capsys, "solve", "uqw", "--input", path10, "--m", "2", "--s-max", "1"
+        )
+        assert code == 0
+        assert rep["parameters"] == {"problem": "uqw", "r": 1, "m": 2, "s_max": 1}
+        code, rep = run_json(capsys, "solve", "duality", "--input", path10, "--no-lp")
+        assert code == 0
+        assert rep["parameters"] == {"problem": "duality", "r": 1}
+        assert rep["outputs"]["lp_value"] is None
 
     def test_vc2_witness_is_rechecked(self, path10, capsys, monkeypatch):
         # the 1-ball of vertex 5 misses both 0 and 2, so it traces no pair
@@ -570,12 +588,15 @@ class TestKernel:
                      "--r", "2", "--k", "3", *flag]) == 3
 
 
+# a valid certificate for the twin fixture, whose log entry removes 1
+TWIN_CERT = {"z": [0, 6], "s": [0], "l_prime": [1, 2, 3, 4, 5], "r": 2, "d": 1}
+
+
 class TestVerifyCert:
     def test_single_certificate(self, twin, tmp_path, capsys):
         graph_path, a_path = twin
-        cert = {"z": [0, 6], "s": [0], "l_prime": [1, 2, 3, 4, 5], "r": 2, "d": 1}
         cert_path = tmp_path / "cert.json"
-        cert_path.write_text(json.dumps(cert))
+        cert_path.write_text(json.dumps(TWIN_CERT))
         code, rep = run_json(
             capsys, "verify-cert", "--input", graph_path, "--a-file", a_path,
             "--cert", str(cert_path),
@@ -618,15 +639,36 @@ class TestVerifyCert:
             "removed vertex outside the certified class"
         )
 
-    def test_malformed_certificate_exits_three(self, twin, tmp_path):
+    def test_malformed_certificate_exits_three(self, twin, tmp_path, capsys):
         graph_path, a_path = twin
         cert_path = tmp_path / "broken.json"
-        cert_path.write_text(json.dumps({"z": [0]}))
-        assert main([
-            "verify-cert", "--input", graph_path, "--cert", str(cert_path)
-        ]) == 3
+        # each of the last four reads as TWIN_CERT under int(), which is valid
+        for cert in (
+            {"z": [0]},
+            {**TWIN_CERT, "s": 0},
+            {**TWIN_CERT, "r": 2.75, "d": True},
+            {**TWIN_CERT, "s": "0", "l_prime": ["1", "2", "3", "4", "5"]},
+            {**TWIN_CERT, "z": [0, 6.5]},
+            {**TWIN_CERT, "d": "1"},
+        ):
+            cert_path.write_text(json.dumps(cert))
+            assert main([
+                "verify-cert", "--input", graph_path, "--a-file", a_path,
+                "--cert", str(cert_path),
+            ]) == 3, cert
+            err = capsys.readouterr().err
+            assert err.startswith("input error: malformed certificate")
+            assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("log", [[[1, 2]], 5], ids=["list-entry", "number"])
+    @pytest.mark.parametrize("log", [
+        [[1, 2]],
+        5,
+        [{"removed": "1", "certificate": TWIN_CERT}],
+        [{"removed": 1.5, "certificate": TWIN_CERT}],
+        [{"removed": True, "certificate": TWIN_CERT}],
+        [{"removed": 1, "certificate": {**TWIN_CERT, "s": "0"}}],
+    ], ids=["list-entry", "number", "string-removed", "float-removed",
+            "bool-removed", "string-ids"])
     def test_malformed_log_exits_three(self, log, twin, tmp_path, capsys):
         graph_path, a_path = twin
         log_path = tmp_path / "bad.log.json"

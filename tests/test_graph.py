@@ -338,8 +338,14 @@ class TestBallMasks:
             label="members",
         )
         r = data.draw(st.integers(0, 4), label="r")
-        dm = bruteforce.dist_matrix(g)
-        masks = _ball_masks(g, members, r)
+        blocked = data.draw(
+            st.none() | st.sets(st.integers(0, g.n - 1), max_size=4), label="blocked"
+        )
+        if blocked is None:
+            dm = bruteforce.dist_matrix(g)
+        else:
+            dm = [multi_source_distances(g, (u,), r, blocked) for u in range(g.n)]
+        masks = _ball_masks(g, members, r, blocked)
         assert len(masks) == g.n
         for v in range(g.n):
             for i, u in enumerate(members):
@@ -354,3 +360,8 @@ class TestBallMasks:
         members = (0, 2, 5)
         masks = _ball_masks(g, members, 0)
         assert masks == [1 << members.index(v) if v in members else 0 for v in range(g.n)]
+        # a blocked member's bit is set nowhere, and a blocked vertex's mask is 0
+        masks = _ball_masks(g, members, 2, blocked={0, 2})
+        assert masks[0] == masks[2] == 0
+        assert not any(m & 0b11 for m in masks)
+        assert masks[5] & 0b100

@@ -1,7 +1,12 @@
 """Unit tests for the deletion/scattering ladder."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bruteforce
 import corpus
 from drisk.generators import grid_graph, path_graph, star_graph
 from drisk.graph import Graph, GraphError, induced_subgraph, is_distance_independent
@@ -70,6 +75,48 @@ class TestScatteredLadder:
             list(scattered_ladder(g, [0], 1, -1))
         with pytest.raises(GraphError):
             list(scattered_ladder(g, [0], -1, 1))
+
+
+class TestMatchesPerVertexSearches:
+    """The ladder on one ball-trace table per rung against the per-vertex
+    searches it replaced, kept verbatim in bruteforce."""
+
+    @staticmethod
+    def same_rungs(g, a, r, s_max):
+        got = list(scattered_ladder(g, a, r, s_max))
+        assert got == list(bruteforce.scattered_ladder_bfs(g, a, r, s_max)), (a, r, s_max)
+        return got
+
+    def test_corpus(self):
+        rng = random.Random(11)
+        for name, g in corpus.small_corpus() + [("twins", corpus.twin_stars(4, 5))]:
+            for _ in range(3):
+                a = rng.sample(range(g.n), rng.randint(0, g.n))
+                for r in range(9):
+                    for s_max in range(4):
+                        self.same_rungs(g, a, r, s_max)
+
+    def test_nothing_covers(self):
+        # no non-member reaches a member, or there is no non-member at all
+        g = Graph(5, [(0, 1), (2, 3)])
+        for a, b in (([0, 1], (0,)), ([0, 1, 4], (0, 4)), (range(5), (0, 2, 4))):
+            assert self.same_rungs(g, a, 1, 3) == [((), b)]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_drawn_graphs(self, data):
+        n = data.draw(st.integers(1, 14), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)
+            if pairs else st.just([]),
+            label="edges",
+        )
+        g = Graph(n, edges)
+        a = data.draw(st.sets(st.integers(0, n - 1)), label="members")
+        r = data.draw(st.integers(0, 8), label="r")
+        s_max = data.draw(st.integers(0, 3), label="s_max")
+        self.same_rungs(g, a, r, s_max)
 
 
 class TestFindUqw:
