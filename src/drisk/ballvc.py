@@ -111,32 +111,42 @@ def _search_pair_shattered(n: int, masks: List[int]) -> int:
 
     An element can only join X if it shares a mask with every element
     of X, so the candidates are cut by the co-occurrence mask co[x] of
-    each element x that joins.
+    each element x that joins.  Traces are tested bit-parallel over the
+    masks: inc[x] marks the masks that hold x, and one, two and three
+    mark the masks that meet X at least once, twice and three times, so
+    {x, y} is a trace exactly when inc[x] & inc[y] & two & ~three != 0.
     """
     masks = {m for m in masks if m & (m - 1)}  # smaller sets trace no pair
     co = [0] * n
-    for m in masks:
+    inc = [0] * n
+    for j, m in enumerate(masks):
         y = m
         while y:
             b = y & -y
             y ^= b
             co[b.bit_length() - 1] |= m
+            inc[b.bit_length() - 1] |= 1 << j
     best_mask = 0
     best_size = 0
 
-    def dfs(x_mask, x_size, cands):
+    def dfs(x_mask, xs, cands, one, two, three):
         nonlocal best_mask, best_size
-        if x_size > best_size:
-            best_size, best_mask = x_size, x_mask
-        pairs = x_size * (x_size + 1) // 2  # 2-subsets of X plus one element
-        while x_size + cands.bit_count() > best_size:
+        if len(xs) > best_size:
+            best_size, best_mask = len(xs), x_mask
+        while len(xs) + cands.bit_count() > best_size:
             b = cands & -cands
             cands ^= b
-            x = x_mask | b
-            if len({t for m in masks if (t := m & x).bit_count() == 2}) == pairs:
-                dfs(x, x_size + 1, cands & co[b.bit_length() - 1])
+            y = b.bit_length() - 1
+            iy = inc[y]
+            two_y, three_y = two | (one & iy), three | (two & iy)
+            exact = two_y & ~three_y  # the masks that meet X + y twice
+            with_y = iy & exact
+            if all(inc[x] & with_y for x in xs) and all(
+                inc[x] & inc[z] & exact for i, x in enumerate(xs) for z in xs[i + 1:]
+            ):
+                dfs(x_mask | b, xs + [y], cands & co[y], one | iy, two_y, three_y)
 
-    dfs(0, 0, (1 << n) - 1)
+    dfs(0, [], (1 << n) - 1, 0, 0, 0)
     return best_mask
 
 

@@ -535,16 +535,17 @@ def _bench_row(row: dict) -> Dict[str, str]:
         out["name"] = str(row.get("name", ""))
         g = _bench_graph(row)
         members = _load_members(g, row.get("a_file"))
-        r = int(row.get("r", 1))
+        r = _json_int(row.get("r", 1), "r")
         task = row.get("task", "kernel")
         out.update(n=str(g.n), m=str(g.m), r=str(r), task=task)
         if task == "kernel":
-            k = int(row["k"])
+            k = _json_int(row["k"], "k")
             out["k"] = str(k)
+            target, max_rounds = row.get("target"), row.get("max_rounds")
             outcome, _ = _run_kernel(g, members, r, k, KernelPolicy(
-                closure_target=row.get("target"),
-                uqw_s_max=int(row.get("s_max", 3)),
-                max_rounds=row.get("max_rounds"),
+                closure_target=None if target is None else _json_int(target, "target"),
+                uqw_s_max=_json_int(row.get("s_max", 3), "s_max"),
+                max_rounds=None if max_rounds is None else _json_int(max_rounds, "max_rounds"),
             ))
             out["outcome"] = outcome.tag
             if outcome.tag == "KERNEL":

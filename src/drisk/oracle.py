@@ -99,7 +99,14 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
 
 
 def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
-    """Smallest set of graph vertices whose r-balls cover a, with witness."""
+    """Smallest set of graph vertices whose r-balls cover a, with witness.
+
+    Branch and bound on the members' ball traces.  A node is pruned by two
+    lower bounds on the balls still needed: a greedy packing of uncovered
+    members no two of which share a ball (the duality alpha_2r <= gamma_r,
+    restricted to what is left) and ceil(|uncovered| / largest gain).
+    Branches keep their order and the best cover is replaced only by a
+    strictly smaller one, so neither bound changes the witness."""
     members = vset(a, g)
     if len(members) > limit:
         raise OracleLimitError(
@@ -118,10 +125,12 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
             kept.append(m)
     full = (1 << len(members)) - 1
     covering_sets: Dict[int, List[int]] = {i: [] for i in range(len(members))}
+    near = [0] * len(members)  # the members that share a kept ball with i
     for m in kept:
         for i in range(len(members)):
             if (m >> i) & 1:
                 covering_sets[i].append(m)
+                near[i] |= m
 
     # greedy upper bound
     best: List[int] = []
@@ -138,6 +147,14 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
             if len(chosen) < best_len:
                 best = list(chosen)
                 best_len = len(best)
+            return
+        # uncovered members pairwise in no common ball each need a ball
+        packed = 0
+        rest = unc
+        while rest:
+            packed += 1
+            rest &= ~near[(rest & -rest).bit_length() - 1]
+        if len(chosen) + packed >= best_len:
             return
         max_gain = max((m & unc).bit_count() for m in kept)
         need = -(-unc.bit_count() // max_gain)  # ceil

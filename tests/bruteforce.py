@@ -18,6 +18,7 @@ from drisk.ballvc import SetSystem, TwoShatterWitness, _masks
 from drisk.graph import (
     Graph,
     GraphError,
+    _ball_masks,
     ball,
     distances_from,
     induced_subgraph,
@@ -1197,3 +1198,71 @@ def find_clique_minor_floor(
     model = MinorModel(tuple(unpack(mask) for _, mask, _ in found), r)
     validate_minor_model(g, model)
     return model
+
+
+# oracle.domination_number as it was before its search also pruned on a
+# greedy packing of the uncovered members (alpha_2r <= gamma_r), when
+# ceil(|uncovered| / largest gain) was its only lower bound.  It is kept
+# verbatim apart from its name, so tests can pin the packing-bounded
+# search to it, witness included.
+
+
+def domination_number_gain_bound(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
+    """Smallest set of graph vertices whose r-balls cover a, with witness."""
+    members = vset(a, g)
+    if len(members) > limit:
+        raise OracleLimitError(
+            f"domination oracle limited to |A| <= {limit}, got {len(members)}"
+        )
+    if not members:
+        return 0, ()
+    by_mask: Dict[int, int] = {}
+    for v, m in enumerate(_ball_masks(g, members, r)):
+        if m and m not in by_mask:
+            by_mask[m] = v
+    masks = sorted(by_mask, key=lambda m: (-m.bit_count(), by_mask[m]))
+    kept: List[int] = []
+    for m in masks:
+        if not any(m & o == m for o in kept):
+            kept.append(m)
+    full = (1 << len(members)) - 1
+    covering_sets: Dict[int, List[int]] = {i: [] for i in range(len(members))}
+    for m in kept:
+        for i in range(len(members)):
+            if (m >> i) & 1:
+                covering_sets[i].append(m)
+
+    # greedy upper bound
+    best: List[int] = []
+    unc = full
+    while unc:
+        pick = max(kept, key=lambda m: ((m & unc).bit_count(), -by_mask[m]))
+        best.append(pick)
+        unc &= ~pick
+    best_len = len(best)
+
+    def search(unc, chosen):
+        nonlocal best, best_len
+        if not unc:
+            if len(chosen) < best_len:
+                best = list(chosen)
+                best_len = len(best)
+            return
+        max_gain = max((m & unc).bit_count() for m in kept)
+        need = -(-unc.bit_count() // max_gain)  # ceil
+        if len(chosen) + need >= best_len:
+            return
+        e = min(
+            (i for i in range(len(members)) if (unc >> i) & 1),
+            key=lambda i: len(covering_sets[i]),
+        )
+        options = sorted(
+            covering_sets[e], key=lambda m: (-(m & unc).bit_count(), by_mask[m])
+        )
+        for m in options:
+            chosen.append(m)
+            search(unc & ~m, chosen)
+            chosen.pop()
+
+    search(full, [])
+    return best_len, tuple(sorted(by_mask[m] for m in best))

@@ -810,6 +810,39 @@ class TestBench:
             "GraphError: deletion budget must be nonnegative",
         ]
 
+    def test_numbers_must_be_json_integers(self, tmp_path, capsys):
+        path = {"kind": "path", "n": 6}
+        kernel = {"family": path, "task": "kernel", "r": 2, "k": 2}
+        manifest = [
+            {**kernel, "name": "float-r", "r": 2.9},
+            {**kernel, "name": "string-k", "k": "2"},
+            {**kernel, "name": "bool-r", "r": True},
+            {**kernel, "name": "lp-float-r", "task": "lp", "r": 1.0},
+            {**kernel, "name": "string-s-max", "s_max": "1"},
+            {**kernel, "name": "float-target", "target": 2.5},
+            {**kernel, "name": "bool-max-rounds", "max_rounds": False},
+            {**kernel, "name": "nulls", "target": None, "max_rounds": None},
+            {**kernel, "name": "ints", "target": 1, "max_rounds": 0, "s_max": 0},
+        ]
+        man_path = tmp_path / "m.json"
+        man_path.write_text(json.dumps(manifest))
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        rows = {row["name"]: row for row in csv.DictReader(io.StringIO(out))}
+        # the CSV writes the commas inside a field as semicolons
+        assert {name: row["error"] for name, row in rows.items()} == {
+            "float-r": "TypeError: r must be an integer; got 2.9",
+            "string-k": 'TypeError: k must be an integer; got "2"',
+            "bool-r": "TypeError: r must be an integer; got true",
+            "lp-float-r": "TypeError: r must be an integer; got 1.0",
+            "string-s-max": 'TypeError: s_max must be an integer; got "1"',
+            "float-target": "TypeError: target must be an integer; got 2.5",
+            "bool-max-rounds": "TypeError: max_rounds must be an integer; got false",
+            "nulls": "",
+            "ints": "",
+        }
+        assert rows["nulls"]["outcome"] == rows["ints"]["outcome"] == "YES"
+
     def test_graph_rows_can_point_at_files(self, path10, tmp_path, capsys):
         manifest = [{"name": "file-row", "input": path10, "task": "kernel",
                      "r": 2, "k": 2}]

@@ -114,6 +114,33 @@ class TestDominationNumber:
             domination_number(g, range(12), 1, limit=11)
 
 
+class TestMatchesGainBoundSearch:
+    """The search pruned by the packing bound against the gain-bound-only
+    search it replaced, kept verbatim in bruteforce: the same value and
+    the same witness."""
+
+    def test_corpus(self):
+        for name, g in corpus.small_corpus():
+            for a in member_sets(g):
+                for r in range(4):
+                    got = domination_number(g, a, r)
+                    assert got == bruteforce.domination_number_gain_bound(g, a, r), (name, r)
+
+    @settings(max_examples=250)
+    @given(st.data())
+    def test_drawn_graphs(self, data):
+        # n counts down from 14: draws lean small, and a greedy cover,
+        # which no bound can spoil, is seldom beaten on tiny graphs
+        n = 14 - data.draw(st.integers(0, 14), label="n")
+        density = data.draw(st.integers(1, 6), label="density")
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(20) < density])
+        for a in (range(n), rnd.sample(range(n), rnd.randint(0, n))):
+            for r in range(4):
+                got = domination_number(g, a, r)
+                assert got == bruteforce.domination_number_gain_bound(g, a, r), (list(a), r)
+
+
 class TestLinearRelaxations:
     def test_four_cycle_value(self):
         c4 = cycle_graph(4)
