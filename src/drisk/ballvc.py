@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graph import Graph, GraphError, _descend, ball, distances_from
-from .oracle import MinorModel, OracleLimitError, validate_minor_model
+from .oracle import MinorModel, OracleLimitError, _walk, validate_minor_model
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def _masks(sys: SetSystem) -> List[int]:
 def _search_pair_shattered(n: int, masks: List[int]) -> int:
     """Largest X (as a bitmask) every 2-element subset of which is a
     trace m & X of some mask; the first found when elements are added
-    in ascending order.
+    in ascending order on _walk.
 
     An element can only join X if it shares a mask with every element
     of X, so the candidates are cut by the co-occurrence mask co[x] of
@@ -126,13 +126,10 @@ def _search_pair_shattered(n: int, masks: List[int]) -> int:
             y ^= b
             co[b.bit_length() - 1] |= m
             inc[b.bit_length() - 1] |= 1 << j
-    best_mask = 0
-    best_size = 0
+    best_mask, best_size = 0, 0
 
-    def dfs(x_mask, xs, cands, one, two, three):
-        nonlocal best_mask, best_size
-        if len(xs) > best_size:
-            best_size, best_mask = len(xs), x_mask
+    def children(node):
+        x_mask, xs, cands, one, two, three = node
         while len(xs) + cands.bit_count() > best_size:
             b = cands & -cands
             cands ^= b
@@ -144,9 +141,11 @@ def _search_pair_shattered(n: int, masks: List[int]) -> int:
             if all(inc[x] & with_y for x in xs) and all(
                 inc[x] & inc[z] & exact for i, x in enumerate(xs) for z in xs[i + 1:]
             ):
-                dfs(x_mask | b, xs + [y], cands & co[y], one | iy, two_y, three_y)
+                yield x_mask | b, xs + (y,), cands & co[y], one | iy, two_y, three_y
 
-    dfs(0, [], (1 << n) - 1, 0, 0, 0)
+    for x_mask, xs, *_ in _walk((0, (), (1 << n) - 1, 0, 0, 0), children):
+        if len(xs) > best_size:
+            best_size, best_mask = len(xs), x_mask
     return best_mask
 
 
@@ -179,7 +178,7 @@ def two_vc_dimension(
 
 def vc_dimension(sys: SetSystem, limit: int = 24) -> int:
     """Classic shattering dimension: largest X with every subset of X,
-    the empty set included, realized as a trace."""
+    the empty set included, realized as a trace; X grows on _walk."""
     uni = sys.universe
     n = len(uni)
     if n > limit:
@@ -189,16 +188,14 @@ def vc_dimension(sys: SetSystem, limit: int = 24) -> int:
     masks = _masks(sys)
     # X grows by ascending elements while it stays shattered: every
     # subset of a shattered set is shattered, so this reaches them all
-    best = 0
-    stack = [(0, 0)]
-    while stack:
-        x_mask, size = stack.pop()
-        best = max(best, size)
+    def children(node):
+        x_mask, size = node
         for i in range(x_mask.bit_length(), n):
             x = x_mask | 1 << i
             if len({m & x for m in masks}) == 2 << size:
-                stack.append((x, size + 1))
-    return best
+                yield x, size + 1
+
+    return max(size for _, size in _walk((0, 0), children))
 
 
 def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:

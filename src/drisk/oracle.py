@@ -24,6 +24,23 @@ class OracleLimitError(Exception):
     """Typed refusal: the instance exceeds a configured search limit."""
 
 
+def _walk(root, children):
+    """Yield a search tree's nodes in depth-first preorder, root first.
+
+    children(node) generates a node's children.  The walk keeps a stack of
+    these generators, not Python frames, and advances one only when it
+    comes back to its node, so a bound read there sees every earlier node."""
+    yield root
+    stack = [children(root)]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            stack.append(children(node))
+            break
+        else:
+            stack.pop()
+
+
 # ---------------------------------------------------------------------------
 # exact independence via maximum clique in the conflict complement
 
@@ -31,17 +48,14 @@ class OracleLimitError(Exception):
 def _max_clique(n: int, adj: List[int]) -> Tuple[int, int]:
     """Maximum clique on a bitmask adjacency; returns (size, mask).
 
-    Branch and bound with a greedy coloring bound; deterministic.  The
-    search keeps its own stack of frames, so its depth (the size of the
-    clique under construction) is not limited by Python's recursion limit.
-    """
-    best_size = 0
-    best_mask = 0
+    Branch and bound with a greedy coloring bound on _walk; deterministic.
+    A node is (size, mask, candidates); one with no candidates is a leaf."""
+    best_size, best_mask = 0, 0
 
-    def colored(rsize, rmask, cand):
+    def children(node):
+        rsize, rmask, cand = node
         # greedy coloring: branch on vertices from the last color class down
-        order = []
-        bound = []
+        order, bound = [], []
         color = 0
         rest = cand
         while rest:
@@ -55,28 +69,23 @@ def _max_clique(n: int, adj: List[int]) -> Tuple[int, int]:
                 rest ^= b
                 order.append(v)
                 bound.append(color)
-        return [rsize, rmask, cand, order, bound, len(order) - 1]
+        for i in range(len(order) - 1, -1, -1):
+            if rsize + bound[i] <= best_size:
+                return
+            v = order[i]
+            yield rsize + 1, rmask | (1 << v), cand & adj[v]
+            cand &= ~(1 << v)
 
-    stack = [colored(0, 0, (1 << n) - 1)] if n else []
-    while stack:
-        frame = stack[-1]
-        rsize, rmask, cand, order, bound, i = frame
-        if i < 0 or rsize + bound[i] <= best_size:
-            stack.pop()
-            continue
-        v = order[i]
-        frame[2] = cand & ~(1 << v)
-        frame[5] = i - 1
-        sub = cand & adj[v]
-        if sub:
-            stack.append(colored(rsize + 1, rmask | (1 << v), sub))
-        elif rsize + 1 > best_size:
-            best_size, best_mask = rsize + 1, rmask | (1 << v)
+    for size, mask, cand in _walk((0, 0, (1 << n) - 1), children):
+        if not cand and size > best_size:
+            best_size, best_mask = size, mask
     return best_size, best_mask
 
 
 def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
     """Largest subset of a with pairwise distance > r, with a witness."""
+    if r < 0:
+        raise GraphError("radius must be >= 0")
     members = vset(a, g)
     if len(members) > limit:
         raise OracleLimitError(
@@ -101,12 +110,15 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
 def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
     """Smallest set of graph vertices whose r-balls cover a, with witness.
 
-    Branch and bound on the members' ball traces.  A node is pruned by two
-    lower bounds on the balls still needed: a greedy packing of uncovered
-    members no two of which share a ball (the duality alpha_2r <= gamma_r,
+    Branch and bound on the members' ball traces, on _walk: a node is the
+    uncovered members and the balls chosen.  It is pruned by two lower
+    bounds on the balls still needed: a greedy packing of uncovered members
+    no two of which share a ball (the duality alpha_2r <= gamma_r,
     restricted to what is left) and ceil(|uncovered| / largest gain).
     Branches keep their order and the best cover is replaced only by a
     strictly smaller one, so neither bound changes the witness."""
+    if r < 0:
+        raise GraphError("radius must be >= 0")
     members = vset(a, g)
     if len(members) > limit:
         raise OracleLimitError(
@@ -133,22 +145,18 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
                 near[i] |= m
 
     # greedy upper bound
-    best: List[int] = []
+    best: Tuple[int, ...] = ()
     unc = full
     while unc:
         pick = max(kept, key=lambda m: ((m & unc).bit_count(), -by_mask[m]))
-        best.append(pick)
+        best += (pick,)
         unc &= ~pick
     best_len = len(best)
 
-    def search(unc, chosen):
-        nonlocal best, best_len
-        if not unc:
-            if len(chosen) < best_len:
-                best = list(chosen)
-                best_len = len(best)
-            return
-        # uncovered members pairwise in no common ball each need a ball
+    def children(node):
+        unc, chosen = node
+        # uncovered members pairwise in no common ball each need a ball;
+        # a cover has none left, so this cut also ends every leaf
         packed = 0
         rest = unc
         while rest:
@@ -168,11 +176,11 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
             covering_sets[e], key=lambda m: (-(m & unc).bit_count(), by_mask[m])
         )
         for m in options:
-            chosen.append(m)
-            search(unc & ~m, chosen)
-            chosen.pop()
+            yield unc & ~m, chosen + (m,)
 
-    search(full, [])
+    for unc, chosen in _walk((full, ()), children):
+        if not unc and len(chosen) < best_len:
+            best, best_len = chosen, len(chosen)
     return best_len, tuple(sorted(by_mask[m] for m in best))
 
 
@@ -284,6 +292,8 @@ def _radius_at_most(g: Graph, members: frozenset, r: int) -> bool:
 
 def validate_minor_model(g: Graph, model: MinorModel) -> None:
     """Raise GraphError unless model is a valid clique-minor model in g."""
+    if model.radius < 0:
+        raise GraphError("radius must be >= 0")
     seen: set = set()
     for bs in model.branch_sets:
         if not bs:
@@ -296,10 +306,7 @@ def validate_minor_model(g: Graph, model: MinorModel) -> None:
         seen |= s
         if not _radius_at_most(g, frozenset(s), model.radius):
             raise GraphError("branch set not connected within the radius bound")
-    nbr = [
-        set().union(*(g.adjacency[v] for v in bs)) if bs else set()
-        for bs in model.branch_sets
-    ]
+    nbr = [set().union(*(g.adjacency[v] for v in bs)) for bs in model.branch_sets]
     for i in range(len(model.branch_sets)):
         for j in range(i + 1, len(model.branch_sets)):
             if not nbr[i].intersection(model.branch_sets[j]):
@@ -310,23 +317,26 @@ def _connected_sets_bounded(adjm: List[int], cap: int) -> List[int]:
     """Bitmasks of all connected vertex sets of size <= cap in the graph
     whose vertex v has the neighbour bitmask adjm[v], each once.
 
-    A set grows only above its lowest vertex: ext holds the vertices it
-    may still take, forb the ones an earlier sibling already took."""
-    out: List[int] = []
-    stack = [(1 << v, 1, adjm[v] & -(2 << v), 0) for v in range(len(adjm))]
-    while stack:
-        s_mask, s_size, ext, forb = stack.pop()
-        out.append(s_mask)
+    Each vertex roots a _walk, and a set grows only above its lowest
+    vertex: ext holds the vertices it may still take, forb the ones an
+    earlier sibling already took."""
+    def children(node):
+        s_mask, s_size, ext, forb = node
         if s_size == cap:
-            continue
+            return
         allowed = -2 * (s_mask & -s_mask)  # the vertices above the lowest
         while ext:
             b = ext & -ext
             ext ^= b
             nxt = (ext | (adjm[b.bit_length() - 1] & allowed)) & ~(s_mask | b | forb)
-            stack.append((s_mask | b, s_size + 1, nxt, forb))
+            yield s_mask | b, s_size + 1, nxt, forb
             forb |= b
-    return out
+
+    return [
+        node[0]
+        for v in range(len(adjm))
+        for node in _walk((1 << v, 1, adjm[v] & -(2 << v), 0), children)
+    ]
 
 
 def find_clique_minor(
@@ -337,10 +347,15 @@ def find_clique_minor(
 
     Any model can be shrunk until each branch set is a union of at most
     t-1 paths of length <= r from its center, so only connected sets of
-    size up to 1 + (t-1)*r need to be enumerated.
+    size up to 1 + (t-1)*r need to be enumerated.  The search runs on
+    _walk.  A node is (picks, pool): the pool holds the candidates after
+    the last pick that are disjoint from every pick and touch each one, so
+    a node whose pool is shorter than the picks still needed is cut.
     """
     if t < 1:
         raise GraphError("clique minor order must be >= 1")
+    if r < 0:
+        raise GraphError("radius must be >= 0")
     if t > 5:
         raise OracleLimitError("clique-minor search limited to t <= 5")
     if g.n > vertex_limit:
@@ -348,9 +363,7 @@ def find_clique_minor(
             f"clique-minor search limited to {vertex_limit} vertices, got {g.n}"
         )
     if t == 1:
-        if g.n == 0:
-            return None
-        return MinorModel(((0,),), r)
+        return MinorModel(((0,),), r) if g.n else None
     cap = 1 + (t - 1) * r
     adjm = [0] * g.n
     for u, v in g.edges:
@@ -370,22 +383,17 @@ def find_clique_minor(
             cands.append((mask & -mask, mask, nbr))
     cands.sort()
 
-    def dfs(chosen, used, start):
-        # picks ascend in cands, so a set is tried only after the last pick
-        if len(chosen) == t:
-            return chosen
-        for i in range(start, len(cands)):
-            mask = cands[i][1]
-            if mask & used or any(mask & cn == 0 for _, _, cn in chosen):
-                continue
-            got = dfs(chosen + [cands[i]], used | mask, i + 1)
-            if got:
-                return got
-        return None
+    def children(node):
+        picks, pool = node
+        need = t - len(picks) - 1  # picks still needed below a child
+        for i, (_, mask, nbr) in enumerate(pool):
+            tail = [c for c in pool[i + 1:] if not c[1] & mask and c[1] & nbr]
+            if len(tail) >= need:
+                yield picks + (pool[i],), tail
 
-    found = dfs([], 0, 0)
-    if found is None:
-        return None
-    model = MinorModel(tuple(unpack(mask) for _, mask, _ in found), r)
-    validate_minor_model(g, model)
-    return model
+    for picks, _ in _walk(((), cands), children):
+        if len(picks) == t:
+            model = MinorModel(tuple(unpack(mask) for _, mask, _ in picks), r)
+            validate_minor_model(g, model)
+            return model
+    return None

@@ -2,6 +2,7 @@
 their linear relaxations, and depth-bounded clique-minor search."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ import corpus
 from drisk.generators import (
     complete_graph,
     cycle_graph,
+    gnm_random,
     path_graph,
     star_graph,
 )
@@ -70,6 +72,10 @@ class TestIndependenceNumber:
         with pytest.raises(OracleLimitError):
             independence_number(g, range(12), 1, limit=11)
 
+    def test_negative_radius_refused(self):
+        with pytest.raises(GraphError, match="radius must be >= 0"):
+            independence_number(path_graph(4), range(4), -1)
+
     @settings(max_examples=150)
     @given(st.data())
     def test_clique_search_matches_recursive_version(self, data):
@@ -112,6 +118,28 @@ class TestDominationNumber:
         g = path_graph(12)
         with pytest.raises(OracleLimitError):
             domination_number(g, range(12), 1, limit=11)
+
+    def test_negative_radius_refused(self):
+        # a ball of radius -1 is empty, so no cover exists
+        with pytest.raises(GraphError, match="radius must be >= 0"):
+            domination_number(path_graph(4), range(4), -1)
+        with pytest.raises(GraphError, match="radius must be >= 0"):
+            domination_number(path_graph(4), [], -1)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # gamma_1 = 2 with a greedy cover of 3, plus k paths on 3 vertices
+        # that each need their own ball: the search goes k + 2 picks deep
+        base, k = gnm_random(8, 15, 44), 400
+        paths = [(8 + 3 * i + j, 8 + 3 * i + j + 1) for i in range(k) for j in range(2)]
+        g = Graph(8 + 3 * k, list(base.edges) + paths)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            size, witness = domination_number(g, range(g.n), 1, limit=g.n)
+        finally:
+            sys.setrecursionlimit(old)
+        assert size == k + 2 and len(witness) == size
+        assert is_distance_dominating(g, witness, range(g.n), 1)
 
 
 class TestMatchesGainBoundSearch:
@@ -278,11 +306,17 @@ class TestMinorSearch:
         with pytest.raises(GraphError):
             find_clique_minor(path_graph(4), 0, 1)
 
+    def test_negative_radius_refused(self):
+        for t in (1, 3):
+            with pytest.raises(GraphError, match="radius must be >= 0"):
+                find_clique_minor(complete_graph(3), t, -1)
+
 
 class TestMinorSearchAgainstRecursion:
-    """The stack-based connected-set enumeration and the minor walk that
-    starts after its last pick, against the recursive enumeration and the
-    floor-skipping walk they replaced, kept verbatim in bruteforce."""
+    """The connected-set enumeration and the minor search on _walk, whose
+    nodes pass their compatible candidates down, against the recursive
+    enumeration and the floor-skipping walk they replaced, kept verbatim
+    in bruteforce."""
 
     @settings(max_examples=200)
     @given(st.data())
@@ -323,8 +357,25 @@ class TestMinorSearchAgainstRecursion:
                     got = find_clique_minor(g, t, r)
                     assert got == bruteforce.find_clique_minor_floor(g, t, r), (name, t, r)
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_models_match_floor_walk_on_drawn_graphs(self, data):
+        # n and t count down: draws lean small, and small graphs with
+        # t = 2 nearly always hold a model of single vertices
+        n = 11 - data.draw(st.integers(0, 11), label="n")
+        t = 5 - data.draw(st.integers(0, 3), label="t")
+        r = data.draw(st.integers(0, 3), label="r")
+        density = data.draw(st.integers(1, 9), label="density")
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(10) < density])
+        assert find_clique_minor(g, t, r) == bruteforce.find_clique_minor_floor(g, t, r)
+
 
 class TestValidateMinorModel:
+    def test_rejects_negative_radius(self):
+        with pytest.raises(GraphError, match="radius must be >= 0"):
+            validate_minor_model(complete_graph(3), MinorModel(((0,), (1,), (2,)), -1))
+
     def test_accepts_hand_built_model(self):
         g = cycle_graph(6)
         model = MinorModel(((0, 1), (2, 3), (4, 5)), 1)
