@@ -253,12 +253,18 @@ def _cmd_gen(args) -> int:
     seed = args.seed
     special: List[Tuple[str, int]] = []
     comments = [f"generated by drisk gen {kind}"]
-    if kind in ("subdivision", "pendant", "hardness"):
+    derived = kind in ("subdivision", "pendant", "hardness")
+    reads = ("input", "r") if derived else FAMILIES[kind][1]
+    options = ("n", "m", "rows", "cols", "leaves", "d", "r")
+    for key in (*options, "input"):
+        if getattr(args, key) is not None and key not in reads:
+            raise GraphError(f"gen {kind} takes no --{key}")
+    if derived:
         if not args.input or args.r is None:
             raise GraphError(f"gen {kind} needs --input and --r")
         base = read_edge_list(args.input)
         if kind == "subdivision":
-            g, _ = exact_subdivision(base, args.r)
+            g = exact_subdivision(base, args.r)
         elif kind == "pendant":
             built = pendant_construction(base, args.r)
             g = built.graph
@@ -292,7 +298,7 @@ def _cmd_gen(args) -> int:
                "out_digest": _sha256(args.out)}
     digests = {"input": _sha256(args.input)} if args.input else {}
     params = {"kind": kind, "seed": seed}
-    for key in ("n", "m", "rows", "cols", "leaves", "d", "r"):
+    for key in options:
         value = getattr(args, key)
         if value is not None:
             params[key] = value

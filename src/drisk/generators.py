@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .graph import INF, Graph, GraphError, _CycleSearch, distances_from, girth
 
@@ -82,26 +82,29 @@ def gnm_random(n: int, m: int, seed: int) -> Graph:
 # exact subdivision
 
 
-def exact_subdivision(g: Graph, r: int) -> Tuple[Graph, Dict[int, int]]:
+def _glue(edges: List[Tuple[int, int]], a: int, b: int, length: int, nxt: int) -> int:
+    """Append a path of `length` edges from a to b through the new
+    vertices nxt, nxt+1, ... to edges; returns the next free id, which
+    is b itself when b is the vertex right after the new ones."""
+    path = [a, *range(nxt, nxt + length - 1), b]
+    edges.extend(zip(path, path[1:]))
+    return nxt + length - 1
+
+
+def exact_subdivision(g: Graph, r: int) -> Graph:
     """Replace every edge by a path of exactly r edges.
 
     Original vertices keep their ids; the i-th edge contributes the chain
-    n + i*(r-1) .. n + i*(r-1) + r-2.  Returns the new graph and the origin
-    map (original id -> id in the subdivision, here the identity).
-    Distances between original vertices scale by exactly r.
+    n + i*(r-1) .. n + i*(r-1) + r-2.  Distances between original
+    vertices scale by exactly r.
     """
     if r < 1:
         raise GraphError("subdivision radius must be >= 1")
-    origin = {v: v for v in range(g.n)}
-    if r == 1:
-        return Graph(g.n, g.edges), origin
     edges: List[Tuple[int, int]] = []
     nxt = g.n
     for u, v in g.edges:
-        chain = [u] + list(range(nxt, nxt + r - 1)) + [v]
-        nxt += r - 1
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(nxt, edges), origin
+        nxt = _glue(edges, u, v, r, nxt)
+    return Graph(nxt, edges)
 
 
 def subdivision_vertex_range(g: Graph, r: int) -> range:
@@ -120,7 +123,6 @@ class PendantGraph:
     of length r from x to y."""
 
     graph: Graph
-    origin: Dict[int, int]
     x: int
     y: int
     r: int
@@ -143,19 +145,15 @@ def pendant_construction(g: Graph, r: int) -> PendantGraph:
     """
     if r < 2:
         raise GraphError("pendant construction requires r >= 2")
-    sub, origin = exact_subdivision(g, r)
+    sub = exact_subdivision(g, r)
     subdiv = tuple(subdivision_vertex_range(g, r))
     edges = list(sub.edges)
     x = sub.n
     nxt = x + 1
     for w in subdiv:
-        chain = [x] + list(range(nxt, nxt + r - 1)) + [w]
-        nxt += r - 1
-        edges.extend(zip(chain, chain[1:]))
-    y = nxt + r - 1
-    chain = [x] + list(range(nxt, nxt + r - 1)) + [y]
-    edges.extend(zip(chain, chain[1:]))
-    return PendantGraph(Graph(y + 1, edges), origin, x, y, r, subdiv)
+        nxt = _glue(edges, x, w, r, nxt)
+    y = _glue(edges, x, nxt + r - 1, r, nxt)
+    return PendantGraph(Graph(y + 1, edges), x, y, r, subdiv)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,6 @@ class HardnessInstance:
     """
 
     graph: Graph
-    origin: Dict[int, int]
     x: int
     y: int
     r: int
@@ -312,17 +309,13 @@ def hardness_reduction(g: Graph, r: int) -> HardnessInstance:
     of length 3, then take the exact r-subdivision of the whole gadget."""
     if r < 1:
         raise GraphError("hardness reduction requires r >= 1")
-    sub3, _ = exact_subdivision(g, 3)
+    sub3 = exact_subdivision(g, 3)
     subdiv = tuple(subdivision_vertex_range(g, 3))
     edges = list(sub3.edges)
     x = sub3.n
     nxt = x + 1
     for w in subdiv:
-        edges.append((x, nxt))
-        edges.append((nxt, w))
-        nxt += 1
-    y = nxt + 2
-    edges.extend([(x, nxt), (nxt, nxt + 1), (nxt + 1, y)])
-    j = Graph(y + 1, edges)
-    h, origin = exact_subdivision(j, r)
-    return HardnessInstance(h, {v: v for v in range(g.n)}, x, y, r, tuple(range(g.n)))
+        nxt = _glue(edges, x, w, 2, nxt)
+    y = _glue(edges, x, nxt + 2, 3, nxt)
+    h = exact_subdivision(Graph(y + 1, edges), r)
+    return HardnessInstance(h, x, y, r, tuple(range(g.n)))

@@ -2,9 +2,8 @@
 
 Graphs travel as edge lists: `c` comment lines, one `p <n> <m>` header,
 then `e <u> <v>` lines with 0-based endpoints.  Vertex sets are one id per
-line.  Generator metadata (origin maps, special vertices) goes into
-side-car files next to the graph: `<name>.origin` and `<name>.special`,
-one `key value` pair per line.
+line.  Generator metadata (the special vertices) goes into a side-car
+file next to the graph, `<name>.special`, one `key value` pair per line.
 
 A header may declare at most MAX_VERTICES vertices; a larger `n` is
 refused before anything is allocated for it.
@@ -13,7 +12,7 @@ refused before anything is allocated for it.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .graph import Graph, GraphError
 
@@ -78,11 +77,10 @@ def read_vertex_set(path: str) -> Tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def write_pairs(pairs: Dict[int, int] | Iterable[Tuple[int, int]], path: str) -> None:
-    """Write `key value` lines; used for .origin and .special side-cars."""
-    items = pairs.items() if isinstance(pairs, dict) else pairs
+def write_pairs(pairs: Iterable[Tuple[str, int]], path: str) -> None:
+    """Write `key value` lines; used for .special side-cars."""
     with open(path, "w") as fh:
-        for k, v in items:
+        for k, v in pairs:
             fh.write(f"{k} {v}\n")
 
 

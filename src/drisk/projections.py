@@ -48,13 +48,7 @@ class ProjectionProfile:
 def projection(g: Graph, u: int, a: Iterable[int], r: int) -> Tuple[int, ...]:
     """Boundary vertices reachable from u within r by boundary-avoiding
     paths."""
-    members = vset(a, g)
-    if u in members:
-        raise GraphError("projection source lies on the boundary")
-    if not 0 <= u < g.n:
-        raise GraphError(f"vertex {u} out of range")
-    dist = multi_source_distances(g, (u,), r, stop=set(members))
-    return tuple(v for v in members if v in dist)
+    return profile(g, u, a, r).finite_support()
 
 
 def profile(g: Graph, u: int, a: Iterable[int], r: int) -> ProjectionProfile:

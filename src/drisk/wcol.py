@@ -12,9 +12,9 @@ plain breadth-first search before it is returned.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .graph import (
     Graph,
@@ -30,17 +30,15 @@ from .oracle import lp_domination
 @dataclass(frozen=True)
 class VertexOrder:
     """A permutation of the vertices; sequence[i] is the vertex placed
-    at position i, rank maps a vertex back to its position."""
+    at position i."""
 
     sequence: Tuple[int, ...]
-    rank: Dict[int, int] = field(init=False, compare=False, hash=False)
 
     def __post_init__(self):
         seq = tuple(self.sequence)
         object.__setattr__(self, "sequence", seq)
         if sorted(seq) != list(range(len(seq))):
             raise GraphError("order is not a permutation of 0..n-1")
-        object.__setattr__(self, "rank", {v: i for i, v in enumerate(seq)})
 
     def __len__(self) -> int:
         return len(self.sequence)
@@ -97,7 +95,7 @@ def wcol_given_order(
     return max((len(s) for s in reach), default=0), reach
 
 
-def order_heuristic(g: Graph, r: int = 1) -> VertexOrder:
+def order_heuristic(g: Graph) -> VertexOrder:
     """Degeneracy-style order: peel minimum-degree vertices (smallest
     id on ties) and place them from the back, so low-degree vertices
     end up late and their back-connections stay sparse.
@@ -105,9 +103,6 @@ def order_heuristic(g: Graph, r: int = 1) -> VertexOrder:
     The result is the (degree, id)-minimal peel: each step removes the
     live vertex with the smallest (degree, id).  A lazy-deletion heap
     finds that vertex in O((n+m) log n) total.
-
-    The radius argument is accepted for interface uniformity; the
-    peeling strategy itself is radius-free.
     """
     degree = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n

@@ -1,8 +1,17 @@
 """Slow reference implementations for the tests.
 
-Everything here is written directly against Graph.n and Graph.edges,
-independent of the library's own BFS/oracle code paths, so the two
-sides of every comparison are computed by different routes.
+Most of what is here is written directly against Graph.n and Graph.edges
+with this module's own BFS (simple_adj, bfs_dists), independent of the
+library's code paths, so the two sides of a comparison are computed by
+different routes.  The exceptions are the pins: earlier versions of
+library functions kept verbatim, so tests can hold a rewrite to the
+answers it replaced.  Those call the library helpers they always
+called (among them _ball_masks, ball, distances_from,
+multi_source_distances, induced_subgraph, the distance validators,
+ballvc._masks, oracle._radius_at_most, validate_minor_model, profile
+and solve_min), and share whatever fault those helpers have with the
+code they pin; minor_model_holds checks a clique-minor model without
+them.
 """
 
 from __future__ import annotations
@@ -62,6 +71,25 @@ def bfs_dists(adj: List[set], source: int) -> Dict[int, int]:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def minor_model_holds(g, model) -> bool:
+    """Whether model's branch sets are nonempty, pairwise disjoint and
+    pairwise joined by an edge of g, each with a member from which the
+    whole set lies within model.radius inside the set, checked with
+    this module's own BFS."""
+    adj = simple_adj(g)
+    sets = [set(bs) for bs in model.branch_sets]
+    if any(not s or not s <= set(range(g.n)) for s in sets):
+        return False
+    if sum(map(len, sets)) != len(set().union(*sets)):
+        return False
+    for s in sets:
+        inner = [adj[v] & s for v in range(g.n)]
+        if not any(max(bfs_dists(inner, c).values()) <= model.radius
+                   and len(bfs_dists(inner, c)) == len(s) for c in s):
+            return False
+    return all(any(adj[u] & t for u in s) for s, t in itertools.combinations(sets, 2))
 
 
 def dist_matrix(g) -> List[Dict[int, int]]:

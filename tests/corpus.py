@@ -64,7 +64,7 @@ def small_corpus() -> List[Tuple[str, Graph]]:
         out.append((f"complete{n}", complete_graph(n)))
     for n, m, seed in ((8, 10, 1), (10, 12, 2), (12, 14, 3), (14, 18, 4)):
         out.append((f"gnm{n}_{m}_{seed}", gnm_random(n, m, seed)))
-    sub, _ = exact_subdivision(gnm_random(6, 8, 5), 2)
+    sub = exact_subdivision(gnm_random(6, 8, 5), 2)
     out.append(("subdiv6_8", sub))
     return out
 
@@ -96,15 +96,15 @@ def mid_corpus() -> List[Tuple[str, Graph]]:
         out.append((f"grid{rows}x{cols}", grid_graph(rows, cols)))
     for seed in range(16):
         base = gnm_random(8, 10 + (seed % 3), 50 + seed)
-        sub, _ = exact_subdivision(base, 2)
+        sub = exact_subdivision(base, 2)
         out.append((f"subdiv8_{seed}", sub))
     for seed in range(16):
         base = gnm_random(6, 7 + (seed % 2), 70 + seed)
-        sub, _ = exact_subdivision(base, 3)
+        sub = exact_subdivision(base, 3)
         out.append((f"subdiv6_{seed}", sub))
     for seed in range(8):
         base = gnm_random(10, 11 + (seed % 3), 90 + seed)
-        sub, _ = exact_subdivision(base, 2)
+        sub = exact_subdivision(base, 2)
         out.append((f"subdiv10_{seed}", sub))
     for seed in range(8):
         n = 16 + (seed % 5) * 2
@@ -134,7 +134,7 @@ def kernel_corpus() -> List[Tuple[str, Graph, Tuple[int, ...]]]:
         out.append((f"twins{p}_{bridge}", g, twin_star_leaves(p)))
     for seed in range(4):
         base = gnm_random(10 + seed, 13 + seed, 20 + seed)
-        sub, _ = exact_subdivision(base, 3)
+        sub = exact_subdivision(base, 3)
         members = tuple(range(10 + seed))
         out.append((f"subgnm{seed}", sub, members))
     for seed in range(3):

@@ -204,6 +204,32 @@ class TestGen:
         assert capsys.readouterr().err == f"input error: gen {kind} needs {need}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,given,option", [
+        ("path", ["--n", "5"], "--rows"),
+        ("cycle", ["--n", "5"], "--d"),
+        ("grid", ["--rows", "2", "--cols", "3"], "--n"),
+        ("star", ["--leaves", "3"], "--input"),
+        ("complete", ["--n", "3"], "--m"),
+        ("gnm", ["--n", "5", "--m", "4"], "--r"),
+        ("bucket", ["--n", "6", "--d", "3"], "--leaves"),
+        ("subdivision", ["--input", "BASE", "--r", "2"], "--n"),
+        ("pendant", ["--input", "BASE", "--r", "2"], "--cols"),
+        ("hardness", ["--input", "BASE", "--r", "2"], "--d"),
+    ])
+    def test_options_the_kind_never_reads_are_refused(self, kind, given, option,
+                                                      tmp_path, capsys):
+        base = tmp_path / "base.gr"
+        write_edge_list(path_graph(3), str(base))
+        given = [str(base) if a == "BASE" else a for a in given]
+        out = tmp_path / "x.gr"
+        code = main(["gen", kind, *given, option, str(base) if option == "--input" else "9",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"input error: gen {kind} takes no {option}\n"
+        assert not out.exists()
+
     def test_missing_parameters_exit_input_error(self, tmp_path, capsys):
         code = main(["gen", "gnm", "--n", "5", "--out", str(tmp_path / "x.gr")])
         assert code == 3

@@ -2,6 +2,7 @@
 subdivisions, the pendant gadget, the bucket sampler and the distance
 dichotomy gadget."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -129,14 +130,13 @@ class TestFamilies:
 class TestExactSubdivision:
     def test_radius_one_is_identity(self):
         g = cycle_graph(4)
-        sub, origin = exact_subdivision(g, 1)
+        sub = exact_subdivision(g, 1)
         assert sub.edges == g.edges and sub.n == g.n
-        assert origin == {v: v for v in range(4)}
         assert list(subdivision_vertex_range(g, 1)) == []
 
     def test_chain_layout_per_edge(self):
         g = cycle_graph(3)  # edges (0,1), (0,2), (1,2) in sorted order
-        sub, _ = exact_subdivision(g, 3)
+        sub = exact_subdivision(g, 3)
         assert sub.n == 3 + 3 * 2
         assert list(subdivision_vertex_range(g, 3)) == [3, 4, 5, 6, 7, 8]
         assert sub.has_edge(0, 3) and sub.has_edge(3, 4) and sub.has_edge(4, 1)
@@ -146,7 +146,7 @@ class TestExactSubdivision:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_distances_scale_exactly(self, r):
         for g in (cycle_graph(5), grid_graph(2, 3), gnm_random(7, 9, 1)):
-            sub, _ = exact_subdivision(g, r)
+            sub = exact_subdivision(g, r)
             for u in range(g.n):
                 base = distances_from(g, u)
                 scaled = distances_from(sub, u)
@@ -187,9 +187,9 @@ class TestPendantConstruction:
     def test_validation_rejects_wrong_claims(self):
         p = pendant_construction(path_graph(3), 2)
         with pytest.raises(GraphError):
-            PendantGraph(p.graph, p.origin, p.x, p.x, p.r, p.subdivision_vertices)
+            PendantGraph(p.graph, p.x, p.x, p.r, p.subdivision_vertices)
         with pytest.raises(GraphError):
-            PendantGraph(p.graph, p.origin, p.x, p.y, p.r, (0,))
+            PendantGraph(p.graph, p.x, p.y, p.r, (0,))
 
 
 class TestTrimShortCycles:
@@ -382,8 +382,45 @@ class TestHardnessReduction:
     def test_validation_rejects_wrong_claims(self):
         inst = hardness_reduction(cycle_graph(4), 1)
         with pytest.raises(GraphError):
-            HardnessInstance(inst.graph, inst.origin, inst.x, inst.x, inst.r, inst.o_set)
+            HardnessInstance(inst.graph, inst.x, inst.x, inst.r, inst.o_set)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(GraphError):
             hardness_reduction(cycle_graph(3), 0)
+
+
+# Per base graph and r: the first 16 hex digits of the SHA-256 of
+# repr(edges) of exact_subdivision, pendant_construction (None at r = 1,
+# which it refuses) and hardness_reduction, with the pendant's and the
+# hardness gadget's (x, y).  Read from the constructions before they
+# were rebuilt on one path-gluing step.
+GADGET_PINS = {
+    ("cycle5", 1): ("356248cf1c122888", None, None, "c4d9e07a4407e0f1", (15, 28)),
+    ("cycle5", 2): ("7d99428433a487e9", "99a0e8a51830f368", (10, 17), "1c8aebdb6a309b07", (15, 28)),
+    ("cycle5", 3): ("affa307e0e5f30a6", "35e9434fd1e7904c", (15, 38), "161fae5fa6ff3a62", (15, 28)),
+    ("grid2x3", 1): ("f845c6049969f91c", None, None, "9f66fe581f2d58bd", (20, 37)),
+    ("grid2x3", 2): ("86259fbe624600ab", "5b1e2aacf8938c27", (13, 22), "e07ee89974b36cba", (20, 37)),
+    ("grid2x3", 3): ("ba527db63d4dbb31", "85833e410b637b9e", (20, 51), "7fea0cd4e3ef24b4", (20, 37)),
+    ("gnm7", 1): ("3a3723c5306eeba1", None, None, "9dbe0572f60aa1d0", (27, 50)),
+    ("gnm7", 2): ("37ac0a69a86753bc", "95a3e1abc24f40fe", (17, 29), "2515a1934a690f9a", (27, 50)),
+    ("gnm7", 3): ("010ba1b2b1c527e9", "07454d0026f89855", (27, 70), "2446a74fb91d4682", (27, 50)),
+}
+
+
+class TestGadgetPins:
+    BASES = {"cycle5": cycle_graph(5), "grid2x3": grid_graph(2, 3), "gnm7": gnm_random(7, 10, 3)}
+
+    @staticmethod
+    def digest(g):
+        return hashlib.sha256(repr(g.edges).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name,r", sorted(GADGET_PINS))
+    def test_constructions_match_pins(self, name, r):
+        sub, pend, pend_xy, hard, hard_xy = GADGET_PINS[name, r]
+        g = self.BASES[name]
+        assert self.digest(exact_subdivision(g, r)) == sub
+        if pend is not None:
+            p = pendant_construction(g, r)
+            assert (self.digest(p.graph), (p.x, p.y)) == (pend, pend_xy)
+        inst = hardness_reduction(g, r)
+        assert (self.digest(inst.graph), (inst.x, inst.y)) == (hard, hard_xy)

@@ -264,23 +264,33 @@ class TestLinearRelaxations:
         assert lp_packing(g, [], 2).value == 0
 
 
+def checked_minor(g, t, r):
+    """find_clique_minor's answer, with a found model checked against
+    the reference's own BFS instead of the validator the search shares."""
+    model = find_clique_minor(g, t, r)
+    if model is not None:
+        assert len(model.branch_sets) == t and model.radius == r
+        assert bruteforce.minor_model_holds(g, model), model
+    return model
+
+
 class TestMinorSearch:
     def test_cycles_contain_triangle_minor(self):
         for n in (3, 6, 9):
-            model = find_clique_minor(cycle_graph(n), 3, 1)
+            model = checked_minor(cycle_graph(n), 3, 1)
             assert model is not None
             validate_minor_model(cycle_graph(n), model)
 
     def test_trees_have_no_triangle_minor(self):
-        assert find_clique_minor(path_graph(9), 3, 2) is None
-        assert find_clique_minor(star_graph(8), 3, 2) is None
+        assert checked_minor(path_graph(9), 3, 2) is None
+        assert checked_minor(star_graph(8), 3, 2) is None
 
     def test_complete_graph_minors(self):
         k4 = complete_graph(4)
-        assert find_clique_minor(k4, 4, 1) is not None
+        assert checked_minor(k4, 4, 1) is not None
         missing_edge = Graph(4, [e for e in k4.edges if e != (2, 3)])
-        assert find_clique_minor(missing_edge, 4, 1) is None
-        assert find_clique_minor(missing_edge, 3, 1) is not None
+        assert checked_minor(missing_edge, 4, 1) is None
+        assert checked_minor(missing_edge, 3, 1) is not None
 
     def test_depth_matters(self):
         # a triangle subdivided twice per edge: contracting needs radius 1
@@ -292,11 +302,23 @@ class TestMinorSearch:
                 (2, 7), (7, 8), (8, 0),
             ],
         )
-        assert find_clique_minor(sub, 3, 1) is not None
+        assert checked_minor(sub, 3, 1) is not None
 
     def test_single_branch_set(self):
-        assert find_clique_minor(path_graph(2), 1, 1) is not None
-        assert find_clique_minor(Graph(0), 1, 1) is None
+        assert checked_minor(path_graph(2), 1, 1) is not None
+        assert checked_minor(Graph(0), 1, 1) is None
+
+    def test_first_model_needs_a_radius_one_center(self):
+        # (3, 5, 8) has radius 1 around 5; a radius check that searched
+        # one level too deep would return `wide` instead, whose
+        # (3, 5, 6, 8) has radius 2
+        g = Graph(9, [(0, 1), (0, 2), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6),
+                      (2, 6), (3, 4), (3, 5), (3, 6), (5, 8), (7, 8)])
+        model = checked_minor(g, 4, 1)
+        assert model == MinorModel(((0,), (1,), (2, 6), (3, 5, 8)), 1)
+        wide = ((0,), (1,), (2,), (3, 5, 6, 8))
+        assert not bruteforce.minor_model_holds(g, MinorModel(wide, 1))
+        assert bruteforce.minor_model_holds(g, MinorModel(wide, 2))
 
     def test_refusals(self):
         with pytest.raises(OracleLimitError):
@@ -354,7 +376,7 @@ class TestMinorSearchAgainstRecursion:
                 continue
             for t in (2, 3, 4):
                 for r in (1, 2):
-                    got = find_clique_minor(g, t, r)
+                    got = checked_minor(g, t, r)
                     assert got == bruteforce.find_clique_minor_floor(g, t, r), (name, t, r)
 
     @settings(max_examples=300)
@@ -368,7 +390,7 @@ class TestMinorSearchAgainstRecursion:
         density = data.draw(st.integers(1, 9), label="density")
         rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(10) < density])
-        assert find_clique_minor(g, t, r) == bruteforce.find_clique_minor_floor(g, t, r)
+        assert checked_minor(g, t, r) == bruteforce.find_clique_minor_floor(g, t, r)
 
 
 class TestValidateMinorModel:

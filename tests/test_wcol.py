@@ -40,7 +40,7 @@ from drisk.wcol import (
 class TestVertexOrder:
     def test_accepts_permutation(self):
         o = VertexOrder((2, 0, 1))
-        assert o.rank == {2: 0, 0: 1, 1: 2}
+        assert o.sequence == (2, 0, 1)
         assert len(o) == 3
 
     def test_rejects_non_permutation(self):
