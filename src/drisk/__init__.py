@@ -64,7 +64,6 @@ from .kernel import (
     check_certificate,
     kernelize,
     remove_irrelevant,
-    verify_certificate,
 )
 from .oracle import (
     LpSolution,

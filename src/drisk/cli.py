@@ -3,8 +3,9 @@ bounds, kernelization, certificate verification, duality reports, and
 batch benchmarking.
 
 Reports are JSON with a schema marker; every rational is rendered as a
-"num/den" string, every emitted vertex set is re-validated before it is
-written, and a rerun with identical inputs and seed produces the same
+"num/den" string, every emitted answer is checked once before it is
+written (by the function that produces it, or here where that function
+does not), and a rerun with identical inputs and seed produces the same
 bytes (wall-clock timing only appears under --timing).  Exit codes:
 0 solved, 1 internal error (a failed self-check), 2 oracle refusal
 (instance above a hard limit), 3 bad input.
@@ -382,10 +383,6 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
         }
     if problem == "duality":
         rep = duality_report(g, members, r, include_lp=not args.no_lp)
-        if not is_distance_dominating(g, rep.dominating_set, members, r):
-            raise RuntimeError("internal: invalid dominating set")
-        if not is_distance_independent(g, rep.independent_witness, 2 * r + 1):
-            raise RuntimeError("internal: invalid independent witness")
         return {
             "dominating_set": list(rep.dominating_set),
             "independent_witness": list(rep.independent_witness),
@@ -468,22 +465,14 @@ def _cmd_verify_cert(args) -> int:
 
 def _run_kernel(g: Graph, members: Tuple[int, ...], r: int, k: int,
                 policy: KernelPolicy) -> Tuple[KernelOutcome, dict]:
-    """kernelize, then re-validate what it emits before anything is
-    written: the YES witness, the removal log replayed from its
-    serialized form, and B inside Y.  Returns the outcome and its JSON."""
+    """kernelize, then check the one claim it does not check itself, B
+    inside Y, before anything is written.  kernelize has already checked
+    the YES witness and every removal certificate against the member set
+    it was applied to.  Returns the outcome and its JSON."""
     outcome = kernelize(AnnotatedInstance(g, members, r, k), policy)
-    if outcome.tag == "YES":
-        witness = outcome.witness or ()
-        if len(witness) < k or not is_distance_independent(g, witness, r):
-            raise RuntimeError("internal: YES witness failed revalidation")
-    serial = _outcome_to_json(outcome)
-    if outcome.removal_log:
-        replay = _replay_log(g, members, serial["removal_log"])
-        if not replay["valid"]:
-            raise RuntimeError("internal: removal log failed replay")
     if outcome.tag == "KERNEL" and not set(outcome.b) <= set(outcome.y):
         raise RuntimeError("internal: kernel members not inside Y")
-    return outcome, serial
+    return outcome, _outcome_to_json(outcome)
 
 
 def _cmd_kernel(args) -> int:

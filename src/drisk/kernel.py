@@ -90,13 +90,6 @@ def check_certificate(
     return None
 
 
-def verify_certificate(
-    g: Graph, a: Iterable[int], cert: IrrelevanceCertificate
-) -> bool:
-    """True iff every certificate condition holds against (g, a)."""
-    return check_certificate(g, a, cert) is None
-
-
 @dataclass(frozen=True)
 class KernelPolicy:
     """Tunables of the removal pipeline; defaults are safe because
@@ -176,8 +169,9 @@ def remove_irrelevant(
     smallest id in the certified class), until no certificate is found,
     the round cap is hit, or fewer than k members remain.
 
-    Every logged certificate has passed verify_certificate against the
-    member set it was applied to.  An exhausted ladder ends the loop
+    Every logged certificate has passed check_certificate against the
+    member set it was applied to; this is the log's one check before
+    the command line writes it.  An exhausted ladder ends the loop
     without removing anything further; it can cost kernel size, never
     correctness.
     """

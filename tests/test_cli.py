@@ -13,7 +13,9 @@ import pytest
 
 import corpus
 import drisk.cli
+import drisk.kernel
 import drisk.oracle
+import drisk.wcol
 from drisk.cli import main
 from drisk.generators import (
     bucket_model,
@@ -32,7 +34,7 @@ from drisk.graphio import (
     write_edge_list,
     write_vertex_set,
 )
-from drisk.kernel import KernelOutcome
+from drisk.kernel import IrrelevanceCertificate
 from drisk.oracle import lp_domination, lp_packing
 
 
@@ -45,6 +47,17 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, (json.loads(out) if out else None)
+
+
+def internal_error(capsys, *argv):
+    """Run a command whose self-check must fail: exit 1, no report, one
+    `internal error:` line.  Returns that line's message."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    (line,) = captured.err.splitlines()
+    assert line.startswith("internal error: ")
+    return line.removeprefix("internal error: ")
 
 
 def count_simplex_solves(monkeypatch):
@@ -483,6 +496,39 @@ class TestSolve:
         assert captured.err == "internal error: invalid independence witness\n"
         assert "Traceback" not in captured.err
 
+    def test_gamma_witness_is_rechecked(self, path10, capsys, monkeypatch):
+        monkeypatch.setattr(
+            drisk.cli, "domination_number", lambda g, a, r, limit: (1, (0,))
+        )
+        assert internal_error(capsys, "solve", "gamma", "--input", path10, "--r", "1") \
+            == "invalid domination witness"
+
+    def test_duality_cover_is_checked_by_the_greedy_cover(
+        self, path10, capsys, monkeypatch
+    ):
+        # a ball table in which vertex 0 covers every member
+        monkeypatch.setattr(
+            drisk.wcol, "_ball_masks",
+            lambda g, members, r: [(1 << len(members)) - 1] + [0] * (g.n - 1),
+        )
+        assert internal_error(capsys, "solve", "duality", "--input", path10, "--r", "1") \
+            == "greedy cover failed to dominate"
+
+    @pytest.mark.parametrize("reach, error", [
+        # every member joins the witness
+        (lambda v: (v,), "witness is not spread far enough"),
+        # vertex 0 reaches nothing past 3 steps
+        (lambda v: (0,), "reach union fails to dominate"),
+    ], ids=["witness", "cover"])
+    def test_duality_answer_is_checked_by_the_reach_scan(
+        self, reach, error, path10, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            drisk.wcol, "weak_reach_sets",
+            lambda g, order, r: tuple(reach(v) for v in range(g.n)),
+        )
+        assert internal_error(capsys, "solve", "duality", "--input", path10, "--r", "1") == error
+
     def test_header_above_the_vertex_cap_exits_three(self, tmp_path, capsys):
         huge = tmp_path / "huge.gr"
         huge.write_text(f"p {MAX_VERTICES + 1} 0\n")
@@ -571,6 +617,44 @@ class TestKernel:
         assert rep["parameters"]["max_rounds"] == 2
         assert rep["parameters"]["target"] == 2
         assert len(rep["outputs"]["removal_log"]) <= 2
+
+    def test_bad_yes_witness_exits_one_without_files(
+        self, path10, tmp_path, capsys, monkeypatch
+    ):
+        # an adjacent pair is not 2-independent
+        monkeypatch.setattr(drisk.kernel, "dual_witness", lambda g, a, r: ((), (0, 1)))
+        assert internal_error(
+            capsys, "kernel", "--input", path10, "--r", "2", "--k", "2",
+            "--out-prefix", str(tmp_path / "run"),
+        ) == "YES witness is not r-independent"
+        assert sorted(os.listdir(tmp_path)) == ["p10.gr"]
+
+    def test_bad_certificate_exits_one_without_files(
+        self, twin, tmp_path, capsys, monkeypatch
+    ):
+        # with no deletion set every leaf is one step from z; one round
+        # is enough to apply it
+        bad = IrrelevanceCertificate((0, 6), (), (1, 2, 3, 4, 5), 2, 1)
+        monkeypatch.setattr(
+            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy: bad
+        )
+        graph_path, a_path = twin
+        assert internal_error(
+            capsys, "kernel", "--input", graph_path, "--a-file", a_path, "--r", "2",
+            "--k", "3", "--max-rounds", "1", "--out-prefix", str(tmp_path / "run"),
+        ) == "pipeline emitted a bad certificate (far)"
+        assert sorted(os.listdir(tmp_path)) == ["twin.a", "twin.gr"]
+
+    def test_members_outside_y_exit_one_without_files(
+        self, twin, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(drisk.kernel, "path_closure", lambda g, b, r: ())
+        graph_path, a_path = twin
+        assert internal_error(
+            capsys, "kernel", "--input", graph_path, "--a-file", a_path,
+            "--r", "2", "--k", "3", "--out-prefix", str(tmp_path / "run"),
+        ) == "kernel members not inside Y"
+        assert sorted(os.listdir(tmp_path)) == ["twin.a", "twin.gr"]
 
     def test_missing_required_flags_exit_three(self, path10):
         assert main(["kernel", "--input", path10, "--r", "2"]) == 3
@@ -803,10 +887,7 @@ class TestBench:
         self, tmp_path, capsys, monkeypatch
     ):
         # a YES witness whose members are adjacent is not 2-independent
-        monkeypatch.setattr(
-            drisk.cli, "kernelize",
-            lambda inst, policy: KernelOutcome("YES", inst.r, inst.k, witness=(0, 1)),
-        )
+        monkeypatch.setattr(drisk.kernel, "dual_witness", lambda g, a, r: ((), (0, 1)))
         manifest = [{"name": "p12", "family": {"kind": "path", "n": 12},
                      "task": "kernel", "r": 2, "k": 2}]
         man_path = tmp_path / "m.json"
@@ -815,7 +896,7 @@ class TestBench:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["outcome"] == ""
-        assert row["error"] == "RuntimeError: internal: YES witness failed revalidation"
+        assert row["error"] == "RuntimeError: internal: YES witness is not r-independent"
 
     def test_rows_refuse_what_the_commands_refuse(self, tmp_path, capsys):
         path = {"kind": "path", "n": 6}

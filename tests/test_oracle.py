@@ -427,3 +427,24 @@ class TestValidateMinorModel:
         g = Graph(4, [(0, 1), (2, 3), (1, 2)])
         with pytest.raises(GraphError, match="radius|connected"):
             validate_minor_model(g, MinorModel(((0, 3),), 1))
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_raises_exactly_when_the_reference_refuses(self, data):
+        # drawn graphs, and a random subset of their vertices cut into
+        # branch sets in a random order
+        n = 10 - data.draw(st.integers(0, 9), label="n")
+        density = data.draw(st.integers(1, 9), label="density")
+        r = data.draw(st.integers(0, 3), label="r")
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(10) < density])
+        chosen = [v for v in range(n) if rnd.randrange(3)] or [0]
+        rnd.shuffle(chosen)
+        cuts = sorted(rnd.sample(range(1, len(chosen)), rnd.randrange(min(3, len(chosen)))))
+        bounds = [0, *cuts, len(chosen)]
+        model = MinorModel(tuple(tuple(chosen[i:j]) for i, j in zip(bounds, bounds[1:])), r)
+        if bruteforce.minor_model_holds(g, model):
+            validate_minor_model(g, model)
+        else:
+            with pytest.raises(GraphError):
+                validate_minor_model(g, model)
