@@ -1,9 +1,10 @@
 """drisk: distance-r independence and domination toolkit.
 
-Exact oracles and LP bounds for distance-constrained independence and
-domination, ball set systems with 2-shattering and shallow clique-minor
-extraction, projection profiles and closures, weak coloring orders with
-a certified duality engine, a quasi-wideness splitter, and a
+Exact oracles for distance-constrained independence and domination,
+one fractional cover LP whose audited duals are the packing optimum,
+ball set systems with pair-shattering and shallow clique-minor
+extraction, projection profiles and closures, weak reach sets with a
+certified duality engine, a quasi-wideness splitter, and a
 certificate-driven kernelization for the parameterized independence
 problem, all behind a deterministic CLI.
 """
@@ -16,7 +17,6 @@ from .ballvc import (
     restrict_system,
     two_vc_dimension,
     validate_two_shatter,
-    vc_dimension,
 )
 from .generators import (
     BucketModelSample,
@@ -73,14 +73,12 @@ from .oracle import (
     find_clique_minor,
     independence_number,
     lp_domination,
-    lp_packing,
     validate_minor_model,
 )
 from .projections import (
     ClosureResult,
     ProjectionProfile,
     closure,
-    mu,
     path_closure,
     profile,
     profile_classes,
@@ -96,7 +94,6 @@ from .wcol import (
     greedy_ball_cover,
     harmonic,
     order_heuristic,
-    wcol_given_order,
     weak_reach_sets,
 )
 

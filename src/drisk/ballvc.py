@@ -1,6 +1,6 @@
-"""Set systems of radius-r balls, shattering and pair-shattering
-dimensions, and the constructive extraction of a depth-r clique minor
-from a pair-shattered vertex set.
+"""Set systems of radius-r balls, the pair-shattering dimension, and the
+constructive extraction of a depth-r clique minor from a pair-shattered
+vertex set.
 
 The extraction is the algorithmic heart of this module: a set whose
 pairs are all realized exactly by ball traces yields disjoint connected
@@ -174,28 +174,6 @@ def two_vc_dimension(
             )
     members = tuple(uni[i] for i in picked)
     return len(members), TwoShatterWitness(members, pair_witnesses)
-
-
-def vc_dimension(sys: SetSystem, limit: int = 24) -> int:
-    """Classic shattering dimension: largest X with every subset of X,
-    the empty set included, realized as a trace; X grows on _walk."""
-    uni = sys.universe
-    n = len(uni)
-    if n > limit:
-        raise OracleLimitError(
-            f"shattering search limited to {limit} elements, got {n}"
-        )
-    masks = _masks(sys)
-    # X grows by ascending elements while it stays shattered: every
-    # subset of a shattered set is shattered, so this reaches them all
-    def children(node):
-        x_mask, size = node
-        for i in range(x_mask.bit_length(), n):
-            x = x_mask | 1 << i
-            if len({m & x for m in masks}) == 2 << size:
-                yield x, size + 1
-
-    return max(size for _, size in _walk((0, 0), children))
 
 
 def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:

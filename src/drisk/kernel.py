@@ -30,7 +30,7 @@ from .graph import (
 )
 from .projections import closure, path_closure, profile_classes
 from .uqw import scattered_ladder
-from .wcol import dual_witness, greedy_ball_cover
+from .wcol import _reach_scan, greedy_ball_cover, order_heuristic
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,9 @@ def kernelize(
     policy = policy or KernelPolicy()
     if len(members) < k:
         return KernelOutcome("NO", r, k)
-    d = r // 2
-    _, witness = dual_witness(g, members, d)
+    # the reach scan at half radius spreads its witness beyond 2*(r//2)+1 >= r;
+    # only a witness that answers YES is checked, and only at r
+    _, witness, _ = _reach_scan(g, members, r // 2, order_heuristic(g))
     if len(witness) >= k:
         if not is_distance_independent(g, witness, r):
             raise RuntimeError("internal: YES witness is not r-independent")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graph import Graph, GraphError, _ball_masks, vset
-from .simplex import solve_max, solve_min
+from .simplex import solve_min
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -204,7 +204,8 @@ def lp_domination(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     """Fractional covering optimum: nonnegative weights on all of V, each
     member of a must see total weight >= 1 inside its r-ball.
 
-    Its `dual` is the fractional packing optimum (see lp_packing), read from
+    Its `dual` is the fractional packing optimum (nonnegative weights on
+    a, every vertex sees total weight <= 1 inside its r-ball), read from
     the covering solve's row duals.  Both weight vectors are audited for
     feasibility and for equal totals, which by weak duality certifies that
     each is optimal."""
@@ -216,20 +217,6 @@ def lp_domination(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     _audit_packing(masks, res.y, res.value)
     packing = LpSolution(res.value, dict(zip(members, res.y)))
     return LpSolution(res.value, dict(enumerate(res.x)), packing)
-
-
-def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
-    """Fractional packing optimum: nonnegative weights on a, every vertex of
-    the graph sees total weight <= 1 inside its r-ball.  By LP duality this
-    equals lp_domination on the same instance; at the reporting layer its
-    value is quoted with doubled radius (weights r-close to a common vertex
-    pairwise interact within 2r)."""
-    members = vset(a, g)
-    masks = _ball_masks(g, members, r)
-    rows = [[F1 if m >> i & 1 else F0 for i in range(len(members))] for m in masks if m]
-    res = solve_max([F1] * len(members), rows, [F1] * len(rows))
-    _audit_packing(masks, res.x, res.value)
-    return LpSolution(res.value, dict(zip(members, res.x)))
 
 
 def _audit_cover(masks, x, value):

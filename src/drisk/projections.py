@@ -84,17 +84,6 @@ def profile_classes(
     return tuple(classes)
 
 
-def mu(g: Graph, a: Iterable[int], r: int) -> int:
-    """Number of distinct profiles on a realized over the rest of the
-    graph."""
-    members = vset(a, g)
-    mem = set(members)
-    outside = [u for u in range(g.n) if u not in mem]
-    if not outside:
-        return 0
-    return len(profile_classes(g, outside, members, r))
-
-
 @dataclass(frozen=True)
 class ClosureResult:
     closed_set: Tuple[int, ...]

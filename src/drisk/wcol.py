@@ -5,8 +5,9 @@ that pairs a radius-r dominating set with a spread independent witness.
 For an order L, a vertex u is weakly r-reachable from v when u comes no
 later than v and some path from v to u of length at most r never dips
 below u in the order.  The weak coloring number of the order is the
-largest reach-set size.  Every witness produced here is re-checked by
-plain breadth-first search before it is returned.
+largest reach-set size.  Every witness a public function here returns
+is re-checked by plain breadth-first search first; the private scan
+behind them leaves that check to its caller.
 """
 
 from __future__ import annotations
@@ -86,15 +87,6 @@ def weak_reach_sets(
     return tuple(tuple(s) for s in reach)
 
 
-def wcol_given_order(
-    g: Graph, order: VertexOrder, r: int
-) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """Weak coloring number of the order at radius r, with the
-    per-vertex reach sets that realize it."""
-    reach = weak_reach_sets(g, order, r)
-    return max((len(s) for s in reach), default=0), reach
-
-
 def order_heuristic(g: Graph) -> VertexOrder:
     """Degeneracy-style order: peel minimum-degree vertices (smallest
     id on ties) and place them from the back, so low-degree vertices
@@ -168,22 +160,25 @@ def dual_witness(
     D is the union of the collected reach sets.  A skipped member
     shares a reach vertex with I, and that vertex is within 2r+1 of
     both; a connecting path between two I-members would put its
-    order-minimal vertex in both their reach sets.  All three
-    postconditions are re-verified by BFS before returning.
+    order-minimal vertex in both their reach sets.  D is a union of |I|
+    reach sets, which gives the size bound; the other two postconditions
+    are re-verified by BFS before returning.
     """
     members = vset(a, g)
     if order is None:
         order = order_heuristic(g)
-    _, dominating, witness = _reach_scan(g, members, r, order)
+    _, dominating, witness = _checked_scan(g, members, r, order)
     return dominating, witness
 
 
 def _reach_scan(
     g: Graph, members: Tuple[int, ...], r: int, order: VertexOrder
-) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """The scan behind dual_witness, also returning the order's weak
-    coloring number at 2r+1 so callers that need it build the reach
-    sets only once."""
+) -> Tuple[int, Tuple[int, ...], set]:
+    """The scan behind dual_witness, unchecked: the order's weak
+    coloring number at 2r+1 (so callers that need it build the reach
+    sets only once), the witness, and the union of its reach sets.
+    kernel.kernelize reads only the witness and checks it at its own
+    radius."""
     reach = weak_reach_sets(g, order, 2 * r + 1)
     wide = max((len(s) for s in reach), default=0)
     independent: List[int] = []
@@ -192,14 +187,20 @@ def _reach_scan(
         if covered.isdisjoint(reach[v]):
             independent.append(v)
             covered.update(reach[v])
+    return wide, tuple(independent), covered
+
+
+def _checked_scan(
+    g: Graph, members: Tuple[int, ...], r: int, order: VertexOrder
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """_reach_scan with its witness and reach union BFS-checked:
+    (wcol at 2r+1, D, I)."""
+    wide, witness, covered = _reach_scan(g, members, r, order)
     dominating = tuple(sorted(covered))
-    witness = tuple(independent)
     if not is_distance_independent(g, witness, 2 * r + 1):
         raise RuntimeError("internal: witness is not spread far enough")
     if not is_distance_dominating(g, dominating, members, 2 * r + 1):
         raise RuntimeError("internal: reach union fails to dominate")
-    if len(dominating) > wide * len(witness):
-        raise RuntimeError("internal: size bound violated")
     return wide, dominating, witness
 
 
@@ -244,7 +245,7 @@ def duality_report(
     if order is None:
         order = order_heuristic(g)
     dominating = greedy_ball_cover(g, members, r)
-    wide, _, witness = _reach_scan(g, members, r, order)
+    wide, _, witness = _checked_scan(g, members, r, order)
     bound = harmonic(len(members))
     lp_value: Optional[Fraction] = None
     if include_lp:

@@ -5,13 +5,15 @@ with this module's own BFS (simple_adj, bfs_dists), independent of the
 library's code paths, so the two sides of a comparison are computed by
 different routes.  The exceptions are the pins: earlier versions of
 library functions kept verbatim, so tests can hold a rewrite to the
-answers it replaced.  Those call the library helpers they always
-called (among them _ball_masks, ball, distances_from,
+answers it replaced, and lp_packing, the primal packing solve that
+moved here from drisk.oracle so that tests check the cover's audited
+duals against a second solve.  Those call the library helpers they
+always called (among them _ball_masks, ball, distances_from,
 multi_source_distances, induced_subgraph, the distance validators,
-ballvc._masks, oracle._radius_at_most, validate_minor_model, profile
-and solve_min), and share whatever fault those helpers have with the
-code they pin; minor_model_holds checks a clique-minor model without
-them.
+oracle._radius_at_most, oracle._audit_packing, validate_minor_model,
+profile, solve_min and solve_max), and share whatever fault those
+helpers have with the code they pin; minor_model_holds checks a
+clique-minor model without them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from drisk.ballvc import SetSystem, TwoShatterWitness, _masks
+from drisk.ballvc import SetSystem, TwoShatterWitness
 from drisk.graph import (
     Graph,
     GraphError,
@@ -41,11 +43,12 @@ from drisk.oracle import (
     LpSolution,
     MinorModel,
     OracleLimitError,
+    _audit_packing,
     _radius_at_most,
     validate_minor_model,
 )
 from drisk.projections import ClosureResult, profile
-from drisk.simplex import LpInfeasible, LpOptimum, LpUnbounded, SimplexStall, solve_min
+from drisk.simplex import LpInfeasible, LpOptimum, LpUnbounded, SimplexStall, solve_max, solve_min
 
 INF = math.inf
 
@@ -1051,13 +1054,31 @@ def greedy_ball_cover_sets(g: Graph, a: Iterable[int], r: int) -> Tuple[int, ...
     return tuple(picks)
 
 
+# oracle.lp_packing, moved here verbatim: the primal packing solve, so
+# that tests and acceptance criteria can check the packing optimum that
+# lp_domination reads from its cover solve's row duals.
+
+
+def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
+    """Fractional packing optimum: nonnegative weights on a, every vertex of
+    the graph sees total weight <= 1 inside its r-ball.  By LP duality this
+    equals lp_domination on the same instance; at the reporting layer its
+    value is quoted with doubled radius (weights r-close to a common vertex
+    pairwise interact within 2r)."""
+    members = vset(a, g)
+    masks = _ball_masks(g, members, r)
+    rows = [[F1 if m >> i & 1 else F0 for i in range(len(members))] for m in masks if m]
+    res = solve_max([F1] * len(members), rows, [F1] * len(rows))
+    _audit_packing(masks, res.x, res.value)
+    return LpSolution(res.value, dict(zip(members, res.x)))
+
+
 # oracle.lp_domination with its cover and packing audits on per-member
-# distance dicts, ballvc.vc_dimension's level-wise search, and
+# distance dicts, as it was before it read the bitmask ball traces, and
 # oracle.find_clique_minor's floor-skipping walk over the recursive
-# connected-set enumeration, as they were before the first two read the
-# bitmask ball traces and the last two dropped their recursion and rescans.
-# They are kept verbatim apart from their names (and the names of each
-# other they call), so tests can pin the current ones to them.
+# connected-set enumeration, as it was before it dropped its recursion and
+# rescans.  They are kept verbatim apart from their names (and the names
+# of each other they call), so tests can pin the current ones to them.
 
 
 def lp_domination_balls(g: Graph, a: Iterable[int], r: int) -> LpSolution:
@@ -1104,39 +1125,6 @@ def _audit_packing_balls(n, balls, weights, value):
                 load[v] += w
     if any(x > 1 for x in load):
         raise RuntimeError("internal: packing constraint violated")
-
-
-def vc_dimension_levels(sys: SetSystem, limit: int = 24) -> int:
-    """Classic shattering dimension: largest X with every subset of X,
-    the empty set included, realized as a trace."""
-    uni = sys.universe
-    n = len(uni)
-    if n > limit:
-        raise OracleLimitError(
-            f"shattering search limited to {limit} elements, got {n}"
-        )
-    masks = _masks(sys)
-
-    def shattered(x_mask, size):
-        seen = {m & x_mask for m in masks}
-        return len(seen) == 1 << size
-
-    level = [0] if shattered(0, 0) else []
-    dim = -1 if not level else 0
-    size = 0
-    while level:
-        size += 1
-        nxt = []
-        for x_mask in level:
-            top = x_mask.bit_length()
-            for i in range(top, n):
-                cand = x_mask | (1 << i)
-                if shattered(cand, size):
-                    nxt.append(cand)
-        if nxt:
-            dim = size
-        level = nxt
-    return max(dim, 0)
 
 
 def connected_sets_bounded_recursive(adjm: List[int], cap: int) -> List[int]:

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from conftest import record_criterion, record_note
+import bruteforce
 import corpus
 
 from drisk import (
@@ -32,7 +33,6 @@ from drisk.oracle import (
     find_clique_minor,
     independence_number,
     lp_domination,
-    lp_packing,
     validate_minor_model,
 )
 from drisk.wcol import (
@@ -40,7 +40,7 @@ from drisk.wcol import (
     greedy_ball_cover,
     harmonic,
     order_heuristic,
-    wcol_given_order,
+    weak_reach_sets,
 )
 
 KERNEL_RADII = (1, 2, 3)
@@ -65,7 +65,7 @@ def test_criterion_01_lp_duality_chain():
         verts = tuple(range(g.n))
         for r in (1, 2):
             cover = lp_domination(g, verts, r)
-            packing = lp_packing(g, verts, r)
+            packing = bruteforce.lp_packing(g, verts, r)
             assert cover.value == packing.value, (name, r)
             alpha, _ = independence_number(g, verts, 2 * r)
             gamma, _ = domination_number(g, verts, r)
@@ -189,13 +189,13 @@ def test_criterion_05_pendant_identities():
         assert 2 <= g.n <= 7
         verts = tuple(range(g.n))
         gamma_one, _ = domination_number(g, verts, 1)
-        base_lp = lp_packing(g, verts, 1)
+        base_lp = bruteforce.lp_packing(g, verts, 1)
         for r in (2, 3):
             pend = pendant_construction(g, r)
             pverts = tuple(range(pend.graph.n))
             gamma_r, _ = domination_number(pend.graph, pverts, r, limit=128)
             assert gamma_r == gamma_one + 1, (name, r)
-            lifted = lp_packing(pend.graph, pverts, r)
+            lifted = bruteforce.lp_packing(pend.graph, pverts, r)
             assert lifted.value == base_lp.value + 1, (name, r)
     record_note(f"criterion 05: {len(tiny)} graphs x radii (2, 3)")
     record_criterion(5, "pendant construction identities", "PASS")
@@ -313,7 +313,7 @@ def test_criterion_08_weak_coloring_duality_bound():
         verts = tuple(range(g.n))
         order = order_heuristic(g)
         for r in (1, 2):
-            wide, _ = wcol_given_order(g, order, 2 * r + 1)
+            wide = max(map(len, weak_reach_sets(g, order, 2 * r + 1)))
             gamma, _ = domination_number(g, verts, r)
             alpha, _ = independence_number(g, verts, 2 * r + 1)
             assert gamma <= wide * wide * alpha, (name, r)

@@ -1,6 +1,7 @@
-"""Unit tests for ball set systems, shattering dimensions, and clique-minor
-extraction from pair-shattered sets."""
+"""Unit tests for ball set systems, the pair-shattering dimension, and
+clique-minor extraction from pair-shattered sets."""
 
+import itertools
 import random
 
 import pytest
@@ -17,15 +18,13 @@ from drisk.ballvc import (
     restrict_system,
     two_vc_dimension,
     validate_two_shatter,
-    vc_dimension,
 )
 from drisk.generators import (
-    complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
 )
-from drisk.graph import Graph, GraphError
+from drisk.graph import GraphError
 from drisk.oracle import OracleLimitError, validate_minor_model
 
 
@@ -63,77 +62,6 @@ class TestRestrictSystem:
         sys = balls_system(path_graph(3), 1)
         sub = restrict_system(sys, [2, 9])
         assert sub.universe == (2,)
-
-
-class TestVcDimension:
-    def test_path_example(self):
-        assert vc_dimension(balls_system(path_graph(3), 1)) == 1
-
-    def test_single_vertex_is_zero(self):
-        # the only trace is the whole universe, so the empty trace is missing
-        assert vc_dimension(balls_system(Graph(1), 0)) == 0
-
-    def test_complete_graph_is_zero(self):
-        assert vc_dimension(balls_system(complete_graph(4), 1)) == 0
-
-    def test_six_cycle(self):
-        assert vc_dimension(balls_system(cycle_graph(6), 1)) == 2
-
-    def test_limit_refusal(self):
-        with pytest.raises(OracleLimitError):
-            vc_dimension(balls_system(path_graph(5), 1), limit=4)
-
-    def test_matches_reference_on_corpus(self):
-        for name, g in corpus.small_corpus():
-            if g.n > 10:
-                continue
-            for r in (1, 2):
-                sys = balls_system(g, r)
-                sets = [frozenset(s) for s in sys.sets]
-                want = 0
-                import itertools
-
-                for size in range(len(sys.universe), -1, -1):
-                    if any(
-                        bruteforce.shattered_exactly(sets, x)
-                        for x in itertools.combinations(sys.universe, size)
-                    ):
-                        want = size
-                        break
-                assert vc_dimension(sys) == want, (name, r)
-
-
-class TestVcAgainstLevelSearch:
-    """The depth-first search against the level-wise search it replaced,
-    kept verbatim in bruteforce."""
-
-    def test_corpus_ball_systems(self):
-        rng = random.Random(11)
-        for name, g in corpus.small_corpus():
-            for r in (0, 1, 2):
-                full = balls_system(g, r)
-                assert vc_dimension(full) == bruteforce.vc_dimension_levels(full), (name, r)
-                for trial in range(3):
-                    keep = rng.sample(range(g.n), rng.randint(0, g.n))
-                    sub = restrict_system(full, keep)
-                    assert vc_dimension(sub) == bruteforce.vc_dimension_levels(sub), (name, r, keep)
-
-    @settings(max_examples=300)
-    @given(st.data())
-    def test_set_systems_with_empty_and_repeated_sets(self, data):
-        n = data.draw(st.integers(0, 10), label="n")
-        member = st.lists(st.integers(0, n - 1), unique=True).map(
-            lambda s: tuple(sorted(s))
-        ) if n else st.just(())
-        sets = data.draw(st.lists(member, max_size=24), label="sets")
-        repeats = data.draw(
-            st.lists(st.sampled_from(sets), max_size=4) if sets else st.just([]),
-            label="repeats",
-        )
-        with_empty = data.draw(st.booleans(), label="with_empty")
-        sets = tuple(sets + repeats + ([()] if with_empty else []))
-        sys = SetSystem(tuple(range(n)), sets, tuple(range(len(sets))))
-        assert vc_dimension(sys) == bruteforce.vc_dimension_levels(sys), sets
 
 
 class TestTwoVcDimension:
@@ -175,12 +103,23 @@ class TestTwoVcDimension:
                     validate_two_shatter(g, r, w)
 
     def test_never_below_classic_dimension(self):
+        # a shattered set has every pair among its traces, so the largest
+        # shattered set (found by brute force) is pair-shattered too
         for name, g in corpus.small_corpus():
             if g.n > 10 or g.n == 0:
                 continue
             for r in (1, 2):
                 sys = balls_system(g, r)
-                assert vc_dimension(sys) <= two_vc_dimension(sys)[0], (name, r)
+                sets = [frozenset(s) for s in sys.sets]
+                classic = max(
+                    size
+                    for size in range(len(sys.universe) + 1)
+                    if any(
+                        bruteforce.shattered_exactly(sets, x)
+                        for x in itertools.combinations(sys.universe, size)
+                    )
+                )
+                assert classic <= two_vc_dimension(sys)[0], (name, r)
 
 
 class TestTwoVcAgainstResidueSearch:

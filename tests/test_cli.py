@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import bruteforce
 import corpus
 import drisk.cli
 import drisk.kernel
@@ -35,7 +36,7 @@ from drisk.graphio import (
     write_vertex_set,
 )
 from drisk.kernel import IrrelevanceCertificate
-from drisk.oracle import lp_domination, lp_packing
+from drisk.oracle import lp_domination
 
 
 def run(capsys, *argv):
@@ -61,24 +62,25 @@ def internal_error(capsys, *argv):
 
 
 def count_simplex_solves(monkeypatch):
-    """Count every simplex solve the oracles start (solve_min calls
-    solve_max inside the simplex module, which is not counted twice)."""
+    """Count every simplex solve the oracles start: drisk.oracle reaches
+    the simplex only through solve_min (which calls solve_max inside the
+    simplex module, not counted twice)."""
+    assert not hasattr(drisk.oracle, "solve_max")
     calls = []
-    for name in ("solve_min", "solve_max"):
-        solver = getattr(drisk.oracle, name)
+    solver = drisk.oracle.solve_min
 
-        def counted(*args, solver=solver):
-            calls.append(solver.__name__)
-            return solver(*args)
+    def counted(*args):
+        calls.append(solver.__name__)
+        return solver(*args)
 
-        monkeypatch.setattr(drisk.oracle, name, counted)
+    monkeypatch.setattr(drisk.oracle, "solve_min", counted)
     return calls
 
 
 def two_solve_lp(g, r):
     """The lp report's outputs as given by separate cover and packing solves."""
     cover = lp_domination(g, range(g.n), r).value
-    packing = lp_packing(g, range(g.n), r).value
+    packing = bruteforce.lp_packing(g, range(g.n), r).value
     return cover, packing
 
 
@@ -622,7 +624,7 @@ class TestKernel:
         self, path10, tmp_path, capsys, monkeypatch
     ):
         # an adjacent pair is not 2-independent
-        monkeypatch.setattr(drisk.kernel, "dual_witness", lambda g, a, r: ((), (0, 1)))
+        monkeypatch.setattr(drisk.kernel, "_reach_scan", lambda g, a, r, order: (0, (0, 1), set()))
         assert internal_error(
             capsys, "kernel", "--input", path10, "--r", "2", "--k", "2",
             "--out-prefix", str(tmp_path / "run"),
@@ -887,7 +889,7 @@ class TestBench:
         self, tmp_path, capsys, monkeypatch
     ):
         # a YES witness whose members are adjacent is not 2-independent
-        monkeypatch.setattr(drisk.kernel, "dual_witness", lambda g, a, r: ((), (0, 1)))
+        monkeypatch.setattr(drisk.kernel, "_reach_scan", lambda g, a, r, order: (0, (0, 1), set()))
         manifest = [{"name": "p12", "family": {"kind": "path", "n": 12},
                      "task": "kernel", "r": 2, "k": 2}]
         man_path = tmp_path / "m.json"

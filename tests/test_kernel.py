@@ -13,6 +13,7 @@ import drisk.graph
 import drisk.kernel
 import drisk.projections
 import drisk.uqw
+import drisk.wcol
 from drisk.generators import gnm_random, grid_graph, path_graph, star_graph
 from drisk.graph import (
     AnnotatedInstance,
@@ -433,6 +434,23 @@ class TestWorkGuards:
             check_certificate(g, a, cert)
             b = tuple(x for x in a if x not in cert.s)
             _far_members(g, b, cert.z, cert.s, cert.r)
+
+    def test_yes_checks_only_its_witness_at_r(self, monkeypatch):
+        # the reach scan's union D is never built into an answer, so a YES
+        # runs no domination check and no check at the scan's radius 2*1+1
+        checks = []
+        for module in (drisk.kernel, drisk.wcol):
+            for name in ("is_distance_independent", "is_distance_dominating"):
+                real = getattr(module, name)
+
+                def counted(*args, name=name, real=real, **kwargs):
+                    checks.append((name, args[-1]))
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        out = kernelize(AnnotatedInstance(grid_graph(12, 12), tuple(range(144)), 2, 5))
+        assert out.tag == "YES"
+        assert checks == [("is_distance_independent", 2)]
 
     def test_closure_rescans_only_touched_vertices(self, monkeypatch):
         calls = []

@@ -35,7 +35,6 @@ from drisk.oracle import (
     find_clique_minor,
     independence_number,
     lp_domination,
-    lp_packing,
     validate_minor_model,
 )
 
@@ -173,7 +172,7 @@ class TestLinearRelaxations:
     def test_four_cycle_value(self):
         c4 = cycle_graph(4)
         cover = lp_domination(c4, range(4), 1)
-        packing = lp_packing(c4, range(4), 1)
+        packing = bruteforce.lp_packing(c4, range(4), 1)
         assert cover.value == Fraction(4, 3)
         assert packing.value == Fraction(4, 3)
 
@@ -182,7 +181,7 @@ class TestLinearRelaxations:
             for a in member_sets(g):
                 for r in (1, 2):
                     cover = lp_domination(g, a, r)
-                    packing = lp_packing(g, a, r)
+                    packing = bruteforce.lp_packing(g, a, r)
                     assert cover.value == packing.value, (name, r)
                     assert cover.dual.value == packing.value, (name, r)
 
@@ -253,7 +252,7 @@ class TestLinearRelaxations:
         g = cycle_graph(5)
         cover = lp_domination(g, range(5), 1)
         assert sum(cover.weights.values()) == cover.value
-        packing = lp_packing(g, range(5), 1)
+        packing = bruteforce.lp_packing(g, range(5), 1)
         assert set(packing.weights) == set(range(5))
         assert sum(packing.weights.values()) == packing.value
 
@@ -261,7 +260,7 @@ class TestLinearRelaxations:
         g = path_graph(3)
         assert lp_domination(g, [], 2).value == 0
         assert lp_domination(g, [], 2).dual == LpSolution(0, {})
-        assert lp_packing(g, [], 2).value == 0
+        assert bruteforce.lp_packing(g, [], 2).value == 0
 
 
 def checked_minor(g, t, r):

@@ -16,7 +16,6 @@ from drisk.projections import (
     ClosureResult,
     ProjectionProfile,
     closure,
-    mu,
     path_closure,
     profile,
     profile_classes,
@@ -109,7 +108,6 @@ class TestProfileClasses:
         g = star_graph(5)
         classes = profile_classes(g, range(1, 6), [0], 1)
         assert classes == ((1, 2, 3, 4, 5),)
-        assert mu(g, [0], 1) == 1
 
     def test_largest_class_first_ties_by_members(self):
         # P6 with boundary {2}: vertices 1,3 touch it, 0,4 sit at two steps,
@@ -122,11 +120,6 @@ class TestProfileClasses:
         g = path_graph(4)
         with pytest.raises(GraphError):
             profile_classes(g, [0, 1], [1, 3], 1)
-
-    def test_mu_counts_distinct_profiles(self):
-        g = path_graph(6)
-        assert mu(g, [2], 2) == 3
-        assert mu(g, list(range(6)), 1) == 0  # nothing outside
 
     def test_class_partition_is_exact(self):
         for name, g in corpus.small_corpus():
