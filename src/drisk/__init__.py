@@ -2,19 +2,16 @@
 
 Exact oracles for distance-constrained independence and domination,
 one fractional cover LP whose audited duals are the packing optimum,
-ball set systems with pair-shattering and shallow clique-minor
-extraction, projection profiles and closures, weak reach sets with a
-certified duality engine, a quasi-wideness splitter, and a
+the pair-shattering dimension of distance balls with shallow
+clique-minor extraction, projection profiles and closures, weak reach
+sets with a certified duality engine, a quasi-wideness splitter, and a
 certificate-driven kernelization for the parameterized independence
 problem, all behind a deterministic CLI.
 """
 
 from .ballvc import (
-    SetSystem,
     TwoShatterWitness,
-    balls_system,
     extract_minor_model,
-    restrict_system,
     two_vc_dimension,
     validate_two_shatter,
 )

@@ -1,6 +1,6 @@
-"""Set systems of radius-r balls, the pair-shattering dimension, and the
-constructive extraction of a depth-r clique minor from a pair-shattered
-vertex set.
+"""The pair-shattering dimension of the radius-r balls traced on a
+vertex set, and the constructive extraction of a depth-r clique minor
+from a pair-shattered vertex set.
 
 The extraction is the algorithmic heart of this module: a set whose
 pairs are all realized exactly by ball traces yields disjoint connected
@@ -14,45 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, _descend, ball, distances_from
+from .graph import Graph, GraphError, _ball_masks, _descend, ball, distances_from, vset
 from .oracle import MinorModel, OracleLimitError, _walk, validate_minor_model
-
-
-@dataclass(frozen=True)
-class SetSystem:
-    """A family of subsets of a universe, each tagged with the vertex
-    that generated it."""
-
-    universe: Tuple[int, ...]
-    sets: Tuple[Tuple[int, ...], ...]
-    centers: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.sets) != len(self.centers):
-            raise GraphError("one center per member required")
-        uni = set(self.universe)
-        for member in self.sets:
-            if not uni.issuperset(member):
-                raise GraphError("set-system member leaves the universe")
-
-
-def balls_system(g: Graph, r: int) -> SetSystem:
-    """The system of all radius-r balls of g over the universe V(g)."""
-    if r < 0:
-        raise GraphError("radius must be >= 0")
-    universe = tuple(range(g.n))
-    members = tuple(tuple(ball(g, v, r)) for v in range(g.n))
-    return SetSystem(universe, members, universe)
-
-
-def restrict_system(sys: SetSystem, a: Iterable[int]) -> SetSystem:
-    """Trace of the system on a subset of the universe."""
-    keep = sorted(set(a) & set(sys.universe))
-    kset = set(keep)
-    members = tuple(
-        tuple(v for v in member if v in kset) for member in sys.sets
-    )
-    return SetSystem(tuple(keep), members, sys.centers)
 
 
 @dataclass(frozen=True)
@@ -90,18 +53,6 @@ def validate_two_shatter(g: Graph, r: int, w: TwoShatterWitness) -> None:
     }
     if need - seen_pairs:
         raise GraphError("witness misses a pair")
-
-
-def _masks(sys: SetSystem) -> List[int]:
-    """Each set of the system as a bitmask over the universe's positions."""
-    idx = {v: i for i, v in enumerate(sys.universe)}
-    masks = []
-    for member in sys.sets:
-        m = 0
-        for v in member:
-            m |= 1 << idx[v]
-        masks.append(m)
-    return masks
 
 
 def _search_pair_shattered(n: int, masks: List[int]) -> int:
@@ -149,31 +100,42 @@ def _search_pair_shattered(n: int, masks: List[int]) -> int:
     return best_mask
 
 
-def two_vc_dimension(
-    sys: SetSystem, limit: int = 24
+def _two_shattered(
+    members: Tuple[int, ...], masks: List[int]
 ) -> Tuple[int, Optional[TwoShatterWitness]]:
-    """Largest set size all of whose 2-element subsets appear as exact
-    traces of the system, together with one witness at the maximum."""
-    uni = sys.universe
-    n = len(uni)
-    if n > limit:
-        raise OracleLimitError(
-            f"pair-shattering search limited to {limit} elements, got {n}"
-        )
+    """The largest pair-shattered subset of members and a witness, from
+    set traces: bit i of masks[v] puts members[i] in set v.  A pair's
+    witness is the first v whose trace on the subset is that pair."""
+    n = len(members)
     if n == 0:
         return 0, None
-    masks = _masks(sys)
     best = _search_pair_shattered(n, masks)
     picked = [i for i in range(n) if best >> i & 1]
     pair_witnesses: Dict[Tuple[int, int], int] = {}
     for p, i in enumerate(picked):
         for j in picked[p + 1:]:
             want = 1 << i | 1 << j
-            pair_witnesses[(uni[i], uni[j])] = next(
-                c for m, c in zip(masks, sys.centers) if m & best == want
+            pair_witnesses[(members[i], members[j])] = next(
+                v for v, m in enumerate(masks) if m & best == want
             )
-    members = tuple(uni[i] for i in picked)
-    return len(members), TwoShatterWitness(members, pair_witnesses)
+    found = tuple(members[i] for i in picked)
+    return len(found), TwoShatterWitness(found, pair_witnesses)
+
+
+def two_vc_dimension(
+    g: Graph, a: Iterable[int], r: int, limit: int = 24
+) -> Tuple[int, Optional[TwoShatterWitness]]:
+    """Largest subset of a all of whose 2-element subsets are exact
+    traces of radius-r balls of g, together with one witness at the
+    maximum whose pairs name their ball centers."""
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    members = vset(a, g)
+    if len(members) > limit:
+        raise OracleLimitError(
+            f"pair-shattering search limited to {limit} elements, got {len(members)}"
+        )
+    return _two_shattered(members, _ball_masks(g, members, r))
 
 
 def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .ballvc import balls_system, restrict_system, two_vc_dimension, validate_two_shatter
+from .ballvc import two_vc_dimension, validate_two_shatter
 from .generators import (
     FAMILIES,
     _family,
@@ -203,7 +203,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--leaves", type=int)
     gen.add_argument("--d", type=int)
     gen.add_argument("--r", type=int)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="for gnm and bucket (default 0)")
     gen.add_argument("--input", help="base graph for derived constructions")
     gen.add_argument("--out", required=True)
 
@@ -251,12 +251,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     kind = args.kind
-    seed = args.seed
+    seed = 0 if args.seed is None else args.seed
     special: List[Tuple[str, int]] = []
     comments = [f"generated by drisk gen {kind}"]
     derived = kind in ("subdivision", "pendant", "hardness")
     reads = ("input", "r") if derived else FAMILIES[kind][1]
-    options = ("n", "m", "rows", "cols", "leaves", "d", "r")
+    options = ("n", "m", "rows", "cols", "leaves", "d", "r", "seed")
     for key in (*options, "input"):
         if getattr(args, key) is not None and key not in reads:
             raise GraphError(f"gen {kind} takes no --{key}")
@@ -278,10 +278,10 @@ def _cmd_gen(args) -> int:
         comments.append(f"base {args.input} r {args.r}")
     else:
         names = FAMILIES[kind][1]
-        if any(getattr(args, p) is None for p in names):
+        params = {p: seed if p == "seed" else getattr(args, p) for p in names}
+        if None in params.values():
             need = " and ".join(f"--{p}" for p in names if p != "seed")
             raise GraphError(f"gen {kind} needs {need}")
-        params = {p: getattr(args, p) for p in names}
         if kind == "bucket":
             sample = bucket_model(**params)
             g = sample.g
@@ -353,10 +353,7 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
         }
     if problem == "vc2":
         limit = args.limit if args.limit is not None else 24
-        system = balls_system(g, r)
-        if args.a_file is not None:
-            system = restrict_system(system, members)
-        dim, witness = two_vc_dimension(system, limit=limit)
+        dim, witness = two_vc_dimension(g, members, r, limit=limit)
         out = {"dimension": dim, "witness": None}
         if witness is not None:
             try:
@@ -532,7 +529,7 @@ def _bench_row(row: dict) -> Dict[str, str]:
         members = _load_members(g, row.get("a_file"))
         r = _json_int(row.get("r", 1), "r")
         task = row.get("task", "kernel")
-        out.update(n=str(g.n), m=str(g.m), r=str(r), task=task)
+        out.update(n=str(g.n), m=str(g.m), r=str(r), task=str(task))
         if task == "kernel":
             k = _json_int(row["k"], "k")
             out["k"] = str(k)

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from drisk.ballvc import SetSystem, TwoShatterWitness
+from drisk.ballvc import TwoShatterWitness
 from drisk.graph import (
     Graph,
     GraphError,
@@ -912,7 +912,9 @@ def gnm_random_listed(n: int, m: int, seed: int) -> Graph:
 # residue build of two_vc_dimension, and wcol.greedy_ball_cover on
 # per-vertex ball sets, as they were before both read bitmask ball traces.
 # They are kept verbatim apart from their names (and the names of each
-# other they call), so tests can pin the trace-based ones to them.
+# other they call) and the residue build's input, which is now the
+# member tuple and one trace mask per center instead of a set system,
+# so tests can pin the trace-based ones to them.
 
 
 def search_pair_shattered_residues(
@@ -969,11 +971,11 @@ def search_pair_shattered_residues(
 
 
 def two_vc_dimension_residues(
-    sys: SetSystem, limit: int = 24
+    uni: Sequence[int], masks: Sequence[int], limit: int = 24
 ) -> Tuple[int, Optional[TwoShatterWitness]]:
     """Largest set size all of whose 2-element subsets appear as exact
-    traces of the system, together with one witness at the maximum."""
-    uni = sys.universe
+    traces of the system, together with one witness at the maximum.
+    Bit i of masks[c] puts uni[i] in the set of center c."""
     n = len(uni)
     if n > limit:
         raise OracleLimitError(
@@ -982,12 +984,6 @@ def two_vc_dimension_residues(
     if n == 0:
         return 0, None
     idx = {v: i for i, v in enumerate(uni)}
-    masks = []
-    for member in sys.sets:
-        m = 0
-        for v in member:
-            m |= 1 << idx[v]
-        masks.append(m)
     residues: Dict[Tuple[int, int], List[int]] = {}
     for m in masks:
         bits = []
@@ -1010,7 +1006,7 @@ def two_vc_dimension_residues(
         for q in range(p + 1, len(members)):
             i, j = idx[members[p]], idx[members[q]]
             want = (1 << i) | (1 << j)
-            for m, center in zip(masks, sys.centers):
+            for center, m in enumerate(masks):
                 if m & mem_mask == want:
                     pair_witnesses[(members[p], members[q])] = center
                     break

@@ -26,7 +26,7 @@ from drisk import (
     is_distance_independent,
     pendant_construction,
 )
-from drisk.ballvc import balls_system, extract_minor_model, two_vc_dimension
+from drisk.ballvc import extract_minor_model, two_vc_dimension
 from drisk.kernel import check_certificate, kernelize
 from drisk.oracle import (
     domination_number,
@@ -158,7 +158,7 @@ def test_criterion_04_minor_exclusion_bounds_shattering():
     for name, g in corpus.small_corpus():
         assert g.n <= 14
         for r in (1, 2):
-            dim, witness = two_vc_dimension(balls_system(g, r))
+            dim, witness = two_vc_dimension(g, range(g.n), r)
             if witness is not None and len(witness.members) >= 2:
                 model = extract_minor_model(g, r, witness)
                 validate_minor_model(g, model)

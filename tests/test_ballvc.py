@@ -1,4 +1,4 @@
-"""Unit tests for ball set systems, the pair-shattering dimension, and
+"""Unit tests for the pair-shattering dimension of ball traces and
 clique-minor extraction from pair-shattered sets."""
 
 import itertools
@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 import bruteforce
 import corpus
 from drisk.ballvc import (
-    SetSystem,
     TwoShatterWitness,
-    balls_system,
+    _two_shattered,
     extract_minor_model,
-    restrict_system,
     two_vc_dimension,
     validate_two_shatter,
 )
@@ -24,49 +22,13 @@ from drisk.generators import (
     path_graph,
     star_graph,
 )
-from drisk.graph import GraphError
+from drisk.graph import Graph, GraphError, ball
 from drisk.oracle import OracleLimitError, validate_minor_model
-
-
-class TestBallsSystem:
-    def test_path_radius_one(self):
-        sys = balls_system(path_graph(3), 1)
-        assert sys.universe == (0, 1, 2)
-        assert sys.sets == ((0, 1), (0, 1, 2), (1, 2))
-        assert sys.centers == (0, 1, 2)
-
-    def test_radius_zero_gives_singletons(self):
-        sys = balls_system(path_graph(3), 0)
-        assert sys.sets == ((0,), (1,), (2,))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(GraphError):
-            balls_system(path_graph(2), -1)
-
-    def test_member_leaving_universe_rejected(self):
-        with pytest.raises(GraphError):
-            SetSystem((0, 1), ((0, 5),), (0,))
-        with pytest.raises(GraphError):
-            SetSystem((0, 1), ((0,), (1,)), (0,))
-
-
-class TestRestrictSystem:
-    def test_traces(self):
-        sys = balls_system(path_graph(4), 1)
-        sub = restrict_system(sys, [0, 3])
-        assert sub.universe == (0, 3)
-        assert sub.sets == ((0,), (0,), (3,), (3,))
-        assert sub.centers == sys.centers
-
-    def test_ids_outside_universe_ignored(self):
-        sys = balls_system(path_graph(3), 1)
-        sub = restrict_system(sys, [2, 9])
-        assert sub.universe == (2,)
 
 
 class TestTwoVcDimension:
     def test_path_example(self):
-        dim, w = two_vc_dimension(balls_system(path_graph(3), 1))
+        dim, w = two_vc_dimension(path_graph(3), range(3), 1)
         assert dim == 2
         assert len(w.members) == 2
         validate_two_shatter(path_graph(3), 1, w)
@@ -75,29 +37,42 @@ class TestTwoVcDimension:
         # the center ball realizes any leaf pair exactly, but a third leaf
         # inside the candidate set spoils every trace
         g = star_graph(4)
-        sys = restrict_system(balls_system(g, 1), [1, 2, 3, 4])
-        dim, w = two_vc_dimension(sys)
+        dim, w = two_vc_dimension(g, [1, 2, 3, 4], 1)
         assert dim == 2
         assert bruteforce.pair_shattered(
-            [frozenset(s) for s in sys.sets], (1, 2, 3)
+            [frozenset(ball(g, v, 1)) for v in range(g.n)], (1, 2, 3)
         ) is False
 
+    def test_radius_zero_traces_no_pair(self):
+        # every 0-ball is one vertex, so only single members are shattered
+        dim, w = two_vc_dimension(path_graph(3), range(3), 0)
+        assert dim == 1
+        assert w.members == (0,) and w.pair_witnesses == {}
+
     def test_empty_universe(self):
-        assert two_vc_dimension(SetSystem((), (), ())) == (0, None)
+        assert two_vc_dimension(path_graph(3), (), 1) == (0, None)
+        assert two_vc_dimension(Graph(0), (), 1) == (0, None)
 
     def test_limit_refusal(self):
-        with pytest.raises(OracleLimitError):
-            two_vc_dimension(balls_system(path_graph(5), 1), limit=4)
+        with pytest.raises(OracleLimitError, match="limited to 4 elements, got 5"):
+            two_vc_dimension(path_graph(5), range(5), 1, limit=4)
+
+    def test_rejects_negative_radius(self):
+        with pytest.raises(GraphError, match="radius"):
+            two_vc_dimension(path_graph(2), range(2), -1)
+
+    def test_out_of_range_ids_rejected(self):
+        with pytest.raises(GraphError, match="out of range"):
+            two_vc_dimension(path_graph(3), [2, 9], 1)
 
     def test_matches_reference_on_corpus(self):
         for name, g in corpus.small_corpus():
             if g.n > 12:
                 continue
             for r in (1, 2):
-                sys = balls_system(g, r)
-                sets = [frozenset(s) for s in sys.sets]
-                want = bruteforce.two_vc(sys.universe, sets)
-                dim, w = two_vc_dimension(sys)
+                sets = [frozenset(ball(g, v, r)) for v in range(g.n)]
+                want = bruteforce.two_vc(range(g.n), sets)
+                dim, w = two_vc_dimension(g, range(g.n), r)
                 assert dim == want, (name, r)
                 if w is not None and len(w.members) >= 2:
                     validate_two_shatter(g, r, w)
@@ -109,17 +84,16 @@ class TestTwoVcDimension:
             if g.n > 10 or g.n == 0:
                 continue
             for r in (1, 2):
-                sys = balls_system(g, r)
-                sets = [frozenset(s) for s in sys.sets]
+                sets = [frozenset(ball(g, v, r)) for v in range(g.n)]
                 classic = max(
                     size
-                    for size in range(len(sys.universe) + 1)
+                    for size in range(g.n + 1)
                     if any(
                         bruteforce.shattered_exactly(sets, x)
-                        for x in itertools.combinations(sys.universe, size)
+                        for x in itertools.combinations(range(g.n), size)
                     )
                 )
-                assert classic <= two_vc_dimension(sys)[0], (name, r)
+                assert classic <= two_vc_dimension(g, range(g.n), r)[0], (name, r)
 
 
 class TestTwoVcAgainstResidueSearch:
@@ -128,23 +102,28 @@ class TestTwoVcAgainstResidueSearch:
     and pair witnesses."""
 
     @staticmethod
-    def assert_same(sys, label):
-        got = two_vc_dimension(sys)
-        want = bruteforce.two_vc_dimension_residues(sys)
+    def assert_same(got, universe, masks, label):
+        want = bruteforce.two_vc_dimension_residues(universe, masks)
         assert got == want, label
         if want[1] is not None:
             assert got[1].pair_witnesses == want[1].pair_witnesses, label
             assert list(got[1].pair_witnesses) == list(want[1].pair_witnesses), label
 
     def test_corpus_ball_systems(self):
+        # the reference reads traces built from ball(), not from the table
         rng = random.Random(5)
         for name, g in corpus.small_corpus():
             for r in (1, 2):
-                full = balls_system(g, r)
-                self.assert_same(full, (name, r))
-                for trial in range(3):
-                    keep = rng.sample(range(g.n), rng.randint(0, g.n))
-                    self.assert_same(restrict_system(full, keep), (name, r, keep))
+                balls = [set(ball(g, v, r)) for v in range(g.n)]
+                for keep in [range(g.n)] + [
+                    rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(3)
+                ]:
+                    members = sorted(keep)
+                    masks = [
+                        sum(1 << i for i, u in enumerate(members) if u in b) for b in balls
+                    ]
+                    got = two_vc_dimension(g, keep, r)
+                    self.assert_same(got, members, masks, (name, r, members))
 
     @settings(max_examples=300)
     @given(st.data())
@@ -166,9 +145,9 @@ class TestTwoVcAgainstResidueSearch:
             st.lists(st.sampled_from(sets), max_size=4) if sets else st.just([]),
             label="repeats",
         )
-        sets = tuple(sets + repeats + [()])
-        sys = SetSystem(universe, sets, tuple(range(len(sets))))
-        self.assert_same(sys, sets)
+        sets = sets + repeats + [()]
+        masks = [sum(1 << i for i in member) for member in sets]
+        self.assert_same(_two_shattered(universe, masks), universe, masks, sets)
 
 
 class TestValidateTwoShatter:
@@ -224,7 +203,7 @@ class TestExtractMinorModel:
             if g.n > 12 or g.n == 0:
                 continue
             for r in (1, 2):
-                dim, w = two_vc_dimension(balls_system(g, r))
+                dim, w = two_vc_dimension(g, range(g.n), r)
                 if w is None or not w.members:
                     continue
                 model = extract_minor_model(g, r, w)

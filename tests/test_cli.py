@@ -14,6 +14,7 @@ import pytest
 import bruteforce
 import corpus
 import drisk.cli
+import drisk.graph
 import drisk.kernel
 import drisk.oracle
 import drisk.wcol
@@ -245,6 +246,31 @@ class TestGen:
         assert captured.err == f"input error: gen {kind} takes no {option}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,given", [
+        ("path", ["--n", "5"]),
+        ("cycle", ["--n", "5"]),
+        ("grid", ["--rows", "2", "--cols", "3"]),
+        ("star", ["--leaves", "3"]),
+        ("complete", ["--n", "3"]),
+        ("subdivision", ["--input", "BASE", "--r", "2"]),
+        ("pendant", ["--input", "BASE", "--r", "2"]),
+        ("hardness", ["--input", "BASE", "--r", "2"]),
+    ])
+    def test_seed_is_refused_where_no_seed_is_read(self, kind, given, tmp_path, capsys):
+        base = tmp_path / "base.gr"
+        write_edge_list(path_graph(3), str(base))
+        given = [str(base) if a == "BASE" else a for a in given]
+        out = tmp_path / "x.gr"
+        assert main(["gen", kind, *given, "--seed", "9", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: gen {kind} takes no --seed\n"
+        assert not out.exists()
+        # without --seed the report records seed 0, as it always has
+        code, rep = run_json(capsys, "gen", kind, *given, "--out", str(out))
+        assert code == 0
+        assert rep["seed"] == 0 and rep["parameters"]["seed"] == 0
+
     def test_missing_parameters_exit_input_error(self, tmp_path, capsys):
         code = main(["gen", "gnm", "--n", "5", "--out", str(tmp_path / "x.gr")])
         assert code == 3
@@ -318,6 +344,29 @@ class TestSolve:
         witness = rep["outputs"]["witness"]
         assert len(witness["members"]) == 2
         assert all(len(entry) == 3 for entry in witness["pair_witnesses"])
+
+    def test_vc2_member_file_searches_from_members_only(self, tmp_path, capsys, monkeypatch):
+        # one table search per member, then one ball() per witness pair;
+        # no ball is built around the other vertices of the grid
+        g_path, a_path = tmp_path / "g6.gr", tmp_path / "g6.a"
+        write_edge_list(grid_graph(6, 6), str(g_path))
+        members = [0, 2, 4, 7, 9, 14, 16, 21, 23, 28, 30, 35]
+        write_vertex_set(members, str(a_path))
+        sources = []
+        search = drisk.graph.multi_source_distances
+
+        def counted(g, srcs, *args):
+            sources.append(tuple(srcs))
+            return search(g, srcs, *args)
+
+        monkeypatch.setattr(drisk.graph, "multi_source_distances", counted)
+        code, rep = run_json(
+            capsys, "solve", "vc2", "--input", str(g_path), "--a-file", str(a_path), "--r", "2"
+        )
+        assert code == 0
+        witness = rep["outputs"]["witness"]
+        assert witness["members"] == [0, 2, 14]
+        assert sources == [(u,) for u in members] + [(v,) for _, _, v in witness["pair_witnesses"]]
 
     def test_minor(self, tmp_path, capsys):
         c6 = tmp_path / "c6.gr"
@@ -478,7 +527,7 @@ class TestSolve:
     def test_vc2_witness_is_rechecked(self, path10, capsys, monkeypatch):
         # the 1-ball of vertex 5 misses both 0 and 2, so it traces no pair
         bad = TwoShatterWitness((0, 2), {(0, 2): 5})
-        monkeypatch.setattr(drisk.cli, "two_vc_dimension", lambda system, limit: (2, bad))
+        monkeypatch.setattr(drisk.cli, "two_vc_dimension", lambda g, a, r, limit: (2, bad))
         code = main(["solve", "vc2", "--input", path10, "--r", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -827,6 +876,19 @@ class TestBench:
         assert rows[2]["outcome"] == "equal"
         assert rows[3]["error"].startswith("GraphError")
         assert all(float(row["seconds"]) >= 0 for row in rows)
+
+    def test_non_string_task_is_an_error_row(self, tmp_path, capsys):
+        rows = [{"name": name, "family": {"kind": "path", "n": 3}, "task": task}
+                for name, task in (("listed", ["kernel"]), ("number", 7))]
+        man_path = tmp_path / "manifest.json"
+        man_path.write_text(json.dumps(rows))
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        got = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["task"], row["error"]) for row in got] == [
+            ("['kernel']", "GraphError: unknown bench task ['kernel']"),
+            ("7", "GraphError: unknown bench task 7"),
+        ]
 
     def test_family_rows_for_every_kind(self, tmp_path, capsys):
         families = [
