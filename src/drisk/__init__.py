@@ -1,7 +1,7 @@
 """drisk: distance-r independence and domination toolkit.
 
 Exact oracles for distance-constrained independence and domination,
-one fractional cover LP whose audited duals are the packing optimum,
+one fractional packing LP whose audited row duals are the cover optimum,
 the pair-shattering dimension of distance balls with shallow
 clique-minor extraction, projection profiles and closures, weak reach
 sets with a certified duality engine, a quasi-wideness splitter, and a
@@ -81,7 +81,7 @@ from .projections import (
     profile_classes,
     projection,
 )
-from .simplex import LpInfeasible, LpOptimum, LpUnbounded, solve_max, solve_min
+from .simplex import LpOptimum, LpUnbounded, solve_max
 from .uqw import UqwResult, find_uqw, scattered_ladder
 from .wcol import (
     DualityReport,

@@ -149,6 +149,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_str(value, what: str) -> str:
+    # open() would take an int (or a bool) as a file descriptor
+    if type(value) is not str:
+        raise TypeError(f"{what} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _json_ids(value, what: str) -> Tuple[int, ...]:
     if not isinstance(value, list) or any(type(v) is not int for v in value):
         raise TypeError(f"{what} must be a list of integers, got {json.dumps(value)}")
@@ -513,7 +520,7 @@ _BENCH_COLUMNS = [
 
 def _bench_graph(row: dict) -> Graph:
     if "input" in row:
-        return read_edge_list(row["input"])
+        return read_edge_list(_json_str(row["input"], "input"))
     fam = row["family"]
     return _family(fam["kind"], fam)
 
@@ -526,7 +533,8 @@ def _bench_row(row: dict) -> Dict[str, str]:
             raise GraphError(f"bench row {row!r} is not an object")
         out["name"] = str(row.get("name", ""))
         g = _bench_graph(row)
-        members = _load_members(g, row.get("a_file"))
+        a_file = row.get("a_file")
+        members = _load_members(g, None if a_file is None else _json_str(a_file, "a_file"))
         r = _json_int(row.get("r", 1), "r")
         task = row.get("task", "kernel")
         out.update(n=str(g.n), m=str(g.m), r=str(r), task=str(task))

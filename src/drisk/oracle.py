@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graph import Graph, GraphError, _ball_masks, vset
-from .simplex import solve_min
+from .simplex import solve_max
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -192,8 +192,9 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
 class LpSolution:
     """Exact optimum of one relaxation: total value plus per-vertex weights.
 
-    `dual`, when set, is the optimum of the other relaxation, read from the
-    same solve's row duals and audited on its own."""
+    `dual`, when set, is the optimum of the other relaxation from the same
+    solve (one side is its primal, the other its row duals), audited on
+    its own."""
 
     value: Fraction
     weights: Dict[int, Fraction]
@@ -205,18 +206,19 @@ def lp_domination(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     member of a must see total weight >= 1 inside its r-ball.
 
     Its `dual` is the fractional packing optimum (nonnegative weights on
-    a, every vertex sees total weight <= 1 inside its r-ball), read from
-    the covering solve's row duals.  Both weight vectors are audited for
-    feasibility and for equal totals, which by weak duality certifies that
-    each is optimal."""
+    a, every vertex sees total weight <= 1 inside its r-ball).  The packing
+    is the LP solved, from its feasible zero start, and the cover is read
+    from its row duals, one per vertex.  Both weight vectors are audited
+    for feasibility and for equal totals, which by weak duality certifies
+    that each is optimal."""
     members = vset(a, g)
     masks = _ball_masks(g, members, r)
-    rows = [[F1 if m >> i & 1 else F0 for m in masks] for i in range(len(members))]
-    res = solve_min([F1] * g.n, rows, [F1] * len(rows))
-    _audit_cover(masks, res.x, res.value)
-    _audit_packing(masks, res.y, res.value)
-    packing = LpSolution(res.value, dict(zip(members, res.y)))
-    return LpSolution(res.value, dict(enumerate(res.x)), packing)
+    rows = [[F1 if m >> i & 1 else F0 for i in range(len(members))] for m in masks]
+    res = solve_max([F1] * len(members), rows, [F1] * g.n)
+    _audit_cover(masks, res.y, res.value)
+    _audit_packing(masks, res.x, res.value)
+    packing = LpSolution(res.value, dict(zip(members, res.x)))
+    return LpSolution(res.value, dict(enumerate(res.y)), packing)
 
 
 def _audit_cover(masks, x, value):

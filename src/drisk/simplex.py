@@ -1,10 +1,10 @@
 """Exact-arithmetic simplex over the rationals.
 
-Two-phase tableau with Bland's anti-cycling rule: entering variable
-is the smallest index with a positive reduced cost, leaving row breaks
-ratio ties by the smallest basic variable.  That rule is slow in theory
-but terminates unconditionally, and exactness matters more than pivot
-count at the sizes this package solves.
+One phase from the slack basis, with Bland's anti-cycling rule: entering
+variable is the smallest index with a positive reduced cost, leaving row
+breaks ratio ties by the smallest basic variable.  That rule is slow in
+theory but terminates unconditionally, and exactness matters more than
+pivot count at the sizes this package solves.
 
 The tableau is stored fraction-free: each row is a list of integers whose
 common denominator is its entry in its basic column (which stands for 1),
@@ -15,9 +15,10 @@ Every sign and ratio the pivot rule reads is the exact rational one, so the
 pivot sequence and every value match a dense `Fraction` update; only the
 result is turned back into `Fraction`s.
 
-Conventions: maximize c.x subject to A.x <= b, x >= 0, where b may be
-negative (phase 1 introduces artificials for those rows).  Minimization
-over >= rows is handled by negating through solve_min.
+Conventions: maximize c.x subject to A.x <= b, x >= 0, with b >= 0, so
+x = 0 is feasible and the slack basis starts the search.  A covering LP
+(minimize over >= rows) is solved as its dual packing, whose row duals
+are the cover.
 
 The optimum carries the row duals y, read from the final cost row: the
 reduced cost of row i's slack column is -y_i.  They solve the dual LP
@@ -34,10 +35,6 @@ from typing import List, Sequence, Tuple
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-class LpInfeasible(Exception):
-    """The constraint system admits no nonnegative solution."""
 
 
 class LpUnbounded(Exception):
@@ -72,21 +69,10 @@ def _combine(line: List[int], prow: List[int], col: int) -> List[int]:
     return new if g == 1 else [a // g for a in new]
 
 
-def _pivot(tableau: List[List[int]], cost: List[int], basis: List[int], row: int, col: int) -> None:
-    prow = tableau[row]
-    if prow[col] < 0:
-        prow = tableau[row] = [-a for a in prow]
-    for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            tableau[i] = _combine(other, prow, col)
-    if cost[col]:
-        cost[:] = _combine(cost, prow, col)
-    basis[row] = col
-
-
-def _bland_loop(tableau, cost, basis, ncols) -> None:
+def _bland_loop(tableau: List[List[int]], cost: List[int], basis: List[int]) -> None:
     for _ in range(_MAX_PIVOTS):
-        col = next((j for j in range(ncols) if cost[j] > 0), -1)
+        # the cost row ends with the rhs entry and its denominator
+        col = next((j for j in range(len(cost) - 2) if cost[j] > 0), -1)
         if col < 0:
             return
         # least ratio rhs / a over a > 0, ties to the least basic variable;
@@ -100,7 +86,13 @@ def _bland_loop(tableau, cost, basis, ncols) -> None:
                     row = i
         if row < 0:
             raise LpUnbounded
-        _pivot(tableau, cost, basis, row, col)
+        prow = tableau[row]
+        for i, other in enumerate(tableau):
+            if i != row and other[col]:
+                tableau[i] = _combine(other, prow, col)
+        if cost[col]:
+            cost[:] = _combine(cost, prow, col)
+        basis[row] = col
     raise SimplexStall("pivot budget exhausted")
 
 
@@ -110,72 +102,30 @@ def _integral(values: Sequence[Fraction]) -> List[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-def _cost_row(obj: List[Fraction], tableau, basis) -> List[int]:
-    """The cost row of objective obj priced out on the basis: integers
-    over the denominator that follows the rhs entry."""
-    cost = _integral(obj + [F0, F1])
-    for i, bi in enumerate(basis):
-        if cost[bi]:
-            cost = _combine(cost, tableau[i], bi)
-    return cost
-
-
 def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum:
-    """Maximize c.x subject to rows.x <= rhs, x >= 0 (exact rationals).
+    """Maximize c.x subject to rows.x <= rhs, x >= 0 (exact rationals),
+    for rhs >= 0.
 
     The returned y satisfies y >= 0, y.rows >= c and y.rhs == value."""
     nvars = len(c)
     m = len(rows)
-    c = [Fraction(v) for v in c]
-    nslack = m
-    art_rows = [i for i in range(m) if Fraction(rhs[i]) < 0]
-    nart = len(art_rows)
-    ncols = nvars + nslack + nart
-    art_col = {i: nvars + nslack + k for k, i in enumerate(art_rows)}
-
     tableau: List[List[int]] = []
-    basis: List[int] = []
     for i in range(m):
         b = Fraction(rhs[i])
-        coeffs = [Fraction(v) for v in rows[i]]
-        if len(coeffs) != nvars:
-            raise ValueError("row length does not match objective length")
-        sign = F1
         if b < 0:
-            sign = -F1
-            b = -b
-        line = [sign * v for v in coeffs]
-        line.extend(F0 for _ in range(nslack + nart))
-        # the slack column keeps the row's sign, so -cost of it is the
-        # dual of the row as given, not of its negation
-        line[nvars + i] = sign
-        if i in art_col:
-            line[art_col[i]] = F1
-            basis.append(art_col[i])
-        else:
-            basis.append(nvars + i)
+            raise ValueError("negative right-hand side")
+        line = [Fraction(v) for v in rows[i]]
+        if len(line) != nvars:
+            raise ValueError("row length does not match objective length")
+        line.extend(F0 for _ in range(m))
+        line[nvars + i] = F1
         line.append(b)
         tableau.append(_integral(line))
+    basis = list(range(nvars, nvars + m))
 
-    if nart:
-        # phase 1: maximize -sum(artificials), priced out on the artificial basis
-        cost = _cost_row([F0] * (nvars + nslack) + [-F1] * nart, tableau, basis)
-        _bland_loop(tableau, cost, basis, ncols)
-        if cost[-2] != 0:
-            raise LpInfeasible
-        # Drive the artificials left basic (at level 0) out of the basis.
-        # Each row has its own slack column, so the tableau's slack block
-        # is B^-1 diag(sign), an invertible matrix: every row has a nonzero
-        # x or slack entry to pivot on, and no row is ever redundant.
-        for i, bi in enumerate(basis):
-            if bi >= nvars + nslack:
-                piv_col = next(j for j in range(nvars + nslack) if tableau[i][j])
-                _pivot(tableau, cost, basis, i, piv_col)
-        tableau = [row[: nvars + nslack] + row[-1:] for row in tableau]
-        ncols = nvars + nslack
-
-    cost = _cost_row(c + [F0] * nslack, tableau, basis)
-    _bland_loop(tableau, cost, basis, ncols)
+    # the slack basis has zero cost, so the cost row starts priced out
+    cost = _integral([Fraction(v) for v in c] + [F0] * (m + 1) + [F1])
+    _bland_loop(tableau, cost, basis)
 
     x = [F0] * nvars
     for i, bi in enumerate(basis):
@@ -183,14 +133,3 @@ def solve_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum
             x[bi] = Fraction(tableau[i][-1], tableau[i][bi])
     y = tuple(Fraction(-cost[nvars + i], cost[-1]) for i in range(m))
     return LpOptimum(Fraction(-cost[-2], cost[-1]), tuple(x), y)
-
-
-def solve_min(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LpOptimum:
-    """Minimize c.x subject to rows.x >= rhs, x >= 0 (exact rationals).
-
-    The returned y satisfies y >= 0, y.rows <= c and y.rhs == value."""
-    neg_rows = [[-Fraction(v) for v in row] for row in rows]
-    neg_rhs = [-Fraction(v) for v in rhs]
-    neg_c = [-Fraction(v) for v in c]
-    res = solve_max(neg_c, neg_rows, neg_rhs)
-    return LpOptimum(-res.value, res.x, res.y)

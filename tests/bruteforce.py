@@ -5,15 +5,14 @@ with this module's own BFS (simple_adj, bfs_dists), independent of the
 library's code paths, so the two sides of a comparison are computed by
 different routes.  The exceptions are the pins: earlier versions of
 library functions kept verbatim, so tests can hold a rewrite to the
-answers it replaced, and lp_packing, the primal packing solve that
-moved here from drisk.oracle so that tests check the cover's audited
-duals against a second solve.  Those call the library helpers they
-always called (among them _ball_masks, ball, distances_from,
-multi_source_distances, induced_subgraph, the distance validators,
-oracle._radius_at_most, oracle._audit_packing, validate_minor_model,
-profile, solve_min and solve_max), and share whatever fault those
-helpers have with the code they pin; minor_model_holds checks a
-clique-minor model without them.
+answers it replaced, and lp_packing, the packing solve that moved here
+from drisk.oracle.  Those call the library helpers they always called
+(among them _ball_masks, ball, distances_from, multi_source_distances,
+induced_subgraph, the distance validators, oracle._radius_at_most,
+oracle._audit_packing, validate_minor_model, profile and solve_max), and
+share whatever fault those helpers have with the code they pin;
+minor_model_holds checks a clique-minor model without them, and lp_cover
+solves the cover LP with this module's own distances and dense simplex.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from drisk.oracle import (
     validate_minor_model,
 )
 from drisk.projections import ClosureResult, profile
-from drisk.simplex import LpInfeasible, LpOptimum, LpUnbounded, SimplexStall, solve_max, solve_min
+from drisk.simplex import LpOptimum, LpUnbounded, SimplexStall, solve_max
 
 INF = math.inf
 
@@ -339,8 +338,15 @@ def max_clique_recursive(n: int, adj: List[int]) -> Tuple[int, int]:
 
 # The dense `Fraction`-update simplex that `drisk.simplex` replaced (first
 # by a sparse pivot, now by a fraction-free integer tableau), kept verbatim
-# (it returns (value, x) instead of an LpOptimum).
-# It raises drisk's own exception types, so the two can be compared.
+# (it returns (value, x) instead of an LpOptimum).  It keeps the phase 1
+# that drisk's one-phase solver dropped, so it also takes a negative rhs.
+# It raises drisk's own LpUnbounded and SimplexStall, so the two can be
+# compared, and this module's LpInfeasible, which drisk no longer has.
+
+
+class LpInfeasible(Exception):
+    """The constraint system admits no nonnegative solution."""
+
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -1050,9 +1056,11 @@ def greedy_ball_cover_sets(g: Graph, a: Iterable[int], r: int) -> Tuple[int, ...
     return tuple(picks)
 
 
-# oracle.lp_packing, moved here verbatim: the primal packing solve, so
-# that tests and acceptance criteria can check the packing optimum that
-# lp_domination reads from its cover solve's row duals.
+# oracle.lp_packing, moved here verbatim: the packing solve, which
+# lp_domination now solves itself, and lp_cover, the cover LP through the
+# dense simplex's phase 1 over this module's distances, so that tests and
+# acceptance criteria check each side lp_domination reports against a
+# second solve.
 
 
 def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
@@ -1069,31 +1077,37 @@ def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     return LpSolution(res.value, dict(zip(members, res.x)))
 
 
+def lp_cover(g: Graph, a: Iterable[int], r: int) -> LpSolution:
+    """Fractional cover optimum: nonnegative weights on V, each member of
+    a sees total weight >= 1 inside its r-ball; solved negated, as
+    max -1.x subject to -rows.x <= -1, by dense_solve_max."""
+    dm = dist_matrix(g)
+    rows = [[-1 if dm[u].get(v, INF) <= r else 0 for v in range(g.n)] for u in sorted(set(a))]
+    value, x = dense_solve_max([-1] * g.n, rows, [-1] * len(rows))
+    return LpSolution(-value, dict(enumerate(x)))
+
+
 # oracle.lp_domination with its cover and packing audits on per-member
-# distance dicts, as it was before it read the bitmask ball traces, and
-# oracle.find_clique_minor's floor-skipping walk over the recursive
-# connected-set enumeration, as it was before it dropped its recursion and
-# rescans.  They are kept verbatim apart from their names (and the names
-# of each other they call), so tests can pin the current ones to them.
+# distance dicts instead of the bitmask ball traces (the same solve, rows
+# and column order), and oracle.find_clique_minor's floor-skipping walk
+# over the recursive connected-set enumeration as it was before it dropped
+# its recursion and rescans, kept verbatim apart from the names (and the
+# names of each other they call), so tests can pin the current ones to them.
 
 
 def lp_domination_balls(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     """Fractional covering optimum: nonnegative weights on all of V, each
-    member of a must see total weight >= 1 inside its r-ball.
-
-    Its `dual` is the fractional packing optimum (see lp_packing), read from
-    the covering solve's row duals.  Both weight vectors are audited for
-    feasibility and for equal totals, which by weak duality certifies that
-    each is optimal."""
+    member of a must see total weight >= 1 inside its r-ball, read from the
+    row duals of the packing solve (see lp_packing), one row per vertex.
+    Both weight vectors are audited for feasibility and for equal totals,
+    which by weak duality certifies that each is optimal."""
     members = vset(a, g)
-    if not members:
-        return LpSolution(F0, {v: F0 for v in range(g.n)}, LpSolution(F0, {}))
     balls = {u: distances_from(g, u, r) for u in members}
-    rows = [[F1 if v in balls[u] else F0 for v in range(g.n)] for u in members]
-    res = solve_min([F1] * g.n, rows, [F1] * len(rows))
-    weights = {v: res.x[v] for v in range(g.n)}
+    rows = [[F1 if v in balls[u] else F0 for u in members] for v in range(g.n)]
+    res = solve_max([F1] * len(members), rows, [F1] * g.n)
+    weights = {v: res.y[v] for v in range(g.n)}
     _audit_cover_balls(balls, weights, res.value)
-    packing = dict(zip(members, res.y))
+    packing = dict(zip(members, res.x))
     _audit_packing_balls(g.n, balls, packing, res.value)
     return LpSolution(res.value, weights, LpSolution(res.value, packing))
 

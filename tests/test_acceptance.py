@@ -64,9 +64,9 @@ def test_criterion_01_lp_duality_chain():
     for name, g in instances:
         verts = tuple(range(g.n))
         for r in (1, 2):
-            cover = lp_domination(g, verts, r)
+            cover = bruteforce.lp_cover(g, verts, r)
             packing = bruteforce.lp_packing(g, verts, r)
-            assert cover.value == packing.value, (name, r)
+            assert lp_domination(g, verts, r).value == cover.value == packing.value, (name, r)
             alpha, _ = independence_number(g, verts, 2 * r)
             gamma, _ = domination_number(g, verts, r)
             assert alpha <= packing.value, (name, r)

@@ -63,24 +63,23 @@ def internal_error(capsys, *argv):
 
 
 def count_simplex_solves(monkeypatch):
-    """Count every simplex solve the oracles start: drisk.oracle reaches
-    the simplex only through solve_min (which calls solve_max inside the
-    simplex module, not counted twice)."""
-    assert not hasattr(drisk.oracle, "solve_max")
+    """Record the rhs of every simplex solve the oracles start:
+    drisk.oracle reaches the simplex only through solve_max."""
+    assert not hasattr(drisk.oracle, "solve_min")
     calls = []
-    solver = drisk.oracle.solve_min
+    solver = drisk.oracle.solve_max
 
-    def counted(*args):
-        calls.append(solver.__name__)
-        return solver(*args)
+    def counted(c, rows, rhs):
+        calls.append(list(rhs))
+        return solver(c, rows, rhs)
 
-    monkeypatch.setattr(drisk.oracle, "solve_min", counted)
+    monkeypatch.setattr(drisk.oracle, "solve_max", counted)
     return calls
 
 
 def two_solve_lp(g, r):
     """The lp report's outputs as given by separate cover and packing solves."""
-    cover = lp_domination(g, range(g.n), r).value
+    cover = bruteforce.lp_cover(g, range(g.n), r).value
     packing = bruteforce.lp_packing(g, range(g.n), r).value
     return cover, packing
 
@@ -327,7 +326,7 @@ class TestSolve:
                     capsys, "solve", "lp", "--input", str(g_path), "--r", str(r)
                 )
                 assert code == 0
-                assert calls == ["solve_min"], (name, r)
+                assert calls == [[1] * g.n], (name, r)
                 cover, packing = expected[name, r]
                 assert rep["outputs"] == {
                     "cover_optimum": f"{cover.numerator}/{cover.denominator}",
@@ -938,8 +937,8 @@ class TestBench:
         calls = count_simplex_solves(monkeypatch)
         code, out = run(capsys, "bench", "--manifest", str(man_path))
         assert code == 0
-        assert calls == ["solve_min"] * len(rows)
         got = list(csv.DictReader(io.StringIO(out)))
+        assert calls == [[1] * int(row["n"]) for row in got]
         assert [row["name"] for row in got] == [row["name"] for row in rows]
         for row in got:
             cover, packing = expected[row["name"]]
@@ -1013,6 +1012,37 @@ class TestBench:
             "ints": "",
         }
         assert rows["nulls"]["outcome"] == rows["ints"]["outcome"] == "YES"
+
+    def test_paths_must_be_json_strings(self, path10, tmp_path):
+        # in a child process: open() takes a number as a file descriptor,
+        # so a number here could read or close this runner's stdin or stdout
+        good = {"input": path10, "task": "lp", "r": 1}
+        manifest = [
+            {**good, "name": "int-a-file", "a_file": 0},
+            {**good, "name": "bool-a-file", "a_file": False},
+            {**good, "name": "int-input", "input": 1},
+            {**good, "name": "bool-input", "input": True},
+            {**good, "name": "strings"},
+        ]
+        man_path = tmp_path / "m.json"
+        man_path.write_text(json.dumps(manifest))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drisk.cli", "bench", "--manifest", str(man_path)],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = {row["name"]: row for row in csv.DictReader(io.StringIO(proc.stdout))}
+        assert {name: row["error"] for name, row in rows.items()} == {
+            "int-a-file": "TypeError: a_file must be a string; got 0",
+            "bool-a-file": "TypeError: a_file must be a string; got false",
+            "int-input": "TypeError: input must be a string; got 1",
+            "bool-input": "TypeError: input must be a string; got true",
+            "strings": "",
+        }
+        assert rows["strings"]["outcome"] == "equal"
 
     def test_graph_rows_can_point_at_files(self, path10, tmp_path, capsys):
         manifest = [{"name": "file-row", "input": path10, "task": "kernel",

@@ -180,10 +180,11 @@ class TestLinearRelaxations:
         for name, g in corpus.small_corpus():
             for a in member_sets(g):
                 for r in (1, 2):
-                    cover = lp_domination(g, a, r)
+                    got = lp_domination(g, a, r)
+                    cover = bruteforce.lp_cover(g, a, r)
                     packing = bruteforce.lp_packing(g, a, r)
-                    assert cover.value == packing.value, (name, r)
-                    assert cover.dual.value == packing.value, (name, r)
+                    assert got.value == cover.value == packing.value, (name, r)
+                    assert got.dual.value == packing.value, (name, r)
 
     def test_cover_duals_are_a_feasible_packing_on_corpus(self):
         # checked against the reference distances, not the oracle's BFS
@@ -200,6 +201,22 @@ class TestLinearRelaxations:
                         load = sum(w for u, w in weights.items()
                                    if dm[v].get(u, bruteforce.INF) <= r)
                         assert load <= 1, (name, r, v)
+
+    def test_packing_duals_are_a_feasible_cover_on_corpus(self):
+        # checked against the reference distances, not the oracle's BFS
+        for name, g in corpus.small_corpus():
+            dm = bruteforce.dist_matrix(g)
+            for a in member_sets(g):
+                for r in (1, 2):
+                    cover = lp_domination(g, a, r)
+                    weights = cover.weights
+                    assert set(weights) == set(range(g.n)), (name, r)
+                    assert all(w >= 0 for w in weights.values()), (name, r)
+                    assert sum(weights.values()) == cover.value, (name, r)
+                    for u in a:
+                        seen = sum(w for v, w in weights.items()
+                                   if dm[u].get(v, bruteforce.INF) <= r)
+                        assert seen >= 1, (name, r, u)
 
     def test_packing_audit_rejects_bad_duals(self):
         # path 0-1-2, members {0, 2}, r = 1: optimum 1, e.g. weights 1/2, 1/2;
