@@ -3,7 +3,7 @@
 Exact oracles for distance-constrained independence and domination,
 one fractional packing LP whose audited row duals are the cover optimum,
 the pair-shattering dimension of distance balls with shallow
-clique-minor extraction, projection profiles and closures, weak reach
+clique-minor extraction, profile classes and closures, weak reach
 sets with a certified duality engine, a quasi-wideness splitter, and a
 certificate-driven kernelization for the parameterized independence
 problem, all behind a deterministic CLI.
@@ -33,7 +33,6 @@ from .generators import (
     trim_short_cycles,
 )
 from .graph import (
-    AnnotatedInstance,
     Graph,
     GraphError,
     ball,
@@ -74,12 +73,9 @@ from .oracle import (
 )
 from .projections import (
     ClosureResult,
-    ProjectionProfile,
     closure,
     path_closure,
-    profile,
     profile_classes,
-    projection,
 )
 from .simplex import LpOptimum, LpUnbounded, solve_max
 from .uqw import UqwResult, find_uqw, scattered_ladder

@@ -32,7 +32,6 @@ from .generators import (
     pendant_construction,
 )
 from .graph import (
-    AnnotatedInstance,
     Graph,
     GraphError,
     is_distance_dominating,
@@ -473,7 +472,7 @@ def _run_kernel(g: Graph, members: Tuple[int, ...], r: int, k: int,
     inside Y, before anything is written.  kernelize has already checked
     the YES witness and every removal certificate against the member set
     it was applied to.  Returns the outcome and its JSON."""
-    outcome = kernelize(AnnotatedInstance(g, members, r, k), policy)
+    outcome = kernelize(g, members, r, k, policy)
     if outcome.tag == "KERNEL" and not set(outcome.b) <= set(outcome.y):
         raise RuntimeError("internal: kernel members not inside Y")
     return outcome, _outcome_to_json(outcome)
@@ -516,13 +515,17 @@ _BENCH_COLUMNS = [
     "y_size", "b_size", "y_over_k", "lp_value", "witness_size",
     "seconds", "error",
 ]
+# one row per line: a cell holds no column separator and no line break
+_CELL = str.maketrans({",": ";", "\r": " ", "\n": " "})
 
 
 def _bench_graph(row: dict) -> Graph:
     if "input" in row:
         return read_edge_list(_json_str(row["input"], "input"))
     fam = row["family"]
-    return _family(fam["kind"], fam)
+    kind = fam["kind"]
+    reads = FAMILIES[kind][1] if isinstance(kind, str) and kind in FAMILIES else ()
+    return _family(kind, {p: _json_int(fam[p], p) for p in reads if p in fam})
 
 
 def _bench_row(row: dict) -> Dict[str, str]:
@@ -584,7 +587,7 @@ def _cmd_bench(args) -> int:
     lines = [",".join(_BENCH_COLUMNS)]
     for row in rows:
         done = _bench_row(row)
-        lines.append(",".join(done[col].replace(",", ";") for col in _BENCH_COLUMNS))
+        lines.append(",".join(done[col].translate(_CELL) for col in _BENCH_COLUMNS))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -8,7 +8,6 @@ are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Collection, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 INF = math.inf
@@ -69,23 +68,6 @@ def vset(ids: Iterable[int], g: Optional[Graph] = None) -> Tuple[int, ...]:
     if g is not None and out and not (0 <= out[0] and out[-1] < g.n):
         raise GraphError(f"vertex set {out[:4]}... out of range for n={g.n}")
     return out
-
-
-@dataclass(frozen=True)
-class AnnotatedInstance:
-    """A graph together with a candidate set A, radius r and target k."""
-
-    graph: Graph
-    a_set: Tuple[int, ...]
-    r: int
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_set", vset(self.a_set, self.graph))
-        if self.r < 1:
-            raise GraphError("radius must be >= 1")
-        if self.k < 1:
-            raise GraphError("target k must be >= 1")
 
 
 def distances_from(g: Graph, source: int, cutoff: Optional[int] = None) -> Dict[int, int]:

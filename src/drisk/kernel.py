@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .graph import (
-    AnnotatedInstance,
     Graph,
     GraphError,
     is_distance_dominating,
@@ -218,16 +217,21 @@ class KernelOutcome:
 
 
 def kernelize(
-    inst: AnnotatedInstance, policy: Optional[KernelPolicy] = None
+    g: Graph, a: Iterable[int], r: int, k: int, policy: Optional[KernelPolicy] = None
 ) -> KernelOutcome:
-    """Decide-or-shrink: answer YES with a spread witness when the
-    cheap dual scan already finds k members pairwise farther than r
-    apart; answer NO when fewer than k members exist (initially or
-    after certified removals); otherwise emit the KERNEL (y, b) with
-    b = surviving members and y = b plus the short-path closure, so
-    that the instance (g[y], b, r, k) is equivalent to the original.
+    """Decide-or-shrink on the members a of g at radius r >= 1 and
+    target k >= 1: answer YES with a spread witness when the cheap dual
+    scan already finds k members pairwise farther than r apart; answer
+    NO when fewer than k members exist (initially or after certified
+    removals); otherwise emit the KERNEL (y, b) with b = surviving
+    members and y = b plus the short-path closure, so that the instance
+    (g[y], b, r, k) is equivalent to the original.
     """
-    g, members, r, k = inst.graph, inst.a_set, inst.r, inst.k
+    members = vset(a, g)
+    if r < 1:
+        raise GraphError("radius must be >= 1")
+    if k < 1:
+        raise GraphError("target k must be >= 1")
     policy = policy or KernelPolicy()
     if len(members) < k:
         return KernelOutcome("NO", r, k)

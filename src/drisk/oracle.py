@@ -1,5 +1,5 @@
 """Exact ground-truth solvers: distance-r independence and domination
-numbers, the two annotated linear relaxations, and brute-force
+numbers, the fractional domination LP with its packing dual, and brute-force
 depth-bounded clique-minor search.
 
 These are the oracles everything else is judged against, so they favor

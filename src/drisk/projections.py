@@ -1,18 +1,17 @@
-"""Boundary projections and profiles, profile-class partitions, and the
-two closure procedures: one that grows a set until every outside vertex
-projects onto few members, and one that grows a set until it preserves
-all short internal distances.
+"""Profile-class partitions and the two closure procedures: one that
+grows a set until every outside vertex projects onto few members, and
+one that grows a set until it preserves all short internal distances.
 
-A projection of u onto a boundary set counts the boundary vertices
-reachable from u by paths whose interior stays off the boundary; the
-profile additionally records the shortest such length per vertex, with
-infinity past the radius.
+The projection of u onto a boundary set is the set of boundary vertices
+reachable from u by paths of length <= r whose interior stays off the
+boundary; u's profile records the shortest such length per boundary
+vertex, with infinity where there is none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .graph import (
@@ -26,41 +25,6 @@ from .graph import (
 )
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Per-boundary-vertex shortest avoiding-path length, infinity when
-    none of length <= r exists."""
-
-    boundary: Tuple[int, ...]
-    values: Dict[int, float] = field(hash=False)
-    r: int
-
-    def key(self) -> Tuple[float, ...]:
-        """Canonical equality key, ordered by the boundary tuple."""
-        return tuple(self.values[b] for b in self.boundary)
-
-    def finite_support(self) -> Tuple[int, ...]:
-        return tuple(b for b in self.boundary if self.values[b] is not INF)
-
-
-def projection(g: Graph, u: int, a: Iterable[int], r: int) -> Tuple[int, ...]:
-    """Boundary vertices reachable from u within r by boundary-avoiding
-    paths."""
-    return profile(g, u, a, r).finite_support()
-
-
-def profile(g: Graph, u: int, a: Iterable[int], r: int) -> ProjectionProfile:
-    """Projection profile of u on the boundary a at radius r."""
-    members = vset(a, g)
-    if u in members:
-        raise GraphError("profile source lies on the boundary")
-    if not 0 <= u < g.n:
-        raise GraphError(f"vertex {u} out of range")
-    dist = multi_source_distances(g, (u,), r, stop=set(members))
-    values = {v: dist.get(v, INF) for v in members}
-    return ProjectionProfile(members, values, r)
 
 
 def profile_classes(

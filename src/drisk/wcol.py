@@ -5,9 +5,10 @@ that pairs a radius-r dominating set with a spread independent witness.
 For an order L, a vertex u is weakly r-reachable from v when u comes no
 later than v and some path from v to u of length at most r never dips
 below u in the order.  The weak coloring number of the order is the
-largest reach-set size.  Every witness a public function here returns
-is re-checked by plain breadth-first search first; the private scan
-behind them leaves that check to its caller.
+largest reach-set size.  Every set a public function here returns is
+re-checked by plain breadth-first search first; the private reach scan
+behind them checks nothing, and each caller checks only what it
+returns.
 """
 
 from __future__ import annotations
@@ -167,18 +168,24 @@ def dual_witness(
     members = vset(a, g)
     if order is None:
         order = order_heuristic(g)
-    _, dominating, witness = _checked_scan(g, members, r, order)
+    _, witness, covered = _reach_scan(g, members, r, order)
+    dominating = tuple(sorted(covered))
+    if not is_distance_independent(g, witness, 2 * r + 1):
+        raise RuntimeError("internal: witness is not spread far enough")
+    if not is_distance_dominating(g, dominating, members, 2 * r + 1):
+        raise RuntimeError("internal: reach union fails to dominate")
     return dominating, witness
 
 
 def _reach_scan(
     g: Graph, members: Tuple[int, ...], r: int, order: VertexOrder
 ) -> Tuple[int, Tuple[int, ...], set]:
-    """The scan behind dual_witness, unchecked: the order's weak
-    coloring number at 2r+1 (so callers that need it build the reach
-    sets only once), the witness, and the union of its reach sets.
-    kernel.kernelize reads only the witness and checks it at its own
-    radius."""
+    """The reach scan, unchecked: the order's weak coloring number at
+    2r+1 (so callers that need it build the reach sets only once), the
+    witness, and the union of its reach sets.  Each caller checks what
+    it emits: dual_witness both sets at 2r+1, duality_report the
+    witness at 2r+1, and kernel.kernelize a witness that answers YES at
+    its own radius."""
     reach = weak_reach_sets(g, order, 2 * r + 1)
     wide = max((len(s) for s in reach), default=0)
     independent: List[int] = []
@@ -188,20 +195,6 @@ def _reach_scan(
             independent.append(v)
             covered.update(reach[v])
     return wide, tuple(independent), covered
-
-
-def _checked_scan(
-    g: Graph, members: Tuple[int, ...], r: int, order: VertexOrder
-) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """_reach_scan with its witness and reach union BFS-checked:
-    (wcol at 2r+1, D, I)."""
-    wide, witness, covered = _reach_scan(g, members, r, order)
-    dominating = tuple(sorted(covered))
-    if not is_distance_independent(g, witness, 2 * r + 1):
-        raise RuntimeError("internal: witness is not spread far enough")
-    if not is_distance_dominating(g, dominating, members, 2 * r + 1):
-        raise RuntimeError("internal: reach union fails to dominate")
-    return wide, dominating, witness
 
 
 def harmonic(n: int) -> Fraction:
@@ -232,20 +225,18 @@ class DualityReport:
 
 
 def duality_report(
-    g: Graph,
-    a: Iterable[int],
-    r: int,
-    order: Optional[VertexOrder] = None,
-    include_lp: bool = True,
+    g: Graph, a: Iterable[int], r: int, include_lp: bool = True
 ) -> DualityReport:
-    """Assemble greedy cover, spread witness, weak coloring value and
-    (optionally) the exact fractional optimum, then verify the chain
+    """Assemble greedy cover, spread witness, weak coloring value of
+    order_heuristic(g) and (optionally) the exact fractional optimum,
+    then verify the witness at 2r+1 and the chain
     |witness| <= lp <= |cover| <= H_|a| * lp before returning."""
     members = vset(a, g)
-    if order is None:
-        order = order_heuristic(g)
+    order = order_heuristic(g)
     dominating = greedy_ball_cover(g, members, r)
-    wide, _, witness = _checked_scan(g, members, r, order)
+    wide, witness, _ = _reach_scan(g, members, r, order)
+    if not is_distance_independent(g, witness, 2 * r + 1):
+        raise RuntimeError("internal: witness is not spread far enough")
     bound = harmonic(len(members))
     lp_value: Optional[Fraction] = None
     if include_lp:

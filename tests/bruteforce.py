@@ -9,7 +9,7 @@ answers it replaced, and lp_packing, the packing solve that moved here
 from drisk.oracle.  Those call the library helpers they always called
 (among them _ball_masks, ball, distances_from, multi_source_distances,
 induced_subgraph, the distance validators, oracle._radius_at_most,
-oracle._audit_packing, validate_minor_model, profile and solve_max), and
+oracle._audit_packing, validate_minor_model and solve_max), and
 share whatever fault those helpers have with the code they pin;
 minor_model_holds checks a clique-minor model without them, and lp_cover
 solves the cover LP with this module's own distances and dense simplex.
@@ -46,7 +46,7 @@ from drisk.oracle import (
     _radius_at_most,
     validate_minor_model,
 )
-from drisk.projections import ClosureResult, profile
+from drisk.projections import ClosureResult
 from drisk.simplex import LpOptimum, LpUnbounded, SimplexStall, solve_max
 
 INF = math.inf
@@ -634,6 +634,13 @@ def closure_rescan(g, x: Iterable[int], r: int, target: int) -> ClosureResult:
         additions += 1
 
 
+def stop_profile(g, u: int, bound: Sequence[int], r: int) -> Tuple[float, ...]:
+    """u's profile on bound: its stop-search distances within r, in
+    boundary order, infinity where there is none."""
+    dist = multi_source_distances(g, (u,), r, stop=set(bound))
+    return tuple(dist.get(v, INF) for v in bound)
+
+
 def profile_classes_via_profile(g, candidates: Iterable[int], boundary: Iterable[int], r: int) -> Tuple[Tuple[int, ...], ...]:
     cands = vset(candidates, g)
     bound = vset(boundary, g)
@@ -641,7 +648,7 @@ def profile_classes_via_profile(g, candidates: Iterable[int], boundary: Iterable
         raise GraphError("candidates may not meet the boundary")
     groups: Dict[Tuple[float, ...], List[int]] = {}
     for u in cands:
-        groups.setdefault(profile(g, u, bound, r).key(), []).append(u)
+        groups.setdefault(stop_profile(g, u, bound, r), []).append(u)
     classes = [tuple(sorted(vs)) for vs in groups.values()]
     classes.sort(key=lambda c: (-len(c), c))
     return tuple(classes)
@@ -667,7 +674,7 @@ def check_certificate_induced(g, a: Iterable[int], cert: IrrelevanceCertificate)
     if any(idmap[x] in near for x in cert.l_prime):
         return "far"
     if cert.s:
-        keys = {profile(g, x, cert.s, cert.r).key() for x in cert.l_prime}
+        keys = {stop_profile(g, x, cert.s, cert.r) for x in cert.l_prime}
         if len(keys) > 1:
             return "profile"
     if len(cert.l_prime) < len(cert.s) + 2:

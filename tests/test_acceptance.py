@@ -15,7 +15,6 @@ import bruteforce
 import corpus
 
 from drisk import (
-    AnnotatedInstance,
     bucket_model,
     distances_from,
     girth,
@@ -93,7 +92,7 @@ def test_criterion_02_kernel_oracle_agreement():
         for r in KERNEL_RADII:
             alpha, _ = independence_number(g, members, r, limit=64)
             for k in KERNEL_BUDGETS:
-                outcome = kernelize(AnnotatedInstance(g, members, r, k))
+                outcome = kernelize(g, members, r, k)
                 runs += 1
                 tags[outcome.tag] += 1
                 if outcome.tag == "YES":
@@ -127,7 +126,7 @@ def test_criterion_03_irrelevance_soundness():
             continue
         for r in KERNEL_RADII:
             for k in KERNEL_BUDGETS:
-                outcome = kernelize(AnnotatedInstance(g, members, r, k))
+                outcome = kernelize(g, members, r, k)
                 current = list(members)
                 for victim, cert in outcome.removal_log:
                     before = tuple(current)
@@ -347,7 +346,7 @@ def test_criterion_10_performance_smoke():
     g = grid_graph(100, 100)
     verts = tuple(range(g.n))
     started = time.perf_counter()
-    outcome = kernelize(AnnotatedInstance(g, verts, 2, 5))
+    outcome = kernelize(g, verts, 2, 5)
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     assert outcome.tag == "YES"
@@ -364,13 +363,13 @@ def test_criterion_10_performance_smoke():
         gverts = tuple(range(grid.n))
         _, witness = dual_witness(grid, gverts, 1)
         k = len(witness) + 1
-        out = kernelize(AnnotatedInstance(grid, gverts, 2, k))
+        out = kernelize(grid, gverts, 2, k)
         size = len(out.y) if out.tag == "KERNEL" else grid.n
         sweep.append(f"grid{side}x{side} k={k}: {out.tag} |Y|/k={size / k:.2f}")
     for p in (5, 8, 12, 16):
         twin = corpus.twin_stars(p, 9)
         leaves = corpus.twin_star_leaves(p)
-        out = kernelize(AnnotatedInstance(twin, leaves, 2, 3))
+        out = kernelize(twin, leaves, 2, 3)
         size = len(out.y) if out.tag == "KERNEL" else twin.n
         sweep.append(f"twins{p} k=3: {out.tag} |Y|/k={size / 3:.2f}")
     for line in sweep:

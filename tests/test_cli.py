@@ -567,9 +567,7 @@ class TestSolve:
     @pytest.mark.parametrize("reach, error", [
         # every member joins the witness
         (lambda v: (v,), "witness is not spread far enough"),
-        # vertex 0 reaches nothing past 3 steps
-        (lambda v: (0,), "reach union fails to dominate"),
-    ], ids=["witness", "cover"])
+    ], ids=["witness"])
     def test_duality_answer_is_checked_by_the_reach_scan(
         self, reach, error, path10, capsys, monkeypatch
     ):
@@ -991,6 +989,10 @@ class TestBench:
             {**kernel, "name": "string-s-max", "s_max": "1"},
             {**kernel, "name": "float-target", "target": 2.5},
             {**kernel, "name": "bool-max-rounds", "max_rounds": False},
+            {**kernel, "name": "bool-n", "family": {"kind": "path", "n": True}},
+            {**kernel, "name": "string-seed", "family": {"kind": "gnm", "n": 8, "m": 9, "seed": "7"}},
+            {**kernel, "name": "float-seed", "family": {"kind": "gnm", "n": 8, "m": 9, "seed": 7.5}},
+            {**kernel, "name": "listed-seed", "family": {"kind": "bucket", "n": 20, "d": 3, "seed": [1]}},
             {**kernel, "name": "nulls", "target": None, "max_rounds": None},
             {**kernel, "name": "ints", "target": 1, "max_rounds": 0, "s_max": 0},
         ]
@@ -1008,10 +1010,28 @@ class TestBench:
             "string-s-max": 'TypeError: s_max must be an integer; got "1"',
             "float-target": "TypeError: target must be an integer; got 2.5",
             "bool-max-rounds": "TypeError: max_rounds must be an integer; got false",
+            "bool-n": "TypeError: n must be an integer; got true",
+            "string-seed": 'TypeError: seed must be an integer; got "7"',
+            "float-seed": "TypeError: seed must be an integer; got 7.5",
+            "listed-seed": "TypeError: seed must be an integer; got [1]",
             "nulls": "",
             "ints": "",
         }
         assert rows["nulls"]["outcome"] == rows["ints"]["outcome"] == "YES"
+
+    def test_a_line_break_in_a_cell_is_a_space(self, tmp_path, capsys):
+        manifest = [
+            {"name": "two\nlines", "family": {"kind": "path", "n": 4}},
+            {"name": "carriage\rreturn", "family": {"kind": "bucket", "n": 20, "d": 3, "seed": [1]}},
+        ]
+        man_path = tmp_path / "m.json"
+        man_path.write_text(json.dumps([{**row, "task": "lp"} for row in manifest]))
+        code, out = run(capsys, "bench", "--manifest", str(man_path))
+        assert code == 0
+        assert out.count("\n") == 3 and "\r" not in out
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["name"] for row in rows] == ["two lines", "carriage return"]
+        assert rows[0]["outcome"] == "equal"
 
     def test_paths_must_be_json_strings(self, path10, tmp_path):
         # in a child process: open() takes a number as a file descriptor,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import bruteforce
 import corpus
 from drisk.graph import (
-    AnnotatedInstance,
     Graph,
     GraphError,
     _ball_masks,
@@ -75,25 +74,6 @@ class TestVset:
 
     def test_empty_is_fine(self):
         assert vset([], Graph(2)) == ()
-
-
-class TestAnnotatedInstance:
-    def test_normalizes_member_set(self):
-        g = Graph(5, [(0, 1), (1, 2)])
-        inst = AnnotatedInstance(g, [4, 0, 4], 2, 1)
-        assert inst.a_set == (0, 4)
-
-    def test_rejects_bad_radius_or_target(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(GraphError):
-            AnnotatedInstance(g, [0], 0, 1)
-        with pytest.raises(GraphError):
-            AnnotatedInstance(g, [0], 1, 0)
-
-    def test_rejects_out_of_range_members(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(GraphError):
-            AnnotatedInstance(g, [5], 1, 1)
 
 
 class TestDistances:

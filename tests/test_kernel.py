@@ -16,7 +16,6 @@ import drisk.uqw
 import drisk.wcol
 from drisk.generators import gnm_random, grid_graph, path_graph, star_graph
 from drisk.graph import (
-    AnnotatedInstance,
     Graph,
     GraphError,
     distances_from,
@@ -217,22 +216,36 @@ class TestRemoveIrrelevant:
 
 class TestKernelize:
     def test_path_yes_fast_path(self):
-        inst = AnnotatedInstance(path_graph(10), tuple(range(10)), 2, 2)
-        out = kernelize(inst)
+        g = path_graph(10)
+        out = kernelize(g, tuple(range(10)), 2, 2)
         assert out.tag == "YES"
         assert out.witness == (0, 4, 8)
-        assert is_distance_independent(inst.graph, out.witness, 2)
+        assert is_distance_independent(g, out.witness, 2)
         assert len(out.witness) >= 2
 
+    def test_normalizes_member_set(self):
+        g = Graph(5, [(0, 1), (1, 2)])
+        assert kernelize(g, [4, 0, 4], 2, 1) == kernelize(g, [0, 4], 2, 1)
+
+    def test_rejects_bad_radius_or_target(self):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(GraphError, match="radius must be >= 1"):
+            kernelize(g, [0], 0, 1)
+        with pytest.raises(GraphError, match="target k must be >= 1"):
+            kernelize(g, [0], 1, 0)
+
+    def test_rejects_out_of_range_members(self):
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(GraphError):
+            kernelize(g, [5], 1, 1)
+
     def test_no_when_too_few_members(self):
-        inst = AnnotatedInstance(path_graph(10), (3,), 2, 2)
-        out = kernelize(inst)
+        out = kernelize(path_graph(10), (3,), 2, 2)
         assert out.tag == "NO"
         assert out.removal_log == ()
 
     def test_twin_star_kernel(self):
-        inst = AnnotatedInstance(TWIN, TWIN_LEAVES, 2, 3)
-        out = kernelize(inst)
+        out = kernelize(TWIN, TWIN_LEAVES, 2, 3)
         assert out.tag == "KERNEL"
         assert out.b == (4, 5, 9, 10, 11)
         assert out.y == (0, 4, 5, 6, 9, 10, 11)
@@ -240,22 +253,19 @@ class TestKernelize:
         assert len(out.removal_log) == 5
 
     def test_twin_star_yes_at_lower_threshold(self):
-        inst = AnnotatedInstance(TWIN, TWIN_LEAVES, 2, 2)
-        out = kernelize(inst)
+        out = kernelize(TWIN, TWIN_LEAVES, 2, 2)
         assert out.tag == "YES"
         assert is_distance_independent(TWIN, out.witness, 2)
 
     def test_kernel_preserves_independence_number(self):
-        inst = AnnotatedInstance(TWIN, TWIN_LEAVES, 2, 3)
-        out = kernelize(inst)
+        out = kernelize(TWIN, TWIN_LEAVES, 2, 3)
         sub, idmap = induced_subgraph(TWIN, out.y)
         inner = bruteforce.alpha(sub, [idmap[v] for v in out.b], 2)
         outer = bruteforce.alpha(TWIN, TWIN_LEAVES, 2)
         assert min(inner, 3) == min(outer, 3)
 
     def test_kernel_keeps_short_distances_exact(self):
-        inst = AnnotatedInstance(TWIN, TWIN_LEAVES, 2, 3)
-        out = kernelize(inst)
+        out = kernelize(TWIN, TWIN_LEAVES, 2, 3)
         sub, idmap = induced_subgraph(TWIN, out.y)
         for u in out.b:
             du = distances_from(TWIN, u, 2)
@@ -270,8 +280,7 @@ class TestKernelize:
             a = tuple(range(11))
             for r in (1, 2):
                 for k in (2, 3):
-                    inst = AnnotatedInstance(g, a, r, k)
-                    out = kernelize(inst)
+                    out = kernelize(g, a, r, k)
                     truth = bruteforce.alpha(g, a, r) >= k
                     if out.tag == "YES":
                         assert truth, (seed, r, k)
@@ -448,7 +457,7 @@ class TestWorkGuards:
                     return real(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
-        out = kernelize(AnnotatedInstance(grid_graph(12, 12), tuple(range(144)), 2, 5))
+        out = kernelize(grid_graph(12, 12), tuple(range(144)), 2, 5)
         assert out.tag == "YES"
         assert checks == [("is_distance_independent", 2)]
 

@@ -1,5 +1,4 @@
-"""Unit tests for boundary projections, profile classes, and the two
-closure procedures."""
+"""Unit tests for profile classes and the two closure procedures."""
 
 import math
 
@@ -10,17 +9,9 @@ from hypothesis import strategies as st
 import bruteforce
 import corpus
 import drisk.projections
-from drisk.generators import cycle_graph, path_graph, star_graph
+from drisk.generators import path_graph, star_graph
 from drisk.graph import Graph, GraphError, distances_from, induced_subgraph
-from drisk.projections import (
-    ClosureResult,
-    ProjectionProfile,
-    closure,
-    path_closure,
-    profile,
-    profile_classes,
-    projection,
-)
+from drisk.projections import closure, path_closure, profile_classes
 
 INF = math.inf
 
@@ -43,66 +34,6 @@ def draw_sparse_graph(data, min_n=1, max_n=24):
     return Graph(n, edges)
 
 
-class TestProjection:
-    def test_interior_must_avoid_boundary(self):
-        # P5 with boundary {1, 3}: vertex 0 reaches 1 but any walk to 3
-        # would have to pass through the boundary vertex 1
-        g = path_graph(5)
-        assert projection(g, 0, [1, 3], 4) == (1,)
-        assert projection(g, 2, [1, 3], 1) == (1, 3)
-
-    def test_radius_cuts_off(self):
-        g = path_graph(5)
-        assert projection(g, 0, [3], 2) == ()
-        assert projection(g, 0, [3], 3) == (3,)
-
-    def test_boundary_source_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(GraphError):
-            projection(g, 1, [1, 2], 1)
-
-    def test_out_of_range_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(GraphError):
-            projection(g, 7, [1], 1)
-
-    def test_star_leaves_see_only_the_center(self):
-        # with every other vertex on the boundary, a leaf's walks all stop
-        # at the center
-        g = star_graph(5)
-        for leaf in range(1, 6):
-            boundary = [v for v in range(6) if v != leaf]
-            assert projection(g, leaf, boundary, 3) == (0,)
-
-
-class TestProfile:
-    def test_values_and_key(self):
-        g = path_graph(5)
-        p = profile(g, 2, [0, 4], 2)
-        assert p.boundary == (0, 4)
-        assert p.values == {0: 2, 4: 2}
-        assert p.key() == (2, 2)
-        assert p.finite_support() == (0, 4)
-
-    def test_infinity_past_radius(self):
-        g = path_graph(5)
-        p = profile(g, 0, [3, 4], 2)
-        assert p.values == {3: INF, 4: INF}
-        assert p.finite_support() == ()
-
-    def test_matches_reference_on_corpus(self):
-        for name, g in corpus.small_corpus():
-            if g.n < 4:
-                continue
-            boundary = tuple(range(0, g.n, 3))
-            others = [u for u in range(g.n) if u not in boundary]
-            for r in (1, 2, 3):
-                for u in others[:4]:
-                    want = bruteforce.avoiding_profile(g, u, boundary, r)
-                    got = profile(g, u, boundary, r)
-                    assert got.key() == want, (name, u, r)
-
-
 class TestProfileClasses:
     def test_star_leaves_fall_into_one_class(self):
         g = star_graph(5)
@@ -121,20 +52,32 @@ class TestProfileClasses:
         with pytest.raises(GraphError):
             profile_classes(g, [0, 1], [1, 3], 1)
 
+    def test_interior_must_avoid_boundary(self):
+        # P5 with boundary {1, 3} and a detour 1-5-6-7-3: both 0 and 5 are
+        # 1 and 3 steps from 1 and 3, but 0 reaches 3 only through the
+        # boundary vertex 1, so their profiles differ until the radius
+        # cuts the detour off
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (3, 7)])
+        assert profile_classes(g, [0, 5], [1, 3], 4) == ((0,), (5,))
+        assert profile_classes(g, [0, 5], [1, 3], 2) == ((0, 5),)
+
     def test_class_partition_is_exact(self):
         for name, g in corpus.small_corpus():
-            if g.n < 5:
+            if g.n < 4:
                 continue
-            boundary = (0, g.n - 1)
-            cands = [u for u in range(1, g.n - 1)]
-            classes = profile_classes(g, cands, boundary, 2)
-            flat = sorted(v for c in classes for v in c)
-            assert flat == cands, name
-            for cls in classes:
-                keys = {
-                    bruteforce.avoiding_profile(g, u, boundary, 2) for u in cls
-                }
-                assert len(keys) == 1, (name, cls)
+            for boundary, radii in (((0, g.n - 1), (2,)), (tuple(range(0, g.n, 3)), (1, 2, 3))):
+                cands = [u for u in range(g.n) if u not in boundary]
+                for r in radii:
+                    classes = profile_classes(g, cands, boundary, r)
+                    flat = sorted(v for c in classes for v in c)
+                    assert flat == cands, name
+                    keys = [
+                        {bruteforce.avoiding_profile(g, u, boundary, r) for u in cls}
+                        for cls in classes
+                    ]
+                    # one profile per class, and a different one per class
+                    assert all(len(k) == 1 for k in keys), (name, r)
+                    assert len(set().union(*keys)) == len(classes), (name, r)
 
 
     @settings(max_examples=150)
@@ -187,7 +130,7 @@ class TestClosure:
             for u in range(g.n):
                 if u in closed:
                     continue
-                got = len(projection(g, u, res.closed_set, 2))
+                got = sum(d != INF for d in bruteforce.stop_profile(g, u, res.closed_set, 2))
                 assert got <= 2, (name, u)
                 assert got <= res.max_projection or res.max_projection <= 2
 

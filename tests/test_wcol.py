@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import bruteforce
 import corpus
+import drisk.wcol
 from drisk.generators import (
     complete_graph,
     cycle_graph,
     gnm_random,
+    grid_graph,
     path_graph,
     pendant_construction,
     star_graph,
@@ -240,6 +242,14 @@ class TestDualWitness:
         assert is_distance_independent(g, wit, 3)
         assert is_distance_dominating(g, dom, range(6), 3)
 
+    def test_reach_union_is_checked(self, monkeypatch):
+        # vertex 0 reaches nothing past 3 steps
+        monkeypatch.setattr(
+            drisk.wcol, "weak_reach_sets", lambda g, order, r: ((0,),) * g.n
+        )
+        with pytest.raises(RuntimeError, match="reach union fails to dominate"):
+            dual_witness(path_graph(10), range(10), 1)
+
 
 class TestHarmonic:
     def test_values(self):
@@ -285,3 +295,18 @@ class TestDualityReport:
             rep = duality_report(g, range(g.n), 1)
             assert Fraction(len(rep.independent_witness)) <= rep.lp_value, name
             assert rep.lp_value <= Fraction(len(rep.dominating_set)), name
+
+    def test_checks_only_what_it_emits(self, monkeypatch):
+        # the reach scan's union is not reported, so it is never checked:
+        # the greedy cover is checked at r and the witness at 2r+1
+        checks = []
+        for name in ("is_distance_independent", "is_distance_dominating"):
+            real = getattr(drisk.wcol, name)
+
+            def counted(*args, name=name, real=real, **kwargs):
+                checks.append((name, args[-1]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(drisk.wcol, name, counted)
+        duality_report(grid_graph(12, 12), range(144), 1)
+        assert checks == [("is_distance_dominating", 1), ("is_distance_independent", 3)]
