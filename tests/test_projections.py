@@ -34,6 +34,57 @@ def draw_sparse_graph(data, min_n=1, max_n=24):
     return Graph(n, edges)
 
 
+def assert_classes_are_profiles(g, boundary, r, name):
+    """profile_classes over every non-boundary vertex puts each vertex in
+    exactly one class, one reference profile per class and a different
+    one per class."""
+    cands = [u for u in range(g.n) if u not in boundary]
+    classes = profile_classes(g, cands, boundary, r)
+    flat = sorted(v for c in classes for v in c)
+    assert flat == cands, name
+    keys = [
+        {bruteforce.avoiding_profile(g, u, boundary, r) for u in cls}
+        for cls in classes
+    ]
+    assert all(len(k) == 1 for k in keys), (name, r)
+    assert len(set().union(*keys)) == len(classes), (name, r)
+
+
+class TestProjection:
+    def test_interior_must_avoid_boundary(self):
+        # P5 with boundary {1, 3} and a detour 1-5-6-7-3: both 0 and 5 are
+        # 1 and 3 steps from 1 and 3, but 0 reaches 3 only through the
+        # boundary vertex 1, so their profiles differ until the radius
+        # cuts the detour off
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (3, 7)])
+        assert profile_classes(g, [0, 5], [1, 3], 4) == ((0,), (5,))
+        assert profile_classes(g, [0, 5], [1, 3], 2) == ((0, 5),)
+
+    def test_radius_cuts_off(self):
+        # P5 plus an isolated vertex 5: vertex 0 sees the boundary vertex 3
+        # at three steps, so within two it looks as far away as vertex 5
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert profile_classes(g, [0, 5], [3], 2) == ((0, 5),)
+        assert profile_classes(g, [0, 5], [3], 3) == ((0,), (5,))
+
+
+class TestProfile:
+    def test_infinity_past_radius(self):
+        # boundary {3, 4} on P5 plus an isolated vertex 5 at r = 2: vertex 0
+        # is past the radius on both, like 5; vertex 1 sees 3 but not 4,
+        # which lies behind the boundary vertex 3
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert profile_classes(g, [0, 1, 5], [3, 4], 2) == ((0, 5), (1,))
+        assert profile_classes(g, [0, 1, 5], [3, 4], 4) == ((0,), (1,), (5,))
+
+    def test_matches_reference_on_corpus(self):
+        for name, g in corpus.small_corpus():
+            if g.n < 4:
+                continue
+            for r in (1, 2, 3):
+                assert_classes_are_profiles(g, tuple(range(0, g.n, 3)), r, name)
+
+
 class TestProfileClasses:
     def test_star_leaves_fall_into_one_class(self):
         g = star_graph(5)
@@ -52,32 +103,10 @@ class TestProfileClasses:
         with pytest.raises(GraphError):
             profile_classes(g, [0, 1], [1, 3], 1)
 
-    def test_interior_must_avoid_boundary(self):
-        # P5 with boundary {1, 3} and a detour 1-5-6-7-3: both 0 and 5 are
-        # 1 and 3 steps from 1 and 3, but 0 reaches 3 only through the
-        # boundary vertex 1, so their profiles differ until the radius
-        # cuts the detour off
-        g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (3, 7)])
-        assert profile_classes(g, [0, 5], [1, 3], 4) == ((0,), (5,))
-        assert profile_classes(g, [0, 5], [1, 3], 2) == ((0, 5),)
-
     def test_class_partition_is_exact(self):
         for name, g in corpus.small_corpus():
-            if g.n < 4:
-                continue
-            for boundary, radii in (((0, g.n - 1), (2,)), (tuple(range(0, g.n, 3)), (1, 2, 3))):
-                cands = [u for u in range(g.n) if u not in boundary]
-                for r in radii:
-                    classes = profile_classes(g, cands, boundary, r)
-                    flat = sorted(v for c in classes for v in c)
-                    assert flat == cands, name
-                    keys = [
-                        {bruteforce.avoiding_profile(g, u, boundary, r) for u in cls}
-                        for cls in classes
-                    ]
-                    # one profile per class, and a different one per class
-                    assert all(len(k) == 1 for k in keys), (name, r)
-                    assert len(set().union(*keys)) == len(classes), (name, r)
+            if g.n >= 4:
+                assert_classes_are_profiles(g, (0, g.n - 1), 2, name)
 
 
     @settings(max_examples=150)
