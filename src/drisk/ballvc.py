@@ -127,7 +127,8 @@ def two_vc_dimension(
 ) -> Tuple[int, Optional[TwoShatterWitness]]:
     """Largest subset of a all of whose 2-element subsets are exact
     traces of radius-r balls of g, together with one witness at the
-    maximum whose pairs name their ball centers."""
+    maximum whose pairs name their ball centers.  The witness is checked
+    by validate_two_shatter before it is returned."""
     if r < 0:
         raise GraphError("radius must be >= 0")
     members = vset(a, g)
@@ -135,7 +136,13 @@ def two_vc_dimension(
         raise OracleLimitError(
             f"pair-shattering search limited to {limit} elements, got {len(members)}"
         )
-    return _two_shattered(members, _ball_masks(g, members, r))
+    dim, witness = _two_shattered(members, _ball_masks(g, members, r))
+    if witness is not None:
+        try:
+            validate_two_shatter(g, r, witness)
+        except GraphError as exc:
+            raise RuntimeError(f"internal: invalid pair-shattering witness: {exc}")
+    return dim, witness
 
 
 def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:

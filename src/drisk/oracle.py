@@ -3,8 +3,9 @@ numbers, the fractional domination LP with its packing dual, and brute-force
 depth-bounded clique-minor search.
 
 These are the oracles everything else is judged against, so they favor
-clarity and verifiability over speed and refuse instances beyond their
-configured search limits instead of degrading silently.
+clarity and verifiability over speed, check every answer before they
+return it, and refuse instances beyond their configured search limits
+instead of degrading silently.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, _ball_masks, vset
+from .graph import (
+    Graph,
+    GraphError,
+    _ball_masks,
+    is_distance_dominating,
+    is_distance_independent,
+    vset,
+)
 from .simplex import solve_max
 
 F0 = Fraction(0)
@@ -83,7 +91,8 @@ def _max_clique(n: int, adj: List[int]) -> Tuple[int, int]:
 
 
 def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
-    """Largest subset of a with pairwise distance > r, with a witness."""
+    """Largest subset of a with pairwise distance > r, with a witness,
+    which is checked by BFS at r before it is returned."""
     if r < 0:
         raise GraphError("radius must be >= 0")
     members = vset(a, g)
@@ -100,6 +109,8 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
     comp = [full & ~masks[v] for v in members]
     size, mask = _max_clique(n, comp)
     witness = tuple(members[i] for i in range(n) if (mask >> i) & 1)
+    if not is_distance_independent(g, witness, r):
+        raise RuntimeError("internal: invalid independence witness")
     return size, witness
 
 
@@ -116,7 +127,8 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     no two of which share a ball (the duality alpha_2r <= gamma_r,
     restricted to what is left) and ceil(|uncovered| / largest gain).
     Branches keep their order and the best cover is replaced only by a
-    strictly smaller one, so neither bound changes the witness."""
+    strictly smaller one, so neither bound changes the witness.  The
+    witness is checked to dominate a at r before it is returned."""
     if r < 0:
         raise GraphError("radius must be >= 0")
     members = vset(a, g)
@@ -181,7 +193,10 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     for unc, chosen in _walk((full, ()), children):
         if not unc and len(chosen) < best_len:
             best, best_len = chosen, len(chosen)
-    return best_len, tuple(sorted(by_mask[m] for m in best))
+    witness = tuple(sorted(by_mask[m] for m in best))
+    if not is_distance_dominating(g, witness, members, r):
+        raise RuntimeError("internal: invalid domination witness")
+    return best_len, witness
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +344,7 @@ def _connected_sets_bounded(adjm: List[int], cap: int) -> List[int]:
 
 
 def find_clique_minor(
-    g: Graph, t: int, r: int, vertex_limit: int = 16
+    g: Graph, t: int, r: int, limit: int = 16
 ) -> Optional[MinorModel]:
     """Search exhaustively for a depth-r model of the complete graph on t
     branch sets; returns a validated model or None.
@@ -347,9 +362,9 @@ def find_clique_minor(
         raise GraphError("radius must be >= 0")
     if t > 5:
         raise OracleLimitError("clique-minor search limited to t <= 5")
-    if g.n > vertex_limit:
+    if g.n > limit:
         raise OracleLimitError(
-            f"clique-minor search limited to {vertex_limit} vertices, got {g.n}"
+            f"clique-minor search limited to {limit} vertices, got {g.n}"
         )
     if t == 1:
         return MinorModel(((0,),), r) if g.n else None

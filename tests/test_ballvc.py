@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 import corpus
+import drisk.ballvc
 from drisk.ballvc import (
     TwoShatterWitness,
     _two_shattered,
@@ -64,6 +65,17 @@ class TestTwoVcDimension:
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
             two_vc_dimension(path_graph(3), [2, 9], 1)
+
+    def test_witness_is_checked(self, monkeypatch):
+        # the 1-ball of vertex 5 misses both 0 and 2, so it traces no pair
+        bad = TwoShatterWitness((0, 2), {(0, 2): 5})
+        monkeypatch.setattr(drisk.ballvc, "_two_shattered", lambda members, masks: (2, bad))
+        with pytest.raises(RuntimeError) as err:
+            two_vc_dimension(path_graph(10), range(10), 1)
+        assert str(err.value) == (
+            "internal: invalid pair-shattering witness: "
+            "ball of 5 meets the set in [], expected {0, 2}"
+        )
 
     def test_matches_reference_on_corpus(self):
         for name, g in corpus.small_corpus():

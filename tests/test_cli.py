@@ -13,6 +13,7 @@ import pytest
 
 import bruteforce
 import corpus
+import drisk.ballvc
 import drisk.cli
 import drisk.graph
 import drisk.kernel
@@ -443,6 +444,20 @@ class TestSolve:
         assert code == 0
         assert rep["outputs"]["value"] == 1200
 
+    @pytest.mark.parametrize("problem,line", [
+        (["alpha"], "independence oracle limited to |A| <= 40, got 41"),
+        (["gamma"], "domination oracle limited to |A| <= 40, got 41"),
+        (["vc2"], "pair-shattering search limited to 24 elements, got 41"),
+        (["minor", "--t", "2"], "clique-minor search limited to 16 vertices, got 41"),
+    ], ids=["alpha", "gamma", "vc2", "minor"])
+    def test_default_limits_are_the_oracles(self, problem, line, tmp_path, capsys):
+        p41 = tmp_path / "p41.gr"
+        run(capsys, "gen", "path", "--n", "41", "--out", str(p41))
+        code = main(["solve", *problem, "--input", str(p41)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"oracle limit: {line}\n"
+
     def test_oracle_refusal_exits_two(self, tmp_path, capsys):
         big = tmp_path / "p50.gr"
         run(capsys, "gen", "path", "--n", "50", "--out", str(big))
@@ -526,7 +541,7 @@ class TestSolve:
     def test_vc2_witness_is_rechecked(self, path10, capsys, monkeypatch):
         # the 1-ball of vertex 5 misses both 0 and 2, so it traces no pair
         bad = TwoShatterWitness((0, 2), {(0, 2): 5})
-        monkeypatch.setattr(drisk.cli, "two_vc_dimension", lambda g, a, r, limit: (2, bad))
+        monkeypatch.setattr(drisk.ballvc, "_two_shattered", lambda members, masks: (2, bad))
         code = main(["solve", "vc2", "--input", path10, "--r", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -535,10 +550,9 @@ class TestSolve:
         assert captured.err.startswith("internal error: invalid pair-shattering witness")
 
     def test_failed_self_check_exits_one_with_one_line(self, path10, capsys, monkeypatch):
-        # an adjacent pair is not a 1-independent witness
-        monkeypatch.setattr(
-            drisk.cli, "independence_number", lambda g, a, r, limit: (2, (0, 1))
-        )
+        # the clique on bits 0 and 1 is the adjacent pair (0, 1), which is
+        # not a 1-independent witness
+        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj: (2, 0b11))
         code = main(["solve", "alpha", "--input", path10, "--r", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -547,8 +561,10 @@ class TestSolve:
         assert "Traceback" not in captured.err
 
     def test_gamma_witness_is_rechecked(self, path10, capsys, monkeypatch):
+        # a ball table in which vertex 0 covers every member
         monkeypatch.setattr(
-            drisk.cli, "domination_number", lambda g, a, r, limit: (1, (0,))
+            drisk.oracle, "_ball_masks",
+            lambda g, members, r: [(1 << len(members)) - 1] + [0] * (g.n - 1),
         )
         assert internal_error(capsys, "solve", "gamma", "--input", path10, "--r", "1") \
             == "invalid domination witness"
@@ -838,6 +854,21 @@ class TestVerifyCert:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("log,line", [
+        ([{"certificate": TWIN_CERT}], "malformed removal log entry 0: 'removed'"),
+        ([{"removed": 1}], "malformed removal log entry 0: 'certificate'"),
+        ({"schema": 1}, "malformed removal log: expected a list of entries"),
+    ], ids=["no-removed", "no-certificate", "no-entries"])
+    def test_missing_log_keys_are_malformed(self, log, line, twin, tmp_path, capsys):
+        graph_path, a_path = twin
+        log_path = tmp_path / "bad.log.json"
+        log_path.write_text(json.dumps(log))
+        code = main([
+            "verify-cert", "--input", graph_path, "--a-file", a_path,
+            "--log", str(log_path),
+        ])
+        assert (code, capsys.readouterr().err) == (3, f"input error: {line}\n")
 
     def test_cert_and_log_are_mutually_exclusive(self, twin, tmp_path):
         graph_path, _ = twin

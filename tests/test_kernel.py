@@ -252,6 +252,11 @@ class TestKernelize:
         assert set(out.b) <= set(out.y)
         assert len(out.removal_log) == 5
 
+    def test_members_outside_y_are_refused(self, monkeypatch):
+        monkeypatch.setattr(drisk.kernel, "path_closure", lambda g, b, r: ())
+        with pytest.raises(RuntimeError, match="^internal: kernel members not inside Y$"):
+            kernelize(TWIN, TWIN_LEAVES, 2, 3)
+
     def test_twin_star_yes_at_lower_threshold(self):
         out = kernelize(TWIN, TWIN_LEAVES, 2, 2)
         assert out.tag == "YES"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 import corpus
+import drisk.oracle
 from drisk.generators import (
     complete_graph,
     cycle_graph,
@@ -75,6 +76,12 @@ class TestIndependenceNumber:
         with pytest.raises(GraphError, match="radius must be >= 0"):
             independence_number(path_graph(4), range(4), -1)
 
+    def test_witness_is_checked(self, monkeypatch):
+        # the clique on bits 0 and 1 is the adjacent pair (0, 1)
+        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj: (2, 0b11))
+        with pytest.raises(RuntimeError, match="^internal: invalid independence witness$"):
+            independence_number(path_graph(10), range(10), 1)
+
     @settings(max_examples=150)
     @given(st.data())
     def test_clique_search_matches_recursive_version(self, data):
@@ -124,6 +131,15 @@ class TestDominationNumber:
             domination_number(path_graph(4), range(4), -1)
         with pytest.raises(GraphError, match="radius must be >= 0"):
             domination_number(path_graph(4), [], -1)
+
+    def test_witness_is_checked(self, monkeypatch):
+        # a ball table in which vertex 0 covers every member
+        monkeypatch.setattr(
+            drisk.oracle, "_ball_masks",
+            lambda g, members, r: [(1 << len(members)) - 1] + [0] * (g.n - 1),
+        )
+        with pytest.raises(RuntimeError, match="^internal: invalid domination witness$"):
+            domination_number(path_graph(10), range(10), 1)
 
     def test_search_deeper_than_the_recursion_limit(self):
         # gamma_1 = 2 with a greedy cover of 3, plus k paths on 3 vertices
