@@ -116,13 +116,16 @@ def multi_source_distances(
     return dist
 
 
-def _descend(g: Graph, dist: Dict[int, int], start: int) -> List[int]:
+def _descend(
+    g: Graph, dist: Dict[int, int], start: int, stop: Container[int] = ()
+) -> List[int]:
     """Path from start down the levels of dist to a level-0 vertex, each
-    step taking the smallest-id neighbour one level lower."""
+    step taking the smallest-id neighbour one level lower.  A path that
+    reaches a vertex of stop ends there."""
     adj = g.adjacency
     path = [start]
     level = dist[start]
-    while level:
+    while level and start not in stop:
         level -= 1
         # adjacency lists are sorted, so the first match has the smallest id
         start = next(w for w in adj[start] if dist.get(w) == level)

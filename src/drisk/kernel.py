@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .graph import (
     Graph,
@@ -27,7 +27,14 @@ from .graph import (
     multi_source_distances,
     vset,
 )
-from .projections import closure, path_closure, profile_classes
+from .projections import (
+    ProfileKey,
+    _profile_groups,
+    _profile_key,
+    closure,
+    path_closure,
+    profile_classes,
+)
 from .uqw import scattered_ladder
 from .wcol import _reach_scan, greedy_ball_cover, order_heuristic
 
@@ -129,17 +136,23 @@ def _find_removable_class(
     z: Tuple[int, ...],
     r: int,
     policy: KernelPolicy,
+    keys: Dict[int, ProfileKey],
 ) -> Optional[IrrelevanceCertificate]:
     """One round of the splitter: pick the largest profile class of
     A minus z, ladder up deletion sets at radius 4r, and return the
     first certificate whose far, profile and size conditions work out.
+
+    keys holds profile keys on z at radius 2r from earlier rounds on
+    the same z; the keys of the other candidates are added to it.
     """
     zset = set(z)
     candidates = tuple(x for x in members if x not in zset)
     if not candidates:
         return None
-    classes = profile_classes(g, candidates, z, 2 * r)
-    bulk = classes[0]
+    for u in candidates:
+        if u not in keys:
+            keys[u] = _profile_key(g, u, z, zset, 2 * r)
+    bulk = _profile_groups(candidates, keys)[0]
     d = r // 2
     # A rung with deletion set s certifies only with |s|+2 far members of
     # its b, a subset of bulk, so rungs past |bulk|-2 deletions are futile.
@@ -173,6 +186,14 @@ def remove_irrelevant(
     the command line writes it.  An exhausted ladder ends the loop
     without removing anything further; it can cost kernel size, never
     correctness.
+
+    Work whose inputs have not changed is carried to the next round
+    rather than redone, so each round finds what a rebuild would.
+    The closure reads only g, the set of the greedy cover, 2r and the
+    target, so it is kept while that cover and target repeat.  A
+    candidate's profile key reads only g, the candidate, the closed set
+    z and 2r, so the keys are kept while z repeats; the candidates are
+    then the last round's minus its victim.
     """
     if r < 1:
         raise GraphError("radius must be at least 1")
@@ -182,13 +203,21 @@ def remove_irrelevant(
     members = vset(a, g)
     log: List[Tuple[int, IrrelevanceCertificate]] = []
     d = r // 2
+    closed_key: Optional[Tuple[FrozenSet[int], int]] = None
+    keys: Dict[int, ProfileKey] = {}
+    z: Tuple[int, ...] = ()
     while len(members) >= k:
         if policy.max_rounds is not None and len(log) >= policy.max_rounds:
             break
         dom = greedy_ball_cover(g, members, d)
         target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
-        closed = closure(g, dom, 2 * r, target)
-        cert = _find_removable_class(g, members, closed.closed_set, r, policy)
+        key = (frozenset(dom), target)
+        if key != closed_key:
+            closed_key = key
+            closed = closure(g, dom, 2 * r, target).closed_set
+            if closed != z:
+                z, keys = closed, {}
+        cert = _find_removable_class(g, members, z, r, policy, keys)
         if cert is None:
             break
         name = check_certificate(g, members, cert)

@@ -10,9 +10,10 @@ vertex, with infinity where there is none.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .graph import (
     Graph,
@@ -37,12 +38,31 @@ def profile_classes(
     if set(cands) & set(bound):
         raise GraphError("candidates may not meet the boundary")
     bset = set(bound)
-    groups: Dict[Tuple[float, ...], List[int]] = {}
+    keys = {u: _profile_key(g, u, bound, bset, r) for u in cands}
+    return _profile_groups(cands, keys)
+
+
+ProfileKey = Tuple[float, ...]
+
+
+def _profile_key(
+    g: Graph, u: int, bound: Tuple[int, ...], bset: Container[int], r: int
+) -> ProfileKey:
+    """u's profile on the sorted boundary bound (bset holds the same
+    vertices): the search stops at r, so every recorded length is
+    within the radius."""
+    dist = multi_source_distances(g, (u,), r, stop=bset)
+    return tuple(dist.get(v, INF) for v in bound)
+
+
+def _profile_groups(
+    cands: Iterable[int], keys: Mapping[int, ProfileKey]
+) -> Tuple[Tuple[int, ...], ...]:
+    """The candidates grouped by their keys, largest class first (ties
+    by members)."""
+    groups: Dict[ProfileKey, List[int]] = {}
     for u in cands:
-        # the profile key of u: the search stops at r, so every
-        # recorded length is within the radius
-        dist = multi_source_distances(g, (u,), r, stop=bset)
-        groups.setdefault(tuple(dist.get(v, INF) for v in bound), []).append(u)
+        groups.setdefault(keys[u], []).append(u)
     classes = [tuple(sorted(vs)) for vs in groups.values()]
     classes.sort(key=lambda c: (-len(c), c))
     return tuple(classes)
@@ -61,6 +81,12 @@ def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
     members of the grown set, by repeatedly absorbing the outside vertex
     with the largest projection (smallest id on ties).  The fixpoint is
     reached after at most n additions.
+
+    The result reads only g, set(x), r and target, so a caller that
+    meets the same inputs again may keep the last result instead of
+    calling again.  The pick comes off a heap of (-size, vertex) whose
+    entries go stale when a size changes or the vertex is absorbed;
+    stale ones are skipped, so the pick is the same as a scan's.
     """
     if target < 1:
         raise GraphError("projection target must be >= 1")
@@ -70,12 +96,16 @@ def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
         return len(closed.intersection(multi_source_distances(g, (u,), r, stop=closed)))
 
     sizes = {u: size(u) for u in range(g.n) if u not in closed}
+    heap = [(-s, u) for u, s in sizes.items()]
+    heapq.heapify(heap)
     additions = 0
     while True:
-        mx = max(sizes.values(), default=0)
+        while heap and sizes.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        mx = -heap[0][0] if heap else 0
         if mx <= target:
             return ClosureResult(tuple(sorted(closed)), mx, additions, target)
-        best = max(sizes, key=lambda u: (sizes[u], -u))
+        best = heapq.heappop(heap)[1]
         # Only a vertex with a path of length <= r to best whose interior
         # avoids the closed set can gain best or lose a member reached
         # through it; every other projection size stays as it was.
@@ -84,7 +114,10 @@ def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
         del sizes[best]
         for u in touched:
             if u not in closed:
-                sizes[u] = size(u)
+                new = size(u)
+                if new != sizes[u]:
+                    sizes[u] = new
+                    heapq.heappush(heap, (-new, u))
         additions += 1
 
 
@@ -95,16 +128,27 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     One shortest path per qualifying pair is added, walked greedily
     along BFS levels with smallest-id steps.  The distance-preservation
     property is re-verified on the result before returning.
+
+    Each member's partners come from its own ball, since distance is
+    symmetric.  A walk toward v steps from each vertex the same way
+    whichever pair it serves, so it stops at the first vertex an
+    earlier walk toward v has passed: the rest of the path is grown
+    already, and the grown set is that of walking every path in full.
     """
     members = vset(x, g)
+    mset = set(members)
     grown = set(members)
     dists = {v: distances_from(g, v, r) for v in members}
+    walked: Dict[int, Set[int]] = {v: set() for v in members}
     partners: Dict[int, List[int]] = {}
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if u in dists[v]:
-                partners.setdefault(u, []).append(v)
-                grown.update(_descend(g, dists[v], u))
+    for u in members:
+        vs = sorted(v for v in dists[u] if v > u and v in mset)
+        if vs:
+            partners[u] = vs
+        for v in vs:
+            path = _descend(g, dists[v], u, walked[v])
+            walked[v].update(path)
+            grown.update(path)
     closed = tuple(sorted(grown))
     sub, idmap = induced_subgraph(g, closed)
     for u, vs in partners.items():

@@ -8,8 +8,9 @@ library functions kept verbatim, so tests can hold a rewrite to the
 answers it replaced, and lp_packing, the packing solve that moved here
 from drisk.oracle.  Those call the library helpers they always called
 (among them _ball_masks, ball, distances_from, multi_source_distances,
-induced_subgraph, the distance validators, oracle._radius_at_most,
-oracle._audit_packing, validate_minor_model and solve_max), and
+_descend, induced_subgraph, the distance validators, oracle._radius_at_most,
+oracle._audit_packing, validate_minor_model, solve_max, greedy_ball_cover,
+profile_classes, scattered_ladder and the kernel's certificate checks), and
 share whatever fault those helpers have with the code they pin;
 minor_model_holds checks a clique-minor model without them, and lp_cover
 solves the cover LP with this module's own distances and dense simplex.
@@ -29,6 +30,7 @@ from drisk.graph import (
     Graph,
     GraphError,
     _ball_masks,
+    _descend,
     ball,
     distances_from,
     induced_subgraph,
@@ -37,7 +39,13 @@ from drisk.graph import (
     multi_source_distances,
     vset,
 )
-from drisk.kernel import IrrelevanceCertificate
+from drisk.kernel import (
+    IrrelevanceCertificate,
+    KernelPolicy,
+    RemovalLog,
+    _far_members,
+    check_certificate,
+)
 from drisk.oracle import (
     LpSolution,
     MinorModel,
@@ -46,8 +54,10 @@ from drisk.oracle import (
     _radius_at_most,
     validate_minor_model,
 )
-from drisk.projections import ClosureResult
+from drisk.projections import ClosureResult, profile_classes
 from drisk.simplex import LpOptimum, LpUnbounded, SimplexStall, solve_max
+from drisk.uqw import scattered_ladder
+from drisk.wcol import greedy_ball_cover
 
 INF = math.inf
 
@@ -717,6 +727,154 @@ def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...
             if len(cls) >= need:
                 return IrrelevanceCertificate(z, s, cls, r, d)
     return None
+
+
+# The removal round loop, its splitter, the closure and the path closure
+# as they were before the loop carried the closure and the profile keys
+# from round to round, the closure picked from a heap, and the path
+# closure found partners in each member's ball and stopped its walks at
+# vertices walked before.  They are kept verbatim apart from their names
+# (and the names of each other they call), so tests can pin the new ones
+# to them.
+
+
+def find_removable_class_fresh(
+    g: Graph,
+    members: Tuple[int, ...],
+    z: Tuple[int, ...],
+    r: int,
+    policy: KernelPolicy,
+) -> Optional[IrrelevanceCertificate]:
+    """One round of the splitter: pick the largest profile class of
+    A minus z, ladder up deletion sets at radius 4r, and return the
+    first certificate whose far, profile and size conditions work out.
+    """
+    zset = set(z)
+    candidates = tuple(x for x in members if x not in zset)
+    if not candidates:
+        return None
+    classes = profile_classes(g, candidates, z, 2 * r)
+    bulk = classes[0]
+    d = r // 2
+    # A rung with deletion set s certifies only with |s|+2 far members of
+    # its b, a subset of bulk, so rungs past |bulk|-2 deletions are futile.
+    s_max = min(policy.uqw_s_max, len(bulk) - 2)
+    if s_max < 0:
+        return None
+    for s, b in scattered_ladder(g, bulk, 4 * r, s_max):
+        need = len(s) + 2
+        far = _far_members(g, b, z, s, r)
+        if len(far) < need:
+            continue
+        for cls in profile_classes(g, far, s, r) if s else (far,):
+            if len(cls) >= need:
+                return IrrelevanceCertificate(z, s, cls, r, d)
+    return None
+
+
+def remove_irrelevant_rounds(
+    g: Graph,
+    a: Iterable[int],
+    k: int,
+    r: int,
+    policy: Optional[KernelPolicy] = None,
+) -> Tuple[Tuple[int, ...], RemovalLog]:
+    """Repeatedly remove one certified-irrelevant member of a (the
+    smallest id in the certified class), until no certificate is found,
+    the round cap is hit, or fewer than k members remain.
+
+    Every logged certificate has passed check_certificate against the
+    member set it was applied to; this is the log's one check before
+    the command line writes it.  An exhausted ladder ends the loop
+    without removing anything further; it can cost kernel size, never
+    correctness.
+    """
+    if r < 1:
+        raise GraphError("radius must be at least 1")
+    if k < 1:
+        raise GraphError("threshold must be at least 1")
+    policy = policy or KernelPolicy()
+    members = vset(a, g)
+    log: List[Tuple[int, IrrelevanceCertificate]] = []
+    d = r // 2
+    while len(members) >= k:
+        if policy.max_rounds is not None and len(log) >= policy.max_rounds:
+            break
+        dom = greedy_ball_cover(g, members, d)
+        target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
+        closed = closure_maxscan(g, dom, 2 * r, target)
+        cert = find_removable_class_fresh(g, members, closed.closed_set, r, policy)
+        if cert is None:
+            break
+        name = check_certificate(g, members, cert)
+        if name is not None:
+            raise RuntimeError(f"internal: pipeline emitted a bad certificate ({name})")
+        victim = min(cert.l_prime)
+        members = tuple(v for v in members if v != victim)
+        log.append((victim, cert))
+    return members, tuple(log)
+
+
+def closure_maxscan(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
+    """Grow x until every outside vertex projects onto at most target
+    members of the grown set, by repeatedly absorbing the outside vertex
+    with the largest projection (smallest id on ties).  The fixpoint is
+    reached after at most n additions.
+    """
+    if target < 1:
+        raise GraphError("projection target must be >= 1")
+    closed = set(vset(x, g))
+
+    def size(u: int) -> int:
+        return len(closed.intersection(multi_source_distances(g, (u,), r, stop=closed)))
+
+    sizes = {u: size(u) for u in range(g.n) if u not in closed}
+    additions = 0
+    while True:
+        mx = max(sizes.values(), default=0)
+        if mx <= target:
+            return ClosureResult(tuple(sorted(closed)), mx, additions, target)
+        best = max(sizes, key=lambda u: (sizes[u], -u))
+        # Only a vertex with a path of length <= r to best whose interior
+        # avoids the closed set can gain best or lose a member reached
+        # through it; every other projection size stays as it was.
+        touched = multi_source_distances(g, (best,), r, stop=closed)
+        closed.add(best)
+        del sizes[best]
+        for u in touched:
+            if u not in closed:
+                sizes[u] = size(u)
+        additions += 1
+
+
+def path_closure_pairs(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
+    """Superset of x in which every pair of x at distance <= r keeps its
+    exact distance inside the induced subgraph.
+
+    One shortest path per qualifying pair is added, walked greedily
+    along BFS levels with smallest-id steps.  The distance-preservation
+    property is re-verified on the result before returning.
+    """
+    members = vset(x, g)
+    grown = set(members)
+    dists = {v: distances_from(g, v, r) for v in members}
+    partners: Dict[int, List[int]] = {}
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
+            if u in dists[v]:
+                partners.setdefault(u, []).append(v)
+                grown.update(_descend(g, dists[v], u))
+    closed = tuple(sorted(grown))
+    sub, idmap = induced_subgraph(g, closed)
+    for u, vs in partners.items():
+        inside = distances_from(sub, idmap[u], r)
+        for v in vs:
+            if inside.get(idmap[v]) != dists[v][u]:
+                raise RuntimeError(
+                    "internal: induced distance not preserved by path closure"
+                )
+    return closed
+
 
 # uqw.scattered_ladder and its greedy packing as they were before both
 # read one ball-trace table per rung (graph._ball_masks on the members,

@@ -4,6 +4,7 @@ small_corpus  - n <= 14, exercised against the brute-force references
 tiny_connected - connected graphs with n <= 7 for the gadget identities
 mid_corpus    - n <= 24 for the LP duality sweep
 kernel_corpus - (graph, members, name) triples with n <= 50
+member_corpus - (name, graph, members) triples: small_corpus and twin stars
 """
 
 from __future__ import annotations
@@ -140,4 +141,16 @@ def kernel_corpus() -> List[Tuple[str, Graph, Tuple[int, ...]]]:
     for seed in range(3):
         g = gnm_random(30, 45, 30 + seed)
         out.append((f"gnm30_{seed}", g, tuple(range(0, 30, 2))))
+    return out
+
+
+def member_corpus() -> List[Tuple[str, Graph, Tuple[int, ...]]]:
+    """small_corpus with every vertex and with every other one as
+    members, and twin stars with 2 to 16 leaves a side on their leaves."""
+    out: List[Tuple[str, Graph, Tuple[int, ...]]] = []
+    for name, g in small_corpus():
+        out.append((name, g, tuple(range(g.n))))
+        out.append((name + "/even", g, tuple(range(0, g.n, 2))))
+    for p in range(2, 17):
+        out.append((f"twins{p}", twin_stars(p, 9), twin_star_leaves(p)))
     return out

@@ -700,7 +700,7 @@ class TestKernel:
         # is enough to apply it
         bad = IrrelevanceCertificate((0, 6), (), (1, 2, 3, 4, 5), 2, 1)
         monkeypatch.setattr(
-            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy: bad
+            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy, keys: bad
         )
         graph_path, a_path = twin
         assert internal_error(

@@ -337,7 +337,9 @@ def reference_pipeline():
         mp.setattr(
             drisk.kernel,
             "_find_removable_class",
-            bruteforce.find_removable_class_uncapped,
+            lambda g, members, z, r, policy, keys: (
+                bruteforce.find_removable_class_uncapped(g, members, z, r, policy)
+            ),
         )
         mp.setattr(
             drisk.kernel, "check_certificate", bruteforce.check_certificate_induced
@@ -485,3 +487,109 @@ class TestWorkGuards:
         # (iterations + 1) * n BFS calls
         assert len(calls) < (res.iterations + 1) * g.n
         assert len(calls) < 2 * g.n
+
+
+class TestMatchesRebuiltRounds:
+    """remove_irrelevant carries the closure and the profile keys from
+    round to round; bruteforce.remove_irrelevant_rounds rebuilds both in
+    every round, with the closure's max scan."""
+
+    def test_corpus_and_twin_stars(self):
+        removals = 0
+        for name, g, a in corpus.member_corpus():
+            for r in (1, 2, 3):
+                got = remove_irrelevant(g, a, 2, r)
+                assert got == bruteforce.remove_irrelevant_rounds(g, a, 2, r), (name, r)
+                removals += len(got[1])
+        assert removals > 0
+
+    def test_random_graphs(self):
+        removals = []
+
+        @settings(max_examples=200)
+        @given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 14), label="n")
+            m = data.draw(st.integers(0, min(2 * n, n * (n - 1) // 2)), label="m")
+            g = gnm_random(n, m, data.draw(st.integers(0, 999), label="seed"))
+            if data.draw(st.booleans(), label="all"):
+                a = tuple(range(n))
+            else:
+                a = tuple(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="a"))
+            r = data.draw(st.integers(1, 3), label="r")
+            k = data.draw(st.integers(1, 4), label="k")
+            policy = KernelPolicy(
+                closure_target=data.draw(st.sampled_from((None, 1, 2)), label="target"),
+                uqw_s_max=data.draw(st.integers(0, 3), label="s_max"),
+            )
+            got = remove_irrelevant(g, a, k, r, policy)
+            assert got == bruteforce.remove_irrelevant_rounds(g, a, k, r, policy)
+            removals.append(len(got[1]))
+
+        check()
+        assert sum(removals) > 0
+
+    @staticmethod
+    def record_reuse(monkeypatch, g, a, k, r):
+        """Run remove_irrelevant, recording each closure's (cover, target),
+        each profile search's (candidate, z) and each round's (members,
+        z); also returns the profile searches a round must make: all its
+        candidates when its z differs from the round before, else none."""
+        closures, profiled, rounds = [], [], []
+        real_closure = drisk.kernel.closure
+        real_key = drisk.kernel._profile_key
+        real_find = drisk.kernel._find_removable_class
+
+        def counted_closure(g, x, r, target):
+            closures.append((frozenset(x), target))
+            return real_closure(g, x, r, target)
+
+        def counted_key(g, u, bound, bset, r):
+            profiled.append((u, bound))
+            return real_key(g, u, bound, bset, r)
+
+        def recorded_find(g, members, z, r, policy, keys):
+            rounds.append((members, z))
+            return real_find(g, members, z, r, policy, keys)
+
+        monkeypatch.setattr(drisk.kernel, "closure", counted_closure)
+        monkeypatch.setattr(drisk.kernel, "_profile_key", counted_key)
+        monkeypatch.setattr(drisk.kernel, "_find_removable_class", recorded_find)
+        got = remove_irrelevant(g, a, k, r)
+        want, last_z = [], None
+        for members, z in rounds:
+            if z != last_z:
+                want += [(u, z) for u in members if u not in z]
+                last_z = z
+        return got, closures, profiled, rounds, want
+
+    def test_twin_stars_reuse_closures_and_profile_keys(self, monkeypatch):
+        g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
+        (_, log), closures, profiled, rounds, want = self.record_reuse(
+            monkeypatch, g, a, 3, 2
+        )
+        assert len(log) == len(rounds) - 1 > 20
+        # one closure per distinct (cover, target), far fewer than rounds
+        assert len(closures) == len(set(closures)) < len(rounds)
+        assert profiled == want
+        assert len(profiled) < sum(len(m) for m, _ in rounds) // 4
+
+    def test_a_new_closed_set_drops_the_kept_keys(self, monkeypatch):
+        # A cover that also holds the middle member still dominates, and
+        # it changes as members go, which the true cover does not on these
+        # inputs, so z changes too; both loops run on it.
+        real_cover = drisk.kernel.greedy_ball_cover
+
+        def cover(g, members, d):
+            return tuple(sorted({*real_cover(g, members, d), members[len(members) // 2]}))
+
+        monkeypatch.setattr(drisk.kernel, "greedy_ball_cover", cover)
+        monkeypatch.setattr(bruteforce, "greedy_ball_cover", cover)
+        g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
+        got, closures, profiled, rounds, want = self.record_reuse(
+            monkeypatch, g, a, 3, 2
+        )
+        assert got == bruteforce.remove_irrelevant_rounds(g, a, 3, 2)
+        assert len({z for _, z in rounds}) > 2
+        assert len(closures) == len(set(closures)) < len(rounds)
+        assert profiled == want

@@ -12,6 +12,7 @@ import drisk.projections
 from drisk.generators import path_graph, star_graph
 from drisk.graph import Graph, GraphError, distances_from, induced_subgraph
 from drisk.projections import closure, path_closure, profile_classes
+from drisk.wcol import greedy_ball_cover
 
 INF = math.inf
 
@@ -209,7 +210,7 @@ class TestPathClosure:
     def test_unpreserved_distance_is_an_internal_error(self, monkeypatch):
         # a descent that adds no inner vertex cuts 0 from 3 (two apart
         # through 2); 0's other partner, 1, is adjacent and stays fine
-        monkeypatch.setattr(drisk.projections, "_descend", lambda g, dist, start: [start])
+        monkeypatch.setattr(drisk.projections, "_descend", lambda g, dist, start, stop=(): [start])
         g = Graph(4, [(0, 1), (0, 2), (2, 3)])
         with pytest.raises(RuntimeError, match="induced distance not preserved"):
             path_closure(g, [0, 1, 3], 2)
@@ -229,3 +230,36 @@ class TestPathClosure:
                     for v in members:
                         if v in du:
                             assert inside.get(idmap[v]) == du[v], (name, u, v, r)
+
+
+def assert_matches_scans(g, a, r, target, name):
+    """closure on a and on its half-radius cover at 2r, and path_closure
+    at r, against the scanning versions they replaced."""
+    for x in (a, greedy_ball_cover(g, a, r // 2)):
+        got = closure(g, x, 2 * r, target)
+        assert got == bruteforce.closure_maxscan(g, x, 2 * r, target), (name, r, target)
+    assert path_closure(g, a, r) == bruteforce.path_closure_pairs(g, a, r), (name, r)
+
+
+class TestMatchesScanningVersions:
+    """closure picks from a lazy heap and path_closure stops its walks at
+    vertices walked before; bruteforce.closure_maxscan scans all sizes per
+    pick and bruteforce.path_closure_pairs walks every pair in full."""
+
+    def test_corpus_and_twin_stars(self):
+        for name, g, a in corpus.member_corpus():
+            for r in (1, 2, 3):
+                for target in (1, 2, 3):
+                    assert_matches_scans(g, a, r, target, name)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_random_graphs(self, data):
+        g = draw_sparse_graph(data, max_n=14)
+        if data.draw(st.booleans(), label="all"):
+            a = tuple(range(g.n))
+        else:
+            a = tuple(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1), label="a"))
+        r = data.draw(st.integers(1, 3), label="r")
+        target = data.draw(st.integers(1, 3), label="target")
+        assert_matches_scans(g, a, r, target, "drawn")
