@@ -134,6 +134,8 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     whichever pair it serves, so it stops at the first vertex an
     earlier walk toward v has passed: the rest of the path is grown
     already, and the grown set is that of walking every path in full.
+    A pair at distance 1 is not walked: its path is the pair itself, and
+    a later walk through u toward v only adds v.  It is still verified.
     """
     members = vset(x, g)
     mset = set(members)
@@ -146,6 +148,8 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
         if vs:
             partners[u] = vs
         for v in vs:
+            if dists[v][u] == 1:
+                continue  # the walk is [u, v], and both are grown already
             path = _descend(g, dists[v], u, walked[v])
             walked[v].update(path)
             grown.update(path)

@@ -9,8 +9,9 @@ answers it replaced, and lp_packing, the packing solve that moved here
 from drisk.oracle.  Those call the library helpers they always called
 (among them _ball_masks, ball, distances_from, multi_source_distances,
 _descend, induced_subgraph, the distance validators, oracle._radius_at_most,
-oracle._audit_packing, validate_minor_model, solve_max, greedy_ball_cover,
-profile_classes, scattered_ladder and the kernel's certificate checks), and
+oracle._audit_packing, oracle._max_clique, oracle._walk,
+validate_minor_model, solve_max, greedy_ball_cover, profile_classes,
+scattered_ladder and the kernel's certificate checks), and
 share whatever fault those helpers have with the code they pin;
 minor_model_holds checks a clique-minor model without them, and lp_cover
 solves the cover LP with this module's own distances and dense simplex.
@@ -51,7 +52,9 @@ from drisk.oracle import (
     MinorModel,
     OracleLimitError,
     _audit_packing,
+    _max_clique,
     _radius_at_most,
+    _walk,
     validate_minor_model,
 )
 from drisk.projections import ClosureResult, profile_classes
@@ -1457,3 +1460,121 @@ def domination_number_gain_bound(g: Graph, a: Iterable[int], r: int, limit: int 
 
     search(full, [])
     return best_len, tuple(sorted(by_mask[m] for m in best))
+
+
+# oracle.independence_number as it was when one unseeded _max_clique walk
+# over the members in id order found both the size and the witness,
+# before the size came from a walk in MCQ order.  It is kept verbatim
+# apart from its name, so tests can pin the seeded id-order walk to it,
+# witness included.
+
+
+def independence_number_id_order(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
+    """Largest subset of a with pairwise distance > r, with a witness,
+    which is checked by BFS at r before it is returned."""
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    members = vset(a, g)
+    if len(members) > limit:
+        raise OracleLimitError(
+            f"independence oracle limited to |A| <= {limit}, got {len(members)}"
+        )
+    if not members:
+        return 0, ()
+    n = len(members)
+    masks = _ball_masks(g, members, r)
+    full = (1 << n) - 1
+    # members[i]'s own trace holds bit i, so comp[i] has no loop
+    comp = [full & ~masks[v] for v in members]
+    size, mask = _max_clique(n, comp)
+    witness = tuple(members[i] for i in range(n) if (mask >> i) & 1)
+    if not is_distance_independent(g, witness, r):
+        raise RuntimeError("internal: invalid independence witness")
+    return size, witness
+
+
+# oracle.domination_number as it was when its branching member came from
+# a scan over every member index, before it walked only the uncovered
+# members' bits.  It is kept verbatim apart from its name, so tests can
+# pin the new scan to it, witness included.
+
+
+def domination_number_index_scan(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
+    """Smallest set of graph vertices whose r-balls cover a, with witness.
+
+    Branch and bound on the members' ball traces, on _walk: a node is the
+    uncovered members and the balls chosen.  It is pruned by two lower
+    bounds on the balls still needed: a greedy packing of uncovered members
+    no two of which share a ball (the duality alpha_2r <= gamma_r,
+    restricted to what is left) and ceil(|uncovered| / largest gain).
+    Branches keep their order and the best cover is replaced only by a
+    strictly smaller one, so neither bound changes the witness.  The
+    witness is checked to dominate a at r before it is returned."""
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    members = vset(a, g)
+    if len(members) > limit:
+        raise OracleLimitError(
+            f"domination oracle limited to |A| <= {limit}, got {len(members)}"
+        )
+    if not members:
+        return 0, ()
+    by_mask: Dict[int, int] = {}
+    for v, m in enumerate(_ball_masks(g, members, r)):
+        if m and m not in by_mask:
+            by_mask[m] = v
+    masks = sorted(by_mask, key=lambda m: (-m.bit_count(), by_mask[m]))
+    kept: List[int] = []
+    for m in masks:
+        if not any(m & o == m for o in kept):
+            kept.append(m)
+    full = (1 << len(members)) - 1
+    covering_sets: Dict[int, List[int]] = {i: [] for i in range(len(members))}
+    near = [0] * len(members)  # the members that share a kept ball with i
+    for m in kept:
+        for i in range(len(members)):
+            if (m >> i) & 1:
+                covering_sets[i].append(m)
+                near[i] |= m
+
+    # greedy upper bound
+    best: Tuple[int, ...] = ()
+    unc = full
+    while unc:
+        pick = max(kept, key=lambda m: ((m & unc).bit_count(), -by_mask[m]))
+        best += (pick,)
+        unc &= ~pick
+    best_len = len(best)
+
+    def children(node):
+        unc, chosen = node
+        # uncovered members pairwise in no common ball each need a ball;
+        # a cover has none left, so this cut also ends every leaf
+        packed = 0
+        rest = unc
+        while rest:
+            packed += 1
+            rest &= ~near[(rest & -rest).bit_length() - 1]
+        if len(chosen) + packed >= best_len:
+            return
+        max_gain = max((m & unc).bit_count() for m in kept)
+        need = -(-unc.bit_count() // max_gain)  # ceil
+        if len(chosen) + need >= best_len:
+            return
+        e = min(
+            (i for i in range(len(members)) if (unc >> i) & 1),
+            key=lambda i: len(covering_sets[i]),
+        )
+        options = sorted(
+            covering_sets[e], key=lambda m: (-(m & unc).bit_count(), by_mask[m])
+        )
+        for m in options:
+            yield unc & ~m, chosen + (m,)
+
+    for unc, chosen in _walk((full, ()), children):
+        if not unc and len(chosen) < best_len:
+            best, best_len = chosen, len(chosen)
+    witness = tuple(sorted(by_mask[m] for m in best))
+    if not is_distance_dominating(g, witness, members, r):
+        raise RuntimeError("internal: invalid domination witness")
+    return best_len, witness

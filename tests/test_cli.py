@@ -552,7 +552,7 @@ class TestSolve:
     def test_failed_self_check_exits_one_with_one_line(self, path10, capsys, monkeypatch):
         # the clique on bits 0 and 1 is the adjacent pair (0, 1), which is
         # not a 1-independent witness
-        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj: (2, 0b11))
+        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj, floor=None: (2, 0b11))
         code = main(["solve", "alpha", "--input", path10, "--r", "1"])
         captured = capsys.readouterr()
         assert code == 1

@@ -13,9 +13,11 @@ import bruteforce
 import corpus
 import drisk.oracle
 from drisk.generators import (
+    bucket_model,
     complete_graph,
     cycle_graph,
     gnm_random,
+    grid_graph,
     path_graph,
     star_graph,
 )
@@ -78,7 +80,7 @@ class TestIndependenceNumber:
 
     def test_witness_is_checked(self, monkeypatch):
         # the clique on bits 0 and 1 is the adjacent pair (0, 1)
-        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj: (2, 0b11))
+        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj, floor=None: (2, 0b11))
         with pytest.raises(RuntimeError, match="^internal: invalid independence witness$"):
             independence_number(path_graph(10), range(10), 1)
 
@@ -94,7 +96,46 @@ class TestIndependenceNumber:
                 if rnd.randrange(10) < density:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-        assert _max_clique(n, adj) == bruteforce.max_clique_recursive(n, adj)
+        size, mask = _max_clique(n, adj)
+        assert (size, mask) == bruteforce.max_clique_recursive(n, adj)
+        # seeded one below the size, the walk stops at the same clique
+        assert _max_clique(n, adj, floor=size - 1) == (size, mask)
+        # MCQ order: most neighbours first, ties by id
+        order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+        pos = {v: j for j, v in enumerate(order)}
+        permuted = [sum(1 << pos[u] for u in range(n) if adj[v] >> u & 1) for v in order]
+        assert _max_clique(n, permuted)[0] == size
+
+
+class TestMatchesIdOrderSearch:
+    """The size found in MCQ order and the witness from the seeded id-order
+    walk against the one unseeded id-order walk they replaced, kept
+    verbatim in bruteforce: the same value and the same witness."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_drawn_graphs(self, data):
+        n = data.draw(st.integers(0, 30), label="n")
+        density = data.draw(st.integers(1, 8), label="density")
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(40) < density])
+        r = data.draw(st.integers(0, 3), label="r")
+        for a in (range(n), rnd.sample(range(n), rnd.randint(0, n))):
+            got = independence_number(g, a, r)
+            assert got == bruteforce.independence_number_id_order(g, a, r), (list(a), r)
+
+    def test_grids(self):
+        for side in (5, 6, 7, 8):
+            g = grid_graph(side, side)
+            for r in (1, 2):
+                got = independence_number(g, range(g.n), r, limit=g.n)
+                assert got == bruteforce.independence_number_id_order(g, range(g.n), r, limit=g.n), (side, r)
+
+    def test_bucket_models(self):
+        for seed in (1, 2, 3, 4):
+            g = bucket_model(64, 3, seed).g
+            got = independence_number(g, range(g.n), 2, limit=g.n)
+            assert got == bruteforce.independence_number_id_order(g, range(g.n), 2, limit=g.n), seed
 
 
 class TestDominationNumber:
@@ -159,8 +200,9 @@ class TestDominationNumber:
 
 class TestMatchesGainBoundSearch:
     """The search pruned by the packing bound against the gain-bound-only
-    search it replaced, kept verbatim in bruteforce: the same value and
-    the same witness."""
+    search it replaced, and the branching member taken from the uncovered
+    bits against the scan over every member index it replaced, both kept
+    verbatim in bruteforce: the same value and the same witness."""
 
     def test_corpus(self):
         for name, g in corpus.small_corpus():
@@ -168,6 +210,7 @@ class TestMatchesGainBoundSearch:
                 for r in range(4):
                     got = domination_number(g, a, r)
                     assert got == bruteforce.domination_number_gain_bound(g, a, r), (name, r)
+                    assert got == bruteforce.domination_number_index_scan(g, a, r), (name, r)
 
     @settings(max_examples=250)
     @given(st.data())
@@ -182,6 +225,7 @@ class TestMatchesGainBoundSearch:
             for r in range(4):
                 got = domination_number(g, a, r)
                 assert got == bruteforce.domination_number_gain_bound(g, a, r), (list(a), r)
+                assert got == bruteforce.domination_number_index_scan(g, a, r), (list(a), r)
 
 
 class TestLinearRelaxations:
