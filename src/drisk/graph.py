@@ -8,6 +8,7 @@ are rejected.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Collection, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 INF = math.inf
@@ -33,15 +34,19 @@ class Graph:
             norm.append((u, v) if u <= v else (v, u))
         if any(u == v for u, v in norm):
             raise GraphError("loops are not allowed")
-        if len(set(norm)) != len(norm):
+        norm.sort()
+        # Sorted, so a repeated pair sits next to its twin.
+        if any(map(operator.eq, norm, norm[1:])):
             raise GraphError("parallel edges are not allowed")
+        # From the sorted edges each vertex meets its smaller neighbours,
+        # ascending, before its larger ones, so every list comes out sorted.
         adj = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.edges = tuple(sorted(norm))
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self.edges = tuple(norm)
+        self.adjacency = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:

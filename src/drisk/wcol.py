@@ -57,35 +57,43 @@ def weak_reach_sets(
     g: Graph, order: VertexOrder, r: int
 ) -> Tuple[Tuple[int, ...], ...]:
     """reach[v] = all vertices weakly r-reachable from v under the
-    order, v itself included."""
+    order, v itself included.
+
+    One BFS per target u, confined to vertices ranked at or above u;
+    every vertex it meets weakly reaches u.  The test is rank[w] >
+    rank[u]: u is the only vertex of its rank, so the strict test is
+    "at or above u" with the start itself left out, and the start needs
+    no mark.  One mark list, stamped with u as the search enters a
+    vertex, stands in for a per-search seen set.  The targets run in
+    ascending id and each is appended where it is met, so every reach
+    list is built already sorted.
+    """
     _check_order(g, order)
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    rank = [0] * g.n
+    n = g.n
+    rank = [0] * n
     for i, v in enumerate(order.sequence):
         rank[v] = i
     adj = g.adjacency
-    reach: List[List[int]] = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        # BFS from u confined to vertices ranked at or above u; every
-        # vertex met this way weakly reaches u.  Targets u are visited
-        # in ascending id, so each reach list is built already sorted.
+    reach: List[List[int]] = [[] for _ in range(n)]
+    mark = [-1] * n
+    for u in range(n):
         base = rank[u]
-        seen = {u}
+        reach[u].append(u)
         frontier = [u]
-        depth = 0
-        while frontier and depth < r:
-            depth += 1
+        for _ in range(r):
             nxt = []
             for v in frontier:
                 for w in adj[v]:
-                    if w not in seen and rank[w] >= base:
-                        seen.add(w)
+                    if mark[w] != u and rank[w] > base:
+                        mark[w] = u
+                        reach[w].append(u)
                         nxt.append(w)
+            if not nxt:
+                break
             frontier = nxt
-        for v in seen:
-            reach[v].append(u)
-    return tuple(tuple(s) for s in reach)
+    return tuple(map(tuple, reach))
 
 
 def order_heuristic(g: Graph) -> VertexOrder:
@@ -95,18 +103,21 @@ def order_heuristic(g: Graph) -> VertexOrder:
 
     The result is the (degree, id)-minimal peel: each step removes the
     live vertex with the smallest (degree, id).  A lazy-deletion heap
-    finds that vertex in O((n+m) log n) total.
+    finds that vertex in O((n+m) log n) total.  Its keys are the ints
+    degree * n + v: as 0 <= v < n, they order exactly as the pairs
+    (degree, v) do, and compare faster than tuples.
     """
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
+    n = g.n
     adj = g.adjacency
+    degree = [len(a) for a in adj]
+    alive = [True] * n
     # Degrees only fall, so an entry whose degree is stale is larger
     # than the live one and is skipped when it surfaces.
-    heap = [(d, v) for v, d in enumerate(degree)]
+    heap = [d * n + v for v, d in enumerate(degree)]
     heapq.heapify(heap)
     peel = []
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = divmod(heapq.heappop(heap), n)
         if not alive[v] or d != degree[v]:
             continue
         peel.append(v)
@@ -114,7 +125,7 @@ def order_heuristic(g: Graph) -> VertexOrder:
         for w in adj[v]:
             if alive[w]:
                 degree[w] -= 1
-                heapq.heappush(heap, (degree[w], w))
+                heapq.heappush(heap, degree[w] * n + w)
     return VertexOrder(tuple(reversed(peel)))
 
 

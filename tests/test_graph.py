@@ -47,6 +47,34 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(2, [(0, 1), (1, 0)])
 
+    def test_refusal_order_is_range_then_loops_then_parallels(self):
+        # one list with all three faults; the range error names its pair
+        bad = [(1, 0), (2, 2), (0, 1), (0, 3)]
+        with pytest.raises(GraphError, match=r"edge \(0,3\) out of range for n=3"):
+            Graph(3, bad)
+        with pytest.raises(GraphError, match="loops are not allowed"):
+            Graph(3, bad[:3])
+        with pytest.raises(GraphError, match="parallel edges are not allowed"):
+            Graph(3, [bad[0], bad[2]])
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_shuffled_and_flipped_edges_give_sorted_views(self, data):
+        n = data.draw(st.integers(0, 20), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]),
+            label="edges",
+        )
+        edges = data.draw(st.permutations(edges), label="order")
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)),
+                          label="flips")
+        g = Graph(n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)])
+        assert g.edges == tuple(sorted(edges))
+        for v in range(n):
+            want = sorted({u for e in edges if v in e for u in e} - {v})
+            assert g.adjacency[v] == tuple(want)
+
     def test_empty_graph(self):
         g = Graph(0)
         assert g.n == 0 and g.m == 0 and g.edges == ()

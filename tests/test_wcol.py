@@ -12,6 +12,7 @@ import bruteforce
 import corpus
 import drisk.wcol
 from drisk.generators import (
+    bucket_model,
     complete_graph,
     cycle_graph,
     gnm_random,
@@ -91,12 +92,26 @@ class TestWeakReach:
             seq = list(range(n))
             rng.shuffle(seq)
             order = VertexOrder(tuple(seq))
-            for r in (1, 2, 3):
+            for r in (0, 1, 2, 3, 4):
                 want = bruteforce.weak_reach(g, seq, r)
                 got = weak_reach_sets(g, order, r)
                 assert [set(s) for s in got] == want, (n, m, r, seq)
                 for v in range(n):
                     assert got[v] == tuple(sorted(got[v])), (n, m, r, seq, v)
+
+    def test_matches_reference_enumeration_on_bucket_draws(self):
+        # sparse draws with long paths, under the heuristic's order and
+        # under a shuffled one
+        rng = random.Random(23)
+        for seed in range(1, 5):
+            g = bucket_model(60, 4, seed).g
+            seq = list(range(g.n))
+            rng.shuffle(seq)
+            for order in (order_heuristic(g), VertexOrder(tuple(seq))):
+                for r in (1, 3, 5):
+                    want = bruteforce.weak_reach(g, order.sequence, r)
+                    got = weak_reach_sets(g, order, r)
+                    assert [tuple(sorted(s)) for s in want] == list(got), (seed, r)
 
     def test_monotone_in_radius(self):
         for name, g in corpus.small_corpus():
@@ -138,6 +153,15 @@ class TestOrderHeuristic:
         extra = data.draw(st.integers(0, 4), label="extra")
         g = Graph(n + extra, edges)
         assert order_heuristic(g).sequence == bruteforce.degeneracy_order(g)
+
+    def test_matches_min_scan_peel_on_large_graphs(self):
+        # the heap key packs degree * n + id, so n must be the stride on
+        # graphs with many ids per degree
+        graphs = [bucket_model(n, d, seed).g
+                  for n, d, seed in ((200, 3, 1), (400, 4, 2), (700, 5, 3), (1000, 4, 4))]
+        graphs += [grid_graph(rows, cols) for rows, cols in ((1, 40), (7, 33), (25, 25), (40, 40))]
+        for g in graphs:
+            assert order_heuristic(g).sequence == bruteforce.degeneracy_order(g), g
 
     def test_empty_and_edgeless_graphs(self):
         assert order_heuristic(Graph(0)).sequence == ()
