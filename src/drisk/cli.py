@@ -1,6 +1,5 @@
 """Command line front end: instance generation, exact solvers and LP
-bounds, kernelization, certificate verification, duality reports, and
-batch benchmarking.
+bounds, kernelization, certificate verification and duality reports.
 
 Reports are JSON with a schema marker; every rational is rendered as a
 "num/den" string, every emitted answer is checked once, by the function
@@ -92,16 +91,13 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_members(g: Graph, a_file: Optional[str]) -> Tuple[int, ...]:
-    if a_file is None:
-        return tuple(range(g.n))
-    return vset(read_vertex_set(a_file), g)
-
-
 def _load_instance(args) -> Tuple[Graph, Tuple[int, ...], Dict[str, str]]:
     """The --input graph, the --a-file members and the digests of both."""
     g = read_edge_list(args.input)
-    members = _load_members(g, args.a_file)
+    if args.a_file is None:
+        members = tuple(range(g.n))
+    else:
+        members = vset(read_vertex_set(args.a_file), g)
     digests = {"input": _sha256(args.input)}
     if args.a_file:
         digests["a_file"] = _sha256(args.a_file)
@@ -128,13 +124,6 @@ def _json_int(value, what: str) -> int:
     # not int(): it would read "27" or 2.75, and a bool is an int subclass
     if type(value) is not int:
         raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _json_str(value, what: str) -> str:
-    # open() would take an int (or a bool) as a file descriptor
-    if type(value) is not str:
-        raise TypeError(f"{what} must be a string, got {json.dumps(value)}")
     return value
 
 
@@ -226,10 +215,6 @@ def _build_parser() -> _Parser:
     group.add_argument("--cert", help="single certificate JSON file")
     group.add_argument("--log", help="removal log JSON file to replay")
     ver.add_argument("--out")
-
-    bench = sub.add_parser("bench", help="run a manifest, emit CSV")
-    bench.add_argument("--manifest", required=True)
-    bench.add_argument("--out")
     return top
 
 
@@ -309,7 +294,7 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     problem = args.problem
     r = args.r
     for key, problems in _SOLVE_OPTIONS.items():
-        if getattr(args, key, None) is not None and problem not in problems:
+        if getattr(args, key) is not None and problem not in problems:
             raise GraphError(f"solve {problem} takes no --{key.replace('_', '-')}")
     if r < 0:
         raise GraphError("radius must be nonnegative")
@@ -462,91 +447,6 @@ def _cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# bench
-
-_BENCH_COLUMNS = [
-    "name", "n", "m", "r", "k", "task", "outcome",
-    "y_size", "b_size", "y_over_k", "lp_value", "witness_size",
-    "seconds", "error",
-]
-# one row per line: a cell holds no column separator and no line break
-_CELL = str.maketrans({",": ";", "\r": " ", "\n": " "})
-
-
-def _bench_graph(row: dict) -> Graph:
-    if "input" in row:
-        return read_edge_list(_json_str(row["input"], "input"))
-    fam = row["family"]
-    kind = fam["kind"]
-    reads = FAMILIES[kind][1] if isinstance(kind, str) and kind in FAMILIES else ()
-    return _family(kind, {p: _json_int(fam[p], p) for p in reads if p in fam})
-
-
-def _bench_row(row: dict) -> Dict[str, str]:
-    out = {col: "" for col in _BENCH_COLUMNS}
-    started = time.perf_counter()
-    try:
-        if not isinstance(row, dict):
-            raise GraphError(f"bench row {row!r} is not an object")
-        out["name"] = str(row.get("name", ""))
-        g = _bench_graph(row)
-        a_file = row.get("a_file")
-        members = _load_members(g, None if a_file is None else _json_str(a_file, "a_file"))
-        r = _json_int(row.get("r", 1), "r")
-        task = row.get("task", "kernel")
-        out.update(n=str(g.n), m=str(g.m), r=str(r), task=str(task))
-        if task == "kernel":
-            k = _json_int(row["k"], "k")
-            out["k"] = str(k)
-            target, max_rounds = row.get("target"), row.get("max_rounds")
-            outcome = kernelize(g, members, r, k, KernelPolicy(
-                closure_target=None if target is None else _json_int(target, "target"),
-                uqw_s_max=_json_int(row.get("s_max", 3), "s_max"),
-                max_rounds=None if max_rounds is None else _json_int(max_rounds, "max_rounds"),
-            ))
-            out["outcome"] = outcome.tag
-            if outcome.tag == "KERNEL":
-                out["y_size"] = str(len(outcome.y))
-                out["b_size"] = str(len(outcome.b))
-                out["y_over_k"] = f"{len(outcome.y) / k:.6g}"
-            elif outcome.tag == "YES":
-                out["witness_size"] = str(len(outcome.witness or ()))
-        elif task in ("lp", "duality"):
-            # the figures and checks of `solve lp|duality` at its defaults
-            got = _solve_outputs(
-                argparse.Namespace(problem=task, r=r, limit=None, no_lp=None), g, members
-            )
-            if task == "lp":
-                out["outcome"] = "equal" if got["duality_gap_zero"] else "gap"
-                out["lp_value"] = got["cover_optimum"]
-            else:
-                out["outcome"] = "ok"
-                out["y_size"] = str(len(got["dominating_set"]))
-                out["witness_size"] = str(len(got["independent_witness"]))
-                out["lp_value"] = got["lp_value"] or ""
-        else:
-            raise GraphError(f"unknown bench task {task!r}")
-    except Exception as exc:  # per-row failures recorded, run continues
-        out["error"] = f"{type(exc).__name__}: {exc}"
-    out["seconds"] = f"{time.perf_counter() - started:.3f}"
-    return out
-
-
-def _cmd_bench(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    rows = manifest["rows"] if isinstance(manifest, dict) else manifest
-    if not isinstance(rows, list):
-        raise GraphError("malformed bench manifest: expected a list of rows")
-    lines = [",".join(_BENCH_COLUMNS)]
-    for row in rows:
-        done = _bench_row(row)
-        lines.append(",".join(done[col].translate(_CELL) for col in _BENCH_COLUMNS))
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -559,8 +459,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_kernel(args)
         if args.command == "verify-cert":
             return _cmd_verify_cert(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         raise GraphError(f"unknown command {args.command!r}")
     except OracleLimitError as exc:
         print(f"oracle limit: {exc}", file=sys.stderr)

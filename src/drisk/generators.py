@@ -265,16 +265,13 @@ FAMILIES = {
 }
 
 
-def _family(kind, params: dict) -> Graph:
+def _family(kind: str, params: dict) -> Graph:
     """The graph of a family of FAMILIES (bucket: its sample's trimmed
-    graph) from a dict of its parameters; `gen` and `bench` build by name
-    through it.  Private, and the builder is looked up when called, so a
-    profiler that rebinds the builders gives each its own span."""
-    if not isinstance(kind, str) or kind not in FAMILIES:
-        raise GraphError(f"unknown family kind {kind!r}")
+    graph) from a dict of its parameters; `gen` builds by name through it.
+    Private, and the builder is looked up when called, so a profiler that
+    rebinds the builders gives each its own span."""
     name, names = FAMILIES[kind]
-    built = globals()[name](
-        *(params.get(p, 0) if p == "seed" else params[p] for p in names))
+    built = globals()[name](*(params[p] for p in names))
     return built.g if kind == "bucket" else built
 
 

@@ -1,9 +1,7 @@
 """End-to-end tests of the command line: every subcommand, the three exit
 codes, byte-identical reruns, and the file side-cars."""
 
-import csv
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -21,6 +19,7 @@ import drisk.oracle
 import drisk.wcol
 from drisk.cli import main
 from drisk.generators import (
+    FAMILIES,
     bucket_model,
     complete_graph,
     cycle_graph,
@@ -162,6 +161,28 @@ class TestGen:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == rep["outputs"]["out_digest"]
         assert digest == self.BUCKET_DIGESTS[n, d, seed]
+
+    # the options of each family's gen call and its builder's graph
+    FAMILY_GRAPHS = {
+        "path": (["--n", "7"], lambda: path_graph(7)),
+        "cycle": (["--n", "6"], lambda: cycle_graph(6)),
+        "grid": (["--rows", "3", "--cols", "4"], lambda: grid_graph(3, 4)),
+        "star": (["--leaves", "5"], lambda: star_graph(5)),
+        "complete": (["--n", "4"], lambda: complete_graph(4)),
+        "gnm": (["--n", "9", "--m", "11", "--seed", "2"], lambda: gnm_random(9, 11, 2)),
+        "bucket": (["--n", "20", "--d", "3", "--seed", "5"], lambda: bucket_model(20, 3, 5).g),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_every_family_writes_its_builders_graph(self, kind, tmp_path, capsys):
+        options, build = self.FAMILY_GRAPHS[kind]
+        out = tmp_path / "f.gr"
+        code, rep = run_json(capsys, "gen", kind, *options, "--out", str(out))
+        assert code == 0
+        expected = build()
+        g = read_edge_list(str(out))
+        assert (g.n, g.m, g.edges) == (expected.n, expected.m, expected.edges)
+        assert (rep["outputs"]["n"], rep["outputs"]["m"]) == (expected.n, expected.m)
 
     def test_pendant_writes_special_sidecar(self, tmp_path, capsys):
         base = tmp_path / "base.gr"
@@ -749,10 +770,17 @@ class TestKernel:
     @pytest.mark.parametrize("command", [
         ["solve", "alpha", "--input", "g.gr", "--format", "json"],
         ["kernel", "--input", "g.gr", "--r", "1", "--k", "1", "--format", "json"],
-        ["bench", "--manifest", "m.json", "--format", "csv"],
-    ], ids=["solve", "kernel", "bench"])
+    ], ids=["solve", "kernel"])
     def test_format_flag_is_refused(self, command):
         assert main(command) == 3
+
+    def test_bench_is_refused_as_an_invalid_choice(self, capsys):
+        assert main(["bench", "--manifest", "m.json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("input error: ")
+        assert "invalid choice: 'bench'" in line
 
     @pytest.mark.parametrize("flag", [["--uqw-m", "2"], ["--closure-cap", "0"]],
                              ids=lambda flag: flag[0])
@@ -878,255 +906,6 @@ class TestVerifyCert:
             "verify-cert", "--input", graph_path,
             "--cert", str(dummy), "--log", str(dummy),
         ]) == 3
-
-
-class TestBench:
-    def test_manifest_to_csv(self, tmp_path, capsys):
-        manifest = {
-            "rows": [
-                {"name": "p12", "family": {"kind": "path", "n": 12},
-                 "task": "kernel", "r": 2, "k": 2},
-                {"name": "dual-c8", "family": {"kind": "cycle", "n": 8},
-                 "task": "duality", "r": 1},
-                {"name": "lp-g", "family": {"kind": "gnm", "n": 6, "m": 7,
-                                            "seed": 1}, "task": "lp", "r": 1},
-                {"name": "boom", "family": {"kind": "mystery"}, "task": "lp"},
-            ]
-        }
-        man_path = tmp_path / "manifest.json"
-        man_path.write_text(json.dumps(manifest))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [row["name"] for row in rows] == ["p12", "dual-c8", "lp-g", "boom"]
-        assert rows[0]["outcome"] == "YES"
-        assert rows[1]["task"] == "duality" and rows[1]["lp_value"]
-        assert rows[2]["outcome"] == "equal"
-        assert rows[3]["error"].startswith("GraphError")
-        assert all(float(row["seconds"]) >= 0 for row in rows)
-
-    def test_non_string_task_is_an_error_row(self, tmp_path, capsys):
-        rows = [{"name": name, "family": {"kind": "path", "n": 3}, "task": task}
-                for name, task in (("listed", ["kernel"]), ("number", 7))]
-        man_path = tmp_path / "manifest.json"
-        man_path.write_text(json.dumps(rows))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        got = list(csv.DictReader(io.StringIO(out)))
-        assert [(row["task"], row["error"]) for row in got] == [
-            ("['kernel']", "GraphError: unknown bench task ['kernel']"),
-            ("7", "GraphError: unknown bench task 7"),
-        ]
-
-    def test_family_rows_for_every_kind(self, tmp_path, capsys):
-        families = [
-            ({"kind": "path", "n": 7}, path_graph(7)),
-            ({"kind": "cycle", "n": 6}, cycle_graph(6)),
-            ({"kind": "grid", "rows": 3, "cols": 4}, grid_graph(3, 4)),
-            ({"kind": "star", "leaves": 5}, star_graph(5)),
-            ({"kind": "complete", "n": 4}, complete_graph(4)),
-            ({"kind": "gnm", "n": 9, "m": 11, "seed": 2}, gnm_random(9, 11, 2)),
-            ({"kind": "bucket", "n": 20, "d": 3, "seed": 5}, bucket_model(20, 3, 5).g),
-        ]
-        rows = [{"name": fam["kind"], "family": fam, "task": "duality", "r": 1}
-                for fam, _ in families]
-        rows.append({"name": "cube", "family": {"kind": "hypercube", "n": 3},
-                     "task": "duality"})
-        rows.append({"name": "listed", "family": {"kind": ["path"], "n": 3},
-                     "task": "duality"})
-        rows.append({"name": "half-grid", "family": {"kind": "grid", "rows": 3},
-                     "task": "duality"})
-        man_path = tmp_path / "manifest.json"
-        man_path.write_text(json.dumps(rows))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        got = list(csv.DictReader(io.StringIO(out)))
-        assert [row["name"] for row in got] == [row["name"] for row in rows]
-        for row, (_, g) in zip(got, families):
-            assert (row["n"], row["m"], row["error"]) == (str(g.n), str(g.m), "")
-            assert row["outcome"] == "ok"
-        assert got[-3]["error"] == "GraphError: unknown family kind 'hypercube'"
-        assert got[-2]["error"] == "GraphError: unknown family kind ['path']"
-        assert got[-1]["error"] == "KeyError: 'cols'"
-
-    def test_lp_rows_are_one_solve_matching_two_solves_on_corpus(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        graphs = corpus.small_corpus()
-        rows, expected = [], {}
-        for name, g in graphs:
-            g_path = tmp_path / f"{name}.gr"
-            write_edge_list(g, str(g_path))
-            for r in (1, 2):
-                rows.append({"name": f"{name}-r{r}", "input": str(g_path),
-                             "task": "lp", "r": r})
-                expected[f"{name}-r{r}"] = two_solve_lp(g, r)
-        man_path = tmp_path / "manifest.json"
-        man_path.write_text(json.dumps(rows))
-        calls = count_simplex_solves(monkeypatch)
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        got = list(csv.DictReader(io.StringIO(out)))
-        assert calls == [[1] * int(row["n"]) for row in got]
-        assert [row["name"] for row in got] == [row["name"] for row in rows]
-        for row in got:
-            cover, packing = expected[row["name"]]
-            assert row["outcome"] == ("equal" if cover == packing else "gap")
-            assert row["lp_value"] == f"{cover.numerator}/{cover.denominator}"
-            assert row["error"] == ""
-
-    def test_kernel_rows_revalidate_like_the_kernel_command(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # a YES witness whose members are adjacent is not 2-independent
-        monkeypatch.setattr(drisk.kernel, "_reach_scan", lambda g, a, r, order: (0, (0, 1), set()))
-        manifest = [{"name": "p12", "family": {"kind": "path", "n": 12},
-                     "task": "kernel", "r": 2, "k": 2}]
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps(manifest))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        row = next(csv.DictReader(io.StringIO(out)))
-        assert row["outcome"] == ""
-        assert row["error"] == "RuntimeError: internal: YES witness is not r-independent"
-
-    def test_rows_refuse_what_the_commands_refuse(self, tmp_path, capsys):
-        path = {"kind": "path", "n": 6}
-        manifest = [
-            {"name": "lp", "family": path, "task": "lp", "r": -1},
-            {"name": "duality", "family": path, "task": "duality", "r": -1},
-            {"name": "kernel", "family": path, "task": "kernel", "r": 2, "k": 2,
-             "s_max": -1},
-        ]
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps(manifest))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        errors = [row["error"] for row in csv.DictReader(io.StringIO(out))]
-        assert errors == [
-            "GraphError: radius must be nonnegative",
-            "GraphError: radius must be nonnegative",
-            "GraphError: deletion budget must be nonnegative",
-        ]
-
-    def test_numbers_must_be_json_integers(self, tmp_path, capsys):
-        path = {"kind": "path", "n": 6}
-        kernel = {"family": path, "task": "kernel", "r": 2, "k": 2}
-        manifest = [
-            {**kernel, "name": "float-r", "r": 2.9},
-            {**kernel, "name": "string-k", "k": "2"},
-            {**kernel, "name": "bool-r", "r": True},
-            {**kernel, "name": "lp-float-r", "task": "lp", "r": 1.0},
-            {**kernel, "name": "string-s-max", "s_max": "1"},
-            {**kernel, "name": "float-target", "target": 2.5},
-            {**kernel, "name": "bool-max-rounds", "max_rounds": False},
-            {**kernel, "name": "bool-n", "family": {"kind": "path", "n": True}},
-            {**kernel, "name": "string-seed", "family": {"kind": "gnm", "n": 8, "m": 9, "seed": "7"}},
-            {**kernel, "name": "float-seed", "family": {"kind": "gnm", "n": 8, "m": 9, "seed": 7.5}},
-            {**kernel, "name": "listed-seed", "family": {"kind": "bucket", "n": 20, "d": 3, "seed": [1]}},
-            {**kernel, "name": "nulls", "target": None, "max_rounds": None},
-            {**kernel, "name": "ints", "target": 1, "max_rounds": 0, "s_max": 0},
-        ]
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps(manifest))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        rows = {row["name"]: row for row in csv.DictReader(io.StringIO(out))}
-        # the CSV writes the commas inside a field as semicolons
-        assert {name: row["error"] for name, row in rows.items()} == {
-            "float-r": "TypeError: r must be an integer; got 2.9",
-            "string-k": 'TypeError: k must be an integer; got "2"',
-            "bool-r": "TypeError: r must be an integer; got true",
-            "lp-float-r": "TypeError: r must be an integer; got 1.0",
-            "string-s-max": 'TypeError: s_max must be an integer; got "1"',
-            "float-target": "TypeError: target must be an integer; got 2.5",
-            "bool-max-rounds": "TypeError: max_rounds must be an integer; got false",
-            "bool-n": "TypeError: n must be an integer; got true",
-            "string-seed": 'TypeError: seed must be an integer; got "7"',
-            "float-seed": "TypeError: seed must be an integer; got 7.5",
-            "listed-seed": "TypeError: seed must be an integer; got [1]",
-            "nulls": "",
-            "ints": "",
-        }
-        assert rows["nulls"]["outcome"] == rows["ints"]["outcome"] == "YES"
-
-    def test_a_line_break_in_a_cell_is_a_space(self, tmp_path, capsys):
-        manifest = [
-            {"name": "two\nlines", "family": {"kind": "path", "n": 4}},
-            {"name": "carriage\rreturn", "family": {"kind": "bucket", "n": 20, "d": 3, "seed": [1]}},
-        ]
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps([{**row, "task": "lp"} for row in manifest]))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        assert out.count("\n") == 3 and "\r" not in out
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [row["name"] for row in rows] == ["two lines", "carriage return"]
-        assert rows[0]["outcome"] == "equal"
-
-    def test_paths_must_be_json_strings(self, path10, tmp_path):
-        # in a child process: open() takes a number as a file descriptor,
-        # so a number here could read or close this runner's stdin or stdout
-        good = {"input": path10, "task": "lp", "r": 1}
-        manifest = [
-            {**good, "name": "int-a-file", "a_file": 0},
-            {**good, "name": "bool-a-file", "a_file": False},
-            {**good, "name": "int-input", "input": 1},
-            {**good, "name": "bool-input", "input": True},
-            {**good, "name": "strings"},
-        ]
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps(manifest))
-        proc = subprocess.run(
-            [sys.executable, "-m", "drisk.cli", "bench", "--manifest", str(man_path)],
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-            text=True,
-            env=child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        rows = {row["name"]: row for row in csv.DictReader(io.StringIO(proc.stdout))}
-        assert {name: row["error"] for name, row in rows.items()} == {
-            "int-a-file": "TypeError: a_file must be a string; got 0",
-            "bool-a-file": "TypeError: a_file must be a string; got false",
-            "int-input": "TypeError: input must be a string; got 1",
-            "bool-input": "TypeError: input must be a string; got true",
-            "strings": "",
-        }
-        assert rows["strings"]["outcome"] == "equal"
-
-    def test_graph_rows_can_point_at_files(self, path10, tmp_path, capsys):
-        manifest = [{"name": "file-row", "input": path10, "task": "kernel",
-                     "r": 2, "k": 2}]
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps(manifest))
-        out_path = tmp_path / "bench.csv"
-        code = main(["bench", "--manifest", str(man_path), "--out", str(out_path)])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
-        assert rows[0]["outcome"] == "YES"
-
-    def test_missing_manifest_exits_three(self, tmp_path):
-        assert main(["bench", "--manifest", str(tmp_path / "no.json")]) == 3
-
-    def test_manifest_that_is_not_a_list_exits_three(self, tmp_path, capsys):
-        man_path = tmp_path / "m.json"
-        man_path.write_text("7")
-        assert main(["bench", "--manifest", str(man_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("input error:") and err.count("\n") == 1
-
-    def test_row_that_is_not_an_object_is_an_error_row(self, tmp_path, capsys):
-        manifest = [5, {"name": "p4", "family": {"kind": "path", "n": 4},
-                        "task": "lp"}]
-        man_path = tmp_path / "m.json"
-        man_path.write_text(json.dumps(manifest))
-        code, out = run(capsys, "bench", "--manifest", str(man_path))
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [row["name"] for row in rows] == ["", "p4"]
-        assert rows[0]["error"] == "GraphError: bench row 5 is not an object"
-        assert rows[1]["outcome"] == "equal" and rows[1]["error"] == ""
 
 
 def child_env():
