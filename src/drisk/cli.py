@@ -24,7 +24,6 @@ from .ballvc import two_vc_dimension
 from .generators import (
     FAMILIES,
     _family,
-    bucket_model,
     exact_subdivision,
     hardness_reduction,
     pendant_construction,
@@ -251,15 +250,13 @@ def _cmd_gen(args) -> int:
         if None in params.values():
             need = " and ".join(f"--{p}" for p in names if p != "seed")
             raise GraphError(f"gen {kind} needs {need}")
+        g = built = _family(kind, params)
         if kind == "bucket":
-            sample = bucket_model(**params)
-            g = sample.g
+            g = built.g
             comments.append(
-                f"n {sample.n} d {sample.d} seed {seed} trimmed {sample.removed_edges}"
+                f"n {built.n} d {built.d} seed {seed} trimmed {built.removed_edges}"
             )
-        else:
-            g = _family(kind, params)
-        if kind == "gnm":
+        elif kind == "gnm":
             comments.append(f"n {args.n} m {args.m} seed {seed}")
     write_edge_list(g, args.out, comments=comments)
     if special:

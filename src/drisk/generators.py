@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
 
 from .graph import INF, Graph, GraphError, _CycleSearch, distances_from, girth
 
@@ -265,14 +265,14 @@ FAMILIES = {
 }
 
 
-def _family(kind: str, params: dict) -> Graph:
-    """The graph of a family of FAMILIES (bucket: its sample's trimmed
-    graph) from a dict of its parameters; `gen` builds by name through it.
-    Private, and the builder is looked up when called, so a profiler that
-    rebinds the builders gives each its own span."""
+def _family(kind: str, params: dict) -> Union[Graph, BucketModelSample]:
+    """What a family of FAMILIES builds from a dict of its parameters: its
+    graph, or for bucket the sample, whose trimmed graph is .g; `gen`
+    builds by name through it.  Private, and the builder is looked up
+    when called, so a profiler that rebinds the builders gives each its
+    own span."""
     name, names = FAMILIES[kind]
-    built = globals()[name](*(params[p] for p in names))
-    return built.g if kind == "bucket" else built
+    return globals()[name](*(params[p] for p in names))
 
 
 # ---------------------------------------------------------------------------

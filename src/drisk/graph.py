@@ -145,6 +145,41 @@ def ball(g: Graph, center: int, r: int) -> Tuple[int, ...]:
     return tuple(sorted(multi_source_distances(g, (center,), r)))
 
 
+class BallTraces:
+    """The radius-r balls of g traced on a fixed member list, as bitmasks
+    filled one member at a time: bit i of masks[v] is set iff members[i]
+    is filled and within distance r of v.  With blocked, the balls are
+    taken in g minus those vertices.
+
+    A member's row reads only g, the member, r and blocked, so a caller
+    whose members come and go may keep one table and ask it again; each
+    row costs one BFS, the first time bits names its member."""
+
+    def __init__(
+        self,
+        g: Graph,
+        members: Sequence[int],
+        r: int,
+        blocked: Optional[Collection[int]] = None,
+    ):
+        self.g, self.r, self.blocked = g, r, blocked
+        self.bit = {u: 1 << i for i, u in enumerate(members)}
+        self.masks = [0] * g.n
+        self.filled = 0
+
+    def bits(self, vs: Iterable[int]) -> int:
+        """The bits of the members vs, after filling their rows."""
+        out = 0
+        for u in vs:
+            b = self.bit[u]
+            out |= b
+            if not self.filled & b:
+                self.filled |= b
+                for v in multi_source_distances(self.g, (u,), self.r, self.blocked):
+                    self.masks[v] |= b
+        return out
+
+
 def _ball_masks(
     g: Graph, members: Sequence[int], r: int, blocked: Optional[Collection[int]] = None
 ) -> List[int]:
@@ -154,12 +189,9 @@ def _ball_masks(
     ball.  With blocked, the balls are taken in g minus those vertices:
     a blocked vertex's mask is 0, and a blocked member's bit is set
     nowhere."""
-    masks = [0] * g.n
-    for i, u in enumerate(members):
-        bit = 1 << i
-        for v in multi_source_distances(g, (u,), r, blocked):
-            masks[v] |= bit
-    return masks
+    table = BallTraces(g, members, r, blocked)
+    table.bits(members)
+    return table.masks
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .graph import (
+    BallTraces,
     Graph,
     GraphError,
     is_distance_dominating,
@@ -35,7 +36,7 @@ from .projections import (
     path_closure,
     profile_classes,
 )
-from .uqw import scattered_ladder
+from .uqw import LadderTables, scattered_ladder
 from .wcol import _reach_scan, greedy_ball_cover, order_heuristic
 
 
@@ -130,21 +131,32 @@ def _far_members(
     return tuple(x for x in b if x not in near)
 
 
+@dataclass
+class _Carried:
+    """What a removal round reads from earlier rounds of one call: keys
+    holds profile keys on the current z at radius 2r, and ladder the
+    radius-4r ball traces of the call's initial members."""
+
+    keys: Dict[int, ProfileKey]
+    ladder: LadderTables
+
+
 def _find_removable_class(
     g: Graph,
     members: Tuple[int, ...],
     z: Tuple[int, ...],
     r: int,
     policy: KernelPolicy,
-    keys: Dict[int, ProfileKey],
+    carried: _Carried,
 ) -> Optional[IrrelevanceCertificate]:
     """One round of the splitter: pick the largest profile class of
     A minus z, ladder up deletion sets at radius 4r, and return the
     first certificate whose far, profile and size conditions work out.
 
-    keys holds profile keys on z at radius 2r from earlier rounds on
-    the same z; the keys of the other candidates are added to it.
+    The keys of candidates not in carried.keys are added to it, and the
+    ladder fills the rows of carried.ladder that it reads.
     """
+    keys = carried.keys
     zset = set(z)
     candidates = tuple(x for x in members if x not in zset)
     if not candidates:
@@ -159,7 +171,7 @@ def _find_removable_class(
     s_max = min(policy.uqw_s_max, len(bulk) - 2)
     if s_max < 0:
         return None
-    for s, b in scattered_ladder(g, bulk, 4 * r, s_max):
+    for s, b in scattered_ladder(g, bulk, 4 * r, s_max, carried.ladder):
         need = len(s) + 2
         far = _far_members(g, b, z, s, r)
         if len(far) < need:
@@ -189,11 +201,15 @@ def remove_irrelevant(
 
     Work whose inputs have not changed is carried to the next round
     rather than redone, so each round finds what a rebuild would.
-    The closure reads only g, the set of the greedy cover, 2r and the
-    target, so it is kept while that cover and target repeat.  A
-    candidate's profile key reads only g, the candidate, the closed set
-    z and 2r, so the keys are kept while z repeats; the candidates are
-    then the last round's minus its victim.
+    A member's ball trace reads only g, the member, the radius and the
+    deletion set, so the cover's radius-r//2 traces of the initial
+    members are found once per call, and the ladder's radius-4r traces
+    once per member and deletion set.  The closure reads only g, the
+    set of the greedy cover, 2r and the target, so it is kept while
+    that cover and target repeat.  A candidate's profile key reads only
+    g, the candidate, the closed set z and 2r, so the keys are kept
+    while z repeats; the candidates are then the last round's minus its
+    victim.
     """
     if r < 1:
         raise GraphError("radius must be at least 1")
@@ -203,21 +219,22 @@ def remove_irrelevant(
     members = vset(a, g)
     log: List[Tuple[int, IrrelevanceCertificate]] = []
     d = r // 2
+    cover = BallTraces(g, members, d)
+    carried = _Carried({}, LadderTables(g, members, 4 * r))
     closed_key: Optional[Tuple[FrozenSet[int], int]] = None
-    keys: Dict[int, ProfileKey] = {}
     z: Tuple[int, ...] = ()
     while len(members) >= k:
         if policy.max_rounds is not None and len(log) >= policy.max_rounds:
             break
-        dom = greedy_ball_cover(g, members, d)
+        dom = greedy_ball_cover(g, members, d, cover)
         target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
         key = (frozenset(dom), target)
         if key != closed_key:
             closed_key = key
             closed = closure(g, dom, 2 * r, target).closed_set
             if closed != z:
-                z, keys = closed, {}
-        cert = _find_removable_class(g, members, z, r, policy, keys)
+                z, carried.keys = closed, {}
+        cert = _find_removable_class(g, members, z, r, policy, carried)
         if cert is None:
             break
         name = check_certificate(g, members, cert)

@@ -136,6 +136,9 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     already, and the grown set is that of walking every path in full.
     A pair at distance 1 is not walked: its path is the pair itself, and
     a later walk through u toward v only adds v.  It is still verified.
+    Once the grown set holds every vertex no walk can add one, so the
+    walks stop, and the check reads g itself, which is g[V]; when x is
+    all of V that holds from the start.
     """
     members = vset(x, g)
     mset = set(members)
@@ -147,6 +150,8 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
         vs = sorted(v for v in dists[u] if v > u and v in mset)
         if vs:
             partners[u] = vs
+        if len(grown) == g.n:
+            continue
         for v in vs:
             if dists[v][u] == 1:
                 continue  # the walk is [u, v], and both are grown already
@@ -154,7 +159,8 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
             walked[v].update(path)
             grown.update(path)
     closed = tuple(sorted(grown))
-    sub, idmap = induced_subgraph(g, closed)
+    # the identity range is g's id map onto itself
+    sub, idmap = (g, range(g.n)) if len(closed) == g.n else induced_subgraph(g, closed)
     for u, vs in partners.items():
         inside = distances_from(sub, idmap[u], r)
         for v in vs:

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .graph import (
+    BallTraces,
     Graph,
     GraphError,
-    _ball_masks,
     is_distance_dominating,
     is_distance_independent,
     vset,
@@ -129,20 +129,29 @@ def order_heuristic(g: Graph) -> VertexOrder:
     return VertexOrder(tuple(reversed(peel)))
 
 
-def greedy_ball_cover(g: Graph, a: Iterable[int], r: int) -> Tuple[int, ...]:
+def greedy_ball_cover(
+    g: Graph, a: Iterable[int], r: int, table: Optional[BallTraces] = None
+) -> Tuple[int, ...]:
     """Greedy set cover of a by radius-r balls centered anywhere:
     repeatedly take the center covering the most still-uncovered
-    members (smallest id on ties).  Returned in pick order."""
+    members (smallest id on ties).  Returned in pick order.
+
+    table carries the radius-r ball traces of a member list that holds
+    a; the greedy reads only the bits of a, so its picks are those of a
+    fresh table on a alone.  Without it the cover makes its own."""
     members = vset(a, g)
     if not members:
         return ()
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    covers = _ball_masks(g, members, r)
-    uncovered = (1 << len(members)) - 1
+    if table is None:
+        table = BallTraces(g, members, r)
+    uncovered = table.bits(members)
+    covers = table.masks
     # Lazy-deletion heap; stale gains are recomputed on pop.  Every
-    # member covers itself, so the heap outlasts the uncovered set.
-    heap = [(-m.bit_count(), v) for v, m in enumerate(covers) if m]
+    # member covers itself, so the heap outlasts the uncovered set, and
+    # an entry of gain 0 is never reached.
+    heap = [(-(m & uncovered).bit_count(), v) for v, m in enumerate(covers)]
     heapq.heapify(heap)
     picks: List[int] = []
     while uncovered:

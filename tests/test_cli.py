@@ -594,10 +594,13 @@ class TestSolve:
         self, path10, capsys, monkeypatch
     ):
         # a ball table in which vertex 0 covers every member
-        monkeypatch.setattr(
-            drisk.wcol, "_ball_masks",
-            lambda g, members, r: [(1 << len(members)) - 1] + [0] * (g.n - 1),
-        )
+        class OneCenter(drisk.graph.BallTraces):
+            def bits(self, vs):
+                out = super().bits(vs)
+                self.masks = [out] + [0] * (self.g.n - 1)
+                return out
+
+        monkeypatch.setattr(drisk.wcol, "BallTraces", OneCenter)
         assert internal_error(capsys, "solve", "duality", "--input", path10, "--r", "1") \
             == "greedy cover failed to dominate"
 
@@ -721,7 +724,7 @@ class TestKernel:
         # is enough to apply it
         bad = IrrelevanceCertificate((0, 6), (), (1, 2, 3, 4, 5), 2, 1)
         monkeypatch.setattr(
-            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy, keys: bad
+            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy, carried: bad
         )
         graph_path, a_path = twin
         assert internal_error(

@@ -116,9 +116,12 @@ class TestFamilies:
         assert _family("path", {"n": 3}).edges == path_graph(3).edges
         assert _family("grid", {"rows": 2, "cols": 2}).n == 4
         assert _family("gnm", {"n": 6, "m": 5, "seed": 3}).edges == gnm_random(6, 5, 3).edges
-        # bucket gives the sample's trimmed graph
+        # bucket gives the whole sample, whose trimmed graph is .g
         bucket = _family("bucket", {"n": 10, "d": 3, "seed": 0})
-        assert bucket.edges == bucket_model(10, 3, 0).g.edges
+        sample = bucket_model(10, 3, 0)
+        assert (bucket.g0, bucket.g.edges, bucket.removed_edges) == (
+            sample.g0, sample.g.edges, sample.removed_edges
+        )
         with pytest.raises(KeyError):
             _family("grid", {"rows": 2})
 

@@ -337,7 +337,7 @@ def reference_pipeline():
         mp.setattr(
             drisk.kernel,
             "_find_removable_class",
-            lambda g, members, z, r, policy, keys: (
+            lambda g, members, z, r, policy, carried: (
                 bruteforce.find_removable_class_uncapped(g, members, z, r, policy)
             ),
         )
@@ -424,9 +424,9 @@ class TestWorkGuards:
         entered = []
         real_ladder = drisk.kernel.scattered_ladder
 
-        def ladder(g, a, r, s_max):
+        def ladder(g, a, r, s_max, tables=None):
             entered.append((len(a), s_max))
-            return real_ladder(g, a, r, s_max)
+            return real_ladder(g, a, r, s_max, tables)
 
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
         g = grid_graph(7, 7)
@@ -548,9 +548,9 @@ class TestMatchesRebuiltRounds:
             profiled.append((u, bound))
             return real_key(g, u, bound, bset, r)
 
-        def recorded_find(g, members, z, r, policy, keys):
+        def recorded_find(g, members, z, r, policy, carried):
             rounds.append((members, z))
-            return real_find(g, members, z, r, policy, keys)
+            return real_find(g, members, z, r, policy, carried)
 
         monkeypatch.setattr(drisk.kernel, "closure", counted_closure)
         monkeypatch.setattr(drisk.kernel, "_profile_key", counted_key)
@@ -574,17 +574,22 @@ class TestMatchesRebuiltRounds:
         assert profiled == want
         assert len(profiled) < sum(len(m) for m, _ in rounds) // 4
 
-    def test_a_new_closed_set_drops_the_kept_keys(self, monkeypatch):
-        # A cover that also holds the middle member still dominates, and
-        # it changes as members go, which the true cover does not on these
-        # inputs, so z changes too; both loops run on it.
+    @staticmethod
+    def widen_cover(monkeypatch):
+        """Give both loops a cover that also holds the middle member.  It
+        still dominates, and it changes as members go, which the true
+        cover does not on twin stars, so z changes too."""
         real_cover = drisk.kernel.greedy_ball_cover
 
-        def cover(g, members, d):
-            return tuple(sorted({*real_cover(g, members, d), members[len(members) // 2]}))
+        def cover(g, members, d, table=None):
+            picks = real_cover(g, members, d, table)
+            return tuple(sorted({*picks, members[len(members) // 2]}))
 
         monkeypatch.setattr(drisk.kernel, "greedy_ball_cover", cover)
         monkeypatch.setattr(bruteforce, "greedy_ball_cover", cover)
+
+    def test_a_new_closed_set_drops_the_kept_keys(self, monkeypatch):
+        self.widen_cover(monkeypatch)
         g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
         got, closures, profiled, rounds, want = self.record_reuse(
             monkeypatch, g, a, 3, 2
@@ -593,3 +598,85 @@ class TestMatchesRebuiltRounds:
         assert len({z for _, z in rounds}) > 2
         assert len(closures) == len(set(closures)) < len(rounds)
         assert profiled == want
+
+    def test_bulk_changes_between_rounds_on_drawn_inputs(self, monkeypatch):
+        # Under the widened cover z moves, so a round's bulk class is not
+        # always the last one's minus its victim; the ladder rows carried
+        # from other bulks must still give the rungs of a rebuild.
+        self.widen_cover(monkeypatch)
+        bulks = []
+        real_ladder = drisk.kernel.scattered_ladder
+
+        def ladder(g, a, r, s_max, tables=None):
+            bulks[-1].append(tuple(a))
+            return real_ladder(g, a, r, s_max, tables)
+
+        monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
+        moved = []
+
+        @settings(max_examples=60)
+        @given(st.data())
+        def check(data):
+            p = data.draw(st.integers(3, 10), label="p")
+            bridge = data.draw(st.integers(3, 10), label="bridge")
+            g, a = corpus.twin_stars(p, bridge), corpus.twin_star_leaves(p)
+            r = data.draw(st.sampled_from((2, 3)), label="r")
+            bulks.append([])
+            got = remove_irrelevant(g, a, 3, r)
+            assert got == bruteforce.remove_irrelevant_rounds(g, a, 3, r)
+            victims = [v for v, _ in got[1]]
+            seen = bulks[-1]
+            moved.append(any(
+                set(nxt) != set(prev) - {victim}
+                for prev, nxt, victim in zip(seen, seen[1:], victims)
+            ))
+
+        check()
+        assert any(moved)
+
+    def test_twin_stars_search_each_ball_trace_once(self, monkeypatch):
+        # The cover's table is built once per call and fills one row per
+        # initial member; the ladder fills each (member, deletion set)
+        # row at most once, where a rebuild searches every bulk member
+        # again on every rung.
+        built, rows, rung_rows = [], [], []
+        filling = []
+        real_init = drisk.graph.BallTraces.__init__
+        real_bits = drisk.graph.BallTraces.bits
+        real_search = drisk.graph.multi_source_distances
+        real_ladder = drisk.kernel.scattered_ladder
+
+        def init(self, g, members, r, blocked=None):
+            built.append((r, frozenset(blocked or ())))
+            real_init(self, g, members, r, blocked)
+
+        def bits(self, vs):
+            filling.append(self)
+            try:
+                return real_bits(self, vs)
+            finally:
+                filling.pop()
+
+        def search(g, sources, cutoff=None, blocked=None, stop=()):
+            if filling:
+                rows.append((*sources, cutoff, frozenset(blocked or ())))
+            return real_search(g, sources, cutoff, blocked, stop)
+
+        def ladder(g, a, r, s_max, tables=None):
+            for rung in real_ladder(g, a, r, s_max, tables):
+                rung_rows.append(len(a))
+                yield rung
+
+        monkeypatch.setattr(drisk.graph.BallTraces, "__init__", init)
+        monkeypatch.setattr(drisk.graph.BallTraces, "bits", bits)
+        monkeypatch.setattr(drisk.graph, "multi_source_distances", search)
+        monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
+        g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
+        _, log = remove_irrelevant(g, a, 3, 2)
+        assert len(log) > 20
+        assert built.count((1, frozenset())) == 1
+        assert sorted(row for row in rows if row[1] == 1) == [(u, 1, frozenset()) for u in a]
+        ladder_rows = [row for row in rows if row[1] == 8]
+        assert len(ladder_rows) == len(set(ladder_rows))
+        assert len({row[2] for row in ladder_rows}) >= 2
+        assert len(ladder_rows) < sum(rung_rows) // 4

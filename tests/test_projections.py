@@ -215,6 +215,35 @@ class TestPathClosure:
         with pytest.raises(RuntimeError, match="induced distance not preserved"):
             path_closure(g, [0, 1, 3], 2)
 
+    def test_all_of_v_walks_nothing_and_copies_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on a member set that is all of V")
+
+        for name in ("_descend", "induced_subgraph"):
+            monkeypatch.setattr(drisk.projections, name, forbidden)
+        for name, g in corpus.small_corpus():
+            for r in (1, 2, 3):
+                assert path_closure(g, range(g.n), r) == tuple(range(g.n)), (name, r)
+
+    def test_all_of_v_still_checks_every_pair(self, monkeypatch):
+        # one search per member finds the partners; every later search is
+        # a check, and it reports each vertex one step too far
+        g = corpus.twin_stars(3, 4)
+        calls = []
+        real = drisk.projections.distances_from
+
+        def late_wrong(g, source, cutoff=None):
+            calls.append(source)
+            dist = real(g, source, cutoff)
+            if len(calls) > g.n:
+                dist = {v: d + (v != source) for v, d in dist.items()}
+            return dist
+
+        monkeypatch.setattr(drisk.projections, "distances_from", late_wrong)
+        with pytest.raises(RuntimeError, match="induced distance not preserved"):
+            path_closure(g, range(g.n), 2)
+        assert len(calls) == g.n + 1
+
     def test_preserves_short_distances_on_corpus(self):
         for name, g in corpus.small_corpus():
             if g.n < 4:
