@@ -60,27 +60,41 @@ def _search_pair_shattered(n: int, masks: List[int]) -> int:
     trace m & X of some mask; the first found when elements are added
     in ascending order on _walk.
 
-    An element can only join X if it shares a mask with every element
-    of X, so the candidates are cut by the co-occurrence mask co[x] of
-    each element x that joins.  Traces are tested bit-parallel over the
-    masks: inc[x] marks the masks that hold x, and one, two and three
-    mark the masks that meet X at least once, twice and three times, so
-    {x, y} is a trace exactly when inc[x] & inc[y] & two & ~three != 0.
-    """
-    masks = {m for m in masks if m & (m - 1)}  # smaller sets trace no pair
-    co = [0] * n
+    Traces are tested bit-parallel over the masks: inc[x] marks the
+    masks that hold x.  A node is (x_mask, xs, cands, one, two, three,
+    incs, pairs): X as a mask and as a tuple in joining order, the
+    elements that may still join, the masks that meet X at least once,
+    twice and three times, inc[x] for each x in xs, and inc[x] & inc[z]
+    for each pair of xs.  The masks that meet X + y exactly twice are
+    exact = two' & ~three', and a pair of X + y is a trace exactly when
+    one of these holds it, so y joins when every entry of pairs and
+    every entry of incs & inc[y] meets exact: |X| + |pairs| ANDs, and
+    no pair mask is worked out again.  The child X + y carries the
+    pairs ix & inc[y] it adds.
+
+    The child gets only the candidates in reach, the union of the masks
+    that hold y and miss X (no bit in one).  Trace exactness is
+    hereditary: a mask that meets some X'' containing X + y exactly in
+    {y, y'} meets X in nothing, so it is one of those masks, and an
+    element outside reach joins no descendant of X + y.  So the walk
+    grows the same pair-shattered sets, in the same ascending order, as
+    when each child took the candidates sharing any mask with y; only
+    the bound len(xs) + |cands| <= best_size ends a node's loop sooner,
+    and it cuts only branches whose sets, drawn from cands, are no
+    larger than the best so far.  The best is replaced only by a
+    strictly larger X, so the first maximum found is unchanged."""
+    masks = list({m for m in masks if m & (m - 1)})  # smaller sets trace no pair
     inc = [0] * n
     for j, m in enumerate(masks):
         y = m
         while y:
             b = y & -y
             y ^= b
-            co[b.bit_length() - 1] |= m
             inc[b.bit_length() - 1] |= 1 << j
     best_mask, best_size = 0, 0
 
     def children(node):
-        x_mask, xs, cands, one, two, three = node
+        x_mask, xs, cands, one, two, three, incs, pairs = node
         while len(xs) + cands.bit_count() > best_size:
             b = cands & -cands
             cands ^= b
@@ -89,12 +103,27 @@ def _search_pair_shattered(n: int, masks: List[int]) -> int:
             two_y, three_y = two | (one & iy), three | (two & iy)
             exact = two_y & ~three_y  # the masks that meet X + y twice
             with_y = iy & exact
-            if all(inc[x] & with_y for x in xs) and all(
-                inc[x] & inc[z] & exact for i, x in enumerate(xs) for z in xs[i + 1:]
-            ):
-                yield x_mask | b, xs + (y,), cands & co[y], one | iy, two_y, three_y
+            for ix in incs:
+                if not ix & with_y:
+                    break
+            else:
+                for p in pairs:
+                    if not p & exact:
+                        break
+                else:
+                    reach = 0
+                    miss = iy & ~one
+                    while miss:
+                        f = miss & -miss
+                        miss ^= f
+                        reach |= masks[f.bit_length() - 1]
+                    yield (
+                        x_mask | b, xs + (y,), cands & reach, one | iy, two_y, three_y,
+                        incs + (iy,), pairs + tuple(ix & iy for ix in incs),
+                    )
 
-    for x_mask, xs, *_ in _walk((0, (), (1 << n) - 1, 0, 0, 0), children):
+    root = (0, (), (1 << n) - 1, 0, 0, 0, (), ())
+    for x_mask, xs, *_ in _walk(root, children):
         if len(xs) > best_size:
             best_size, best_mask = len(xs), x_mask
     return best_mask

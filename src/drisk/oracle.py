@@ -164,7 +164,9 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     uncovered members and the balls chosen.  It is pruned by two lower
     bounds on the balls still needed: a greedy packing of uncovered members
     no two of which share a ball (the duality alpha_2r <= gamma_r,
-    restricted to what is left) and ceil(|uncovered| / largest gain).
+    restricted to what is left) and ceil(|uncovered| / largest gain),
+    tried first with the parent's largest gain, which is no smaller, so
+    that the scan over every kept ball runs only where that does not cut.
     Branches keep their order and the best cover is replaced only by a
     strictly smaller one, so neither bound changes the witness.  The
     witness is checked to dominate a at r before it is returned."""
@@ -205,7 +207,7 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     best_len = len(best)
 
     def children(node):
-        unc, chosen = node
+        unc, chosen, gain = node
         # uncovered members pairwise in no common ball each need a ball;
         # a cover has none left, so this cut also ends every leaf
         packed = 0
@@ -215,9 +217,13 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
             rest &= ~near[(rest & -rest).bit_length() - 1]
         if len(chosen) + packed >= best_len:
             return
-        max_gain = max((m & unc).bit_count() for m in kept)
-        need = -(-unc.bit_count() // max_gain)  # ceil
-        if len(chosen) + need >= best_len:
+        # the parent's largest gain is no smaller than this node's, so its
+        # bound cuts only where the exact one does, without the scan
+        left = unc.bit_count()
+        if len(chosen) - (-left // gain) >= best_len:  # + ceil(left / gain)
+            return
+        gain = max((m & unc).bit_count() for m in kept)
+        if len(chosen) - (-left // gain) >= best_len:
             return
         # min keeps the first of equal counts: ties go to the lowest member
         e = min(_bits(unc), key=ways.__getitem__)
@@ -225,9 +231,10 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
             covering_sets[e], key=lambda m: (-(m & unc).bit_count(), by_mask[m])
         )
         for m in options:
-            yield unc & ~m, chosen + (m,)
+            yield unc & ~m, chosen + (m,), gain
 
-    for unc, chosen in _walk((full, ()), children):
+    # kept is sorted by size, so kept[0] has the root's largest gain
+    for unc, chosen, _ in _walk((full, (), kept[0].bit_count()), children):
         if not unc and len(chosen) < best_len:
             best, best_len = chosen, len(chosen)
     witness = tuple(sorted(by_mask[m] for m in best))
@@ -264,9 +271,14 @@ def lp_domination(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     for feasibility and for equal totals, which by weak duality certifies
     that each is optimal."""
     members = vset(a, g)
-    masks = _ball_masks(g, members, r)
+    return _lp_domination_on(members, _ball_masks(g, members, r))
+
+
+def _lp_domination_on(members: Tuple[int, ...], masks: List[int]) -> LpSolution:
+    """lp_domination on a ball-trace table already built: bit i of
+    masks[v] puts members[i] in the r-ball of v, for every vertex v."""
     rows = [[F1 if m >> i & 1 else F0 for i in range(len(members))] for m in masks]
-    res = solve_max([F1] * len(members), rows, [F1] * g.n)
+    res = solve_max([F1] * len(members), rows, [F1] * len(masks))
     _audit_cover(masks, res.y, res.value)
     _audit_packing(masks, res.x, res.value)
     packing = LpSolution(res.value, dict(zip(members, res.x)))

@@ -26,7 +26,7 @@ from .graph import (
     is_distance_independent,
     vset,
 )
-from .oracle import lp_domination
+from .oracle import _lp_domination_on
 
 
 @dataclass(frozen=True)
@@ -253,14 +253,16 @@ def duality_report(
     |witness| <= lp <= |cover| <= H_|a| * lp before returning."""
     members = vset(a, g)
     order = order_heuristic(g)
-    dominating = greedy_ball_cover(g, members, r)
+    # one table for the cover and the LP; the cover fills every row
+    table = BallTraces(g, members, r)
+    dominating = greedy_ball_cover(g, members, r, table)
     wide, witness, _ = _reach_scan(g, members, r, order)
     if not is_distance_independent(g, witness, 2 * r + 1):
         raise RuntimeError("internal: witness is not spread far enough")
     bound = harmonic(len(members))
     lp_value: Optional[Fraction] = None
     if include_lp:
-        lp_value = lp_domination(g, members, r).value
+        lp_value = _lp_domination_on(members, table.masks).value
     if len(witness) > len(dominating):
         raise RuntimeError("internal: witness larger than cover")
     if lp_value is not None:

@@ -1578,3 +1578,56 @@ def domination_number_index_scan(g: Graph, a: Iterable[int], r: int, limit: int 
     if not is_distance_dominating(g, witness, members, r):
         raise RuntimeError("internal: invalid domination witness")
     return best_len, witness
+
+
+# ballvc._search_pair_shattered as it was when each child took the
+# candidates sharing any mask with the element that joined (cands &
+# co[y]) and every candidate's test worked out each pair mask of X
+# again.  It is kept verbatim apart from its name, so tests can pin the
+# search that carries its pair masks and cuts candidates to the masks
+# missing X to it, mask for mask.
+
+
+def search_pair_shattered_co(n: int, masks: List[int]) -> int:
+    """Largest X (as a bitmask) every 2-element subset of which is a
+    trace m & X of some mask; the first found when elements are added
+    in ascending order on _walk.
+
+    An element can only join X if it shares a mask with every element
+    of X, so the candidates are cut by the co-occurrence mask co[x] of
+    each element x that joins.  Traces are tested bit-parallel over the
+    masks: inc[x] marks the masks that hold x, and one, two and three
+    mark the masks that meet X at least once, twice and three times, so
+    {x, y} is a trace exactly when inc[x] & inc[y] & two & ~three != 0.
+    """
+    masks = {m for m in masks if m & (m - 1)}  # smaller sets trace no pair
+    co = [0] * n
+    inc = [0] * n
+    for j, m in enumerate(masks):
+        y = m
+        while y:
+            b = y & -y
+            y ^= b
+            co[b.bit_length() - 1] |= m
+            inc[b.bit_length() - 1] |= 1 << j
+    best_mask, best_size = 0, 0
+
+    def children(node):
+        x_mask, xs, cands, one, two, three = node
+        while len(xs) + cands.bit_count() > best_size:
+            b = cands & -cands
+            cands ^= b
+            y = b.bit_length() - 1
+            iy = inc[y]
+            two_y, three_y = two | (one & iy), three | (two & iy)
+            exact = two_y & ~three_y  # the masks that meet X + y twice
+            with_y = iy & exact
+            if all(inc[x] & with_y for x in xs) and all(
+                inc[x] & inc[z] & exact for i, x in enumerate(xs) for z in xs[i + 1:]
+            ):
+                yield x_mask | b, xs + (y,), cands & co[y], one | iy, two_y, three_y
+
+    for x_mask, xs, *_ in _walk((0, (), (1 << n) - 1, 0, 0, 0), children):
+        if len(xs) > best_size:
+            best_size, best_mask = len(xs), x_mask
+    return best_mask

@@ -13,6 +13,7 @@ import corpus
 import drisk.ballvc
 from drisk.ballvc import (
     TwoShatterWitness,
+    _search_pair_shattered,
     _two_shattered,
     extract_minor_model,
     two_vc_dimension,
@@ -23,7 +24,7 @@ from drisk.generators import (
     path_graph,
     star_graph,
 )
-from drisk.graph import Graph, GraphError, ball
+from drisk.graph import Graph, GraphError, _ball_masks, ball
 from drisk.oracle import OracleLimitError, validate_minor_model
 
 
@@ -160,6 +161,71 @@ class TestTwoVcAgainstResidueSearch:
         sets = sets + repeats + [()]
         masks = [sum(1 << i for i in member) for member in sets]
         self.assert_same(_two_shattered(universe, masks), universe, masks, sets)
+
+
+class TestPairSearchAgainstCoOccurrenceSearch:
+    """The search that carries its pair masks and gives each child only
+    the partners in a mask missing X, against the search that took every
+    partner sharing a mask with the new element, kept verbatim in
+    bruteforce: the same mask."""
+
+    @staticmethod
+    def assert_same(n, masks, label):
+        want = bruteforce.search_pair_shattered_co(n, masks)
+        assert _search_pair_shattered(n, masks) == want, label
+
+    def test_corpus_ball_systems(self):
+        rng = random.Random(26)
+        for name, g in corpus.small_corpus():
+            for r in range(4):
+                for keep in [range(g.n)] + [
+                    rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(3)
+                ]:
+                    members = sorted(keep)
+                    masks = _ball_masks(g, members, r)
+                    self.assert_same(len(members), masks, (name, r, members))
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_drawn_set_systems(self, data):
+        # wide systems hold 40-90 distinct masks, so past 64 the
+        # incidence of an element outgrows a machine word, and masks
+        # often meet X three times or more
+        wide = data.draw(st.booleans(), label="wide")
+        n = data.draw(st.integers(7, 14) if wide else st.integers(0, 10), label="n")
+        masks = data.draw(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=40, max_size=90, unique=True)
+            if wide else st.lists(st.integers(0, (1 << n) - 1), max_size=16),
+            label="masks",
+        )
+        self.assert_same(n, masks, masks)
+
+    def test_children_keep_only_partners_in_a_mask_missing_x(self, monkeypatch):
+        # every candidate c of a node X pairs with each x of X through a
+        # mask that holds both and misses the elements that joined before x
+        nodes = []
+        walk = drisk.ballvc._walk
+
+        def recorded(root, children):
+            for node in walk(root, children):
+                nodes.append(node[1:3])
+                yield node
+
+        monkeypatch.setattr(drisk.ballvc, "_walk", recorded)
+        for name, g in corpus.small_corpus():
+            for r in (1, 2, 3):
+                masks = _ball_masks(g, range(g.n), r)
+                nodes.clear()
+                _search_pair_shattered(g.n, masks)
+                for xs, cands in nodes:
+                    for c in range(g.n):
+                        if not cands >> c & 1:
+                            continue
+                        for i, x in enumerate(xs):
+                            missed = sum(1 << z for z in xs[:i])
+                            assert any(
+                                m >> x & 1 and m >> c & 1 and not m & missed for m in masks
+                            ), (name, r, xs, c)
 
 
 class TestValidateTwoShatter:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 import corpus
+import drisk.graph
 import drisk.wcol
 from drisk.generators import (
     bucket_model,
@@ -334,3 +335,20 @@ class TestDualityReport:
             monkeypatch.setattr(drisk.wcol, name, counted)
         duality_report(grid_graph(12, 12), range(144), 1)
         assert checks == [("is_distance_dominating", 1), ("is_distance_independent", 3)]
+
+    def test_one_ball_table_for_the_cover_and_the_lp(self, monkeypatch):
+        # a member's radius-1 row is one BFS from it alone, and the LP
+        # reads the cover's table instead of filling its own: 36 rows, not 72
+        g = grid_graph(6, 6)
+        want = lp_domination(g, range(36), 1).value
+        searches = []
+        search = drisk.graph.multi_source_distances
+
+        def counted(g, srcs, *args):
+            searches.append((tuple(srcs), *args))
+            return search(g, srcs, *args)
+
+        monkeypatch.setattr(drisk.graph, "multi_source_distances", counted)
+        assert duality_report(g, range(36), 1).lp_value == want
+        rows = [s for s in searches if s[1:] == (1, None)]
+        assert rows == [((u,), 1, None) for u in range(36)]
