@@ -61,25 +61,14 @@ def _bits(mask: int):
         mask ^= b
 
 
-def _max_clique(n: int, adj: List[int], floor: Optional[int] = None) -> Tuple[int, int]:
+def _max_clique(n: int, adj: List[int]) -> Tuple[int, int]:
     """Maximum clique on a bitmask adjacency; returns (size, mask).
 
     Branch and bound with a greedy coloring bound on _walk; deterministic.
     A node is (size, mask, candidates); one with no candidates is a leaf.
-    With a floor, the bound starts at floor instead of 0 and the walk stops
-    at the first clique larger than it; (floor, 0) means there is none.
-
-    Seeded with floor = alpha - 1, where alpha is the clique number, the
-    walk stops at the clique the unseeded walk returns.  A node's branches
-    depend only on its candidates, and a cut drops the node's remaining
-    branches, none of which holds a clique larger than rsize + bound[i].
-    The unseeded walk returns its first alpha-clique (the best is replaced
-    only by a larger one), and until it finds it, its bound is at most
-    alpha - 1, so it cuts only subtrees without an alpha-clique.  The
-    seeded walk cuts those and more, each again without an alpha-clique:
-    it visits the same nodes in the same order, less subtrees that hold
-    no alpha-clique, and reaches the same first alpha-clique."""
-    best_size, best_mask = (0 if floor is None else floor), 0
+    The best is replaced only by a larger clique, so the mask is the first
+    maximum clique the walk reaches."""
+    best_size, best_mask = 0, 0
 
     def children(node):
         rsize, rmask, cand = node
@@ -108,8 +97,6 @@ def _max_clique(n: int, adj: List[int], floor: Optional[int] = None) -> Tuple[in
     for size, mask, cand in _walk((0, 0, (1 << n) - 1), children):
         if not cand and size > best_size:
             best_size, best_mask = size, mask
-            if floor is not None:
-                break
     return best_size, best_mask
 
 
@@ -117,12 +104,9 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
     """Largest subset of a with pairwise distance > r, with a witness,
     which is checked by BFS at r before it is returned.
 
-    Two clique walks on the conflict complement.  The first finds the
-    size with the members in MCQ order (Tomita and Seki, 2003): fewest
-    conflicts first, ties by id.  The second walks the members in id
-    order seeded with that size minus one, which stops at the clique an
-    unseeded id-order walk returns (see _max_clique), so the witness does
-    not depend on the first walk's order."""
+    One clique walk on the conflict complement, with the members in MCQ
+    order (Tomita and Seki, 2003): fewest conflicts first, ties by id.
+    The witness is the walk's first maximum clique, sorted by id."""
     if r < 0:
         raise GraphError("radius must be >= 0")
     members = vset(a, g)
@@ -136,18 +120,16 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
     table = _ball_masks(g, members, r)
     masks = [table[v] for v in members]
     full = (1 << n) - 1
-    # MCQ order; each row is permuted from its sparse trace and then
-    # complemented, since permuting the dense complement costs n^2 bits
+    # each row is permuted from its sparse trace and then complemented,
+    # since permuting the dense complement costs n^2 bits; members[i]'s
+    # own trace holds bit i, so no row has a loop
     order = sorted(range(n), key=lambda i: masks[i].bit_count())
     pos = [0] * n
     for j, i in enumerate(order):
         pos[i] = j
     permuted = [full & ~sum(1 << pos[j] for j in _bits(masks[i])) for i in order]
-    alpha, _ = _max_clique(n, permuted)
-    # members[i]'s own trace holds bit i, so comp[i] has no loop
-    comp = [full & ~m for m in masks]
-    _, mask = _max_clique(n, comp, alpha - 1)
-    witness = tuple(members[i] for i in _bits(mask))
+    alpha, mask = _max_clique(n, permuted)
+    witness = tuple(sorted(members[order[j]] for j in _bits(mask)))
     if len(witness) != alpha or not is_distance_independent(g, witness, r):
         raise RuntimeError("internal: invalid independence witness")
     return alpha, witness

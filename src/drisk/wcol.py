@@ -139,11 +139,11 @@ def greedy_ball_cover(
     table carries the radius-r ball traces of a member list that holds
     a; the greedy reads only the bits of a, so its picks are those of a
     fresh table on a alone.  Without it the cover makes its own."""
+    if r < 0:
+        raise GraphError("radius must be nonnegative")
     members = vset(a, g)
     if not members:
         return ()
-    if r < 0:
-        raise GraphError("radius must be nonnegative")
     if table is None:
         table = BallTraces(g, members, r)
     uncovered = table.bits(members)

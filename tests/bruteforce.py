@@ -1462,11 +1462,11 @@ def domination_number_gain_bound(g: Graph, a: Iterable[int], r: int, limit: int 
     return best_len, tuple(sorted(by_mask[m] for m in best))
 
 
-# oracle.independence_number as it was when one unseeded _max_clique walk
-# over the members in id order found both the size and the witness,
-# before the size came from a walk in MCQ order.  It is kept verbatim
-# apart from its name, so tests can pin the seeded id-order walk to it,
-# witness included.
+# oracle.independence_number as it was when one _max_clique walk over the
+# members in id order found both the size and the witness, before one
+# walk in MCQ order did.  It is kept verbatim apart from its name, so
+# tests can pin the MCQ-order value to it; the two walks reach different
+# first maximum cliques, so witnesses are checked by distance instead.
 
 
 def independence_number_id_order(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:

@@ -571,9 +571,9 @@ class TestSolve:
         assert captured.err.startswith("internal error: invalid pair-shattering witness")
 
     def test_failed_self_check_exits_one_with_one_line(self, path10, capsys, monkeypatch):
-        # the clique on bits 0 and 1 is the adjacent pair (0, 1), which is
-        # not a 1-independent witness
-        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj, floor=None: (2, 0b11))
+        # in MCQ order the clique on bits 0 and 2 is the adjacent pair
+        # (0, 1), which is not a 1-independent witness
+        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj: (2, 0b101))
         code = main(["solve", "alpha", "--input", path10, "--r", "1"])
         captured = capsys.readouterr()
         assert code == 1

@@ -79,10 +79,24 @@ class TestIndependenceNumber:
             independence_number(path_graph(4), range(4), -1)
 
     def test_witness_is_checked(self, monkeypatch):
-        # the clique on bits 0 and 1 is the adjacent pair (0, 1)
-        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj, floor=None: (2, 0b11))
+        # in MCQ order the ends 0 and 9 come first, then 1, 2, ..., 8, so
+        # the clique on bits 0 and 2 is the adjacent pair (0, 1)
+        monkeypatch.setattr(drisk.oracle, "_max_clique", lambda n, adj: (2, 0b101))
         with pytest.raises(RuntimeError, match="^internal: invalid independence witness$"):
             independence_number(path_graph(10), range(10), 1)
+
+    def test_runs_one_clique_walk(self, monkeypatch):
+        calls = []
+        walk = drisk.oracle._max_clique
+
+        def counted(n, adj):
+            calls.append(n)
+            return walk(n, adj)
+
+        monkeypatch.setattr(drisk.oracle, "_max_clique", counted)
+        g = grid_graph(6, 6)
+        assert independence_number(g, range(g.n), 2, limit=g.n)[0] == 8
+        assert calls == [36]
 
     @settings(max_examples=150)
     @given(st.data())
@@ -98,8 +112,6 @@ class TestIndependenceNumber:
                     adj[v] |= 1 << u
         size, mask = _max_clique(n, adj)
         assert (size, mask) == bruteforce.max_clique_recursive(n, adj)
-        # seeded one below the size, the walk stops at the same clique
-        assert _max_clique(n, adj, floor=size - 1) == (size, mask)
         # MCQ order: most neighbours first, ties by id
         order = sorted(range(n), key=lambda v: -adj[v].bit_count())
         pos = {v: j for j, v in enumerate(order)}
@@ -107,10 +119,25 @@ class TestIndependenceNumber:
         assert _max_clique(n, permuted)[0] == size
 
 
+def assert_independence_answer(g, a, r, got, value):
+    """got is (value, witness): the witness is sorted, lies in a, has
+    value members, and its members are pairwise more than r apart by this
+    module's own BFS in bruteforce.dist_matrix."""
+    size, witness = got
+    assert size == value
+    assert len(witness) == size and list(witness) == sorted(set(witness))
+    assert set(witness) <= set(a)
+    dm = bruteforce.dist_matrix(g)
+    for i, u in enumerate(witness):
+        for v in witness[i + 1:]:
+            assert dm[u].get(v, bruteforce.INF) > r, (u, v)
+
+
 class TestMatchesIdOrderSearch:
-    """The size found in MCQ order and the witness from the seeded id-order
-    walk against the one unseeded id-order walk they replaced, kept
-    verbatim in bruteforce: the same value and the same witness."""
+    """The size found by the one MCQ-order walk against the id-order walk
+    it replaced, kept verbatim in bruteforce: the same value, and a witness
+    that is independent by a distance matrix that drisk's BFS does not
+    compute."""
 
     @settings(max_examples=200)
     @given(st.data())
@@ -121,21 +148,23 @@ class TestMatchesIdOrderSearch:
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(40) < density])
         r = data.draw(st.integers(0, 3), label="r")
         for a in (range(n), rnd.sample(range(n), rnd.randint(0, n))):
-            got = independence_number(g, a, r)
-            assert got == bruteforce.independence_number_id_order(g, a, r), (list(a), r)
+            value = bruteforce.independence_number_id_order(g, a, r)[0]
+            assert_independence_answer(g, a, r, independence_number(g, a, r), value)
 
     def test_grids(self):
         for side in (5, 6, 7, 8):
             g = grid_graph(side, side)
             for r in (1, 2):
+                value = bruteforce.independence_number_id_order(g, range(g.n), r, limit=g.n)[0]
                 got = independence_number(g, range(g.n), r, limit=g.n)
-                assert got == bruteforce.independence_number_id_order(g, range(g.n), r, limit=g.n), (side, r)
+                assert_independence_answer(g, range(g.n), r, got, value)
 
     def test_bucket_models(self):
         for seed in (1, 2, 3, 4):
             g = bucket_model(64, 3, seed).g
+            value = bruteforce.independence_number_id_order(g, range(g.n), 2, limit=g.n)[0]
             got = independence_number(g, range(g.n), 2, limit=g.n)
-            assert got == bruteforce.independence_number_id_order(g, range(g.n), 2, limit=g.n), seed
+            assert_independence_answer(g, range(g.n), 2, got, value)
 
 
 class TestDominationNumber:
