@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph import Graph, GraphError, _ball_masks, _descend, ball, distances_from, vset
-from .oracle import MinorModel, OracleLimitError, _walk, validate_minor_model
+from .graph import Graph, GraphError, _descend, ball, distances_from
+from .oracle import MinorModel, _member_traces, _walk, validate_minor_model
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,9 @@ def two_vc_dimension(
     traces of radius-r balls of g, together with one witness at the
     maximum whose pairs name their ball centers.  The witness is checked
     by validate_two_shatter before it is returned."""
-    if r < 0:
-        raise GraphError("radius must be >= 0")
-    members = vset(a, g)
-    if len(members) > limit:
-        raise OracleLimitError(
-            f"pair-shattering search limited to {limit} elements, got {len(members)}"
-        )
-    dim, witness = _two_shattered(members, _ball_masks(g, members, r))
+    dim, witness = _two_shattered(*_member_traces(
+        g, a, r, limit, "pair-shattering search limited to {limit} elements, got {n}"
+    ))
     if witness is not None:
         try:
             validate_two_shatter(g, r, witness)
@@ -191,14 +186,15 @@ def extract_minor_model(g: Graph, r: int, w: TwoShatterWitness) -> MinorModel:
         raise GraphError("empty witness")
     if t == 1:
         return MinorModel(((members[0],),), r)
-    dist_to = {a: distances_from(g, a) for a in members}
+    # a hub is within r of v and of both members, so every search stops at r
+    dist_to = {a: distances_from(g, a, r) for a in members}
     branch: List[set] = [set() for _ in range(t)]
 
     for i in range(t):
         for j in range(i + 1, t):
             ai, aj = members[i], members[j]
             v = w.pair_witnesses[(ai, aj)]
-            dv = distances_from(g, v)
+            dv = distances_from(g, v, r)
             di, dj = dist_to[ai], dist_to[aj]
             cands = [
                 u

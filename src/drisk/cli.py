@@ -293,11 +293,8 @@ def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:
     for key, problems in _SOLVE_OPTIONS.items():
         if getattr(args, key) is not None and problem not in problems:
             raise GraphError(f"solve {problem} takes no --{key.replace('_', '-')}")
-    if r < 0:
-        raise GraphError("radius must be nonnegative")
-    if args.limit is not None and args.limit < 0:
-        raise GraphError("limit must be nonnegative")
-    # without --limit each oracle applies its own default cap
+    # each producer refuses its own radius and limit; without --limit
+    # each oracle applies its own default cap
     caps = {} if args.limit is None else {"limit": args.limit}
     if problem in ("alpha", "gamma"):
         oracle = independence_number if problem == "alpha" else domination_number

@@ -180,20 +180,6 @@ class BallTraces:
         return out
 
 
-def _ball_masks(
-    g: Graph, members: Sequence[int], r: int, blocked: Optional[Collection[int]] = None
-) -> List[int]:
-    """The radius-r balls of g traced on members, as bitmasks: bit i of
-    masks[v] is set iff members[i] is within distance r of v.  One BFS
-    per member; distances are symmetric, so this is the trace of v's
-    ball.  With blocked, the balls are taken in g minus those vertices:
-    a blocked vertex's mask is 0, and a blocked member's bit is set
-    nowhere."""
-    table = BallTraces(g, members, r, blocked)
-    table.bits(members)
-    return table.masks
-
-
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
     """Induced subgraph on s plus the id map old -> new.
 

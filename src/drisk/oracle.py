@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graph import (
+    BallTraces,
     Graph,
     GraphError,
-    _ball_masks,
     is_distance_dominating,
     is_distance_independent,
     vset,
@@ -30,6 +30,28 @@ F1 = Fraction(1)
 
 class OracleLimitError(Exception):
     """Typed refusal: the instance exceeds a configured search limit."""
+
+
+def _member_traces(
+    g: Graph, a: Iterable[int], r: int, limit: Optional[int] = None, refusal: str = ""
+) -> Tuple[Tuple[int, ...], List[int]]:
+    """The entry of the exact searches over a's members.  It refuses
+    r < 0 and, when limit is given, a negative limit (GraphError) and
+    more than limit members (OracleLimitError, worded by refusal, a
+    format of limit and the member count n).  Returns the members,
+    sorted, and their radius-r ball traces: bit i of masks[v] puts
+    members[i] in the ball of v."""
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    members = vset(a, g)
+    if limit is not None:
+        if limit < 0:
+            raise GraphError("limit must be nonnegative")
+        if len(members) > limit:
+            raise OracleLimitError(refusal.format(limit=limit, n=len(members)))
+    table = BallTraces(g, members, r)
+    table.bits(members)
+    return members, table.masks
 
 
 def _walk(root, children):
@@ -107,17 +129,12 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
     One clique walk on the conflict complement, with the members in MCQ
     order (Tomita and Seki, 2003): fewest conflicts first, ties by id.
     The witness is the walk's first maximum clique, sorted by id."""
-    if r < 0:
-        raise GraphError("radius must be >= 0")
-    members = vset(a, g)
-    if len(members) > limit:
-        raise OracleLimitError(
-            f"independence oracle limited to |A| <= {limit}, got {len(members)}"
-        )
+    members, table = _member_traces(
+        g, a, r, limit, "independence oracle limited to |A| <= {limit}, got {n}"
+    )
     if not members:
         return 0, ()
     n = len(members)
-    table = _ball_masks(g, members, r)
     masks = [table[v] for v in members]
     full = (1 << n) - 1
     # each row is permuted from its sparse trace and then complemented,
@@ -152,17 +169,13 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     Branches keep their order and the best cover is replaced only by a
     strictly smaller one, so neither bound changes the witness.  The
     witness is checked to dominate a at r before it is returned."""
-    if r < 0:
-        raise GraphError("radius must be >= 0")
-    members = vset(a, g)
-    if len(members) > limit:
-        raise OracleLimitError(
-            f"domination oracle limited to |A| <= {limit}, got {len(members)}"
-        )
+    members, table = _member_traces(
+        g, a, r, limit, "domination oracle limited to |A| <= {limit}, got {n}"
+    )
     if not members:
         return 0, ()
     by_mask: Dict[int, int] = {}
-    for v, m in enumerate(_ball_masks(g, members, r)):
+    for v, m in enumerate(table):
         if m and m not in by_mask:
             by_mask[m] = v
     masks = sorted(by_mask, key=lambda m: (-m.bit_count(), by_mask[m]))
@@ -252,8 +265,7 @@ def lp_domination(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     from its row duals, one per vertex.  Both weight vectors are audited
     for feasibility and for equal totals, which by weak duality certifies
     that each is optimal."""
-    members = vset(a, g)
-    return _lp_domination_on(members, _ball_masks(g, members, r))
+    return _lp_domination_on(*_member_traces(g, a, r))
 
 
 def _lp_domination_on(members: Tuple[int, ...], masks: List[int]) -> LpSolution:
@@ -391,6 +403,8 @@ def find_clique_minor(
         raise GraphError("clique minor order must be >= 1")
     if r < 0:
         raise GraphError("radius must be >= 0")
+    if limit < 0:
+        raise GraphError("limit must be nonnegative")
     if t > 5:
         raise OracleLimitError("clique-minor search limited to t <= 5")
     if g.n > limit:
@@ -429,6 +443,9 @@ def find_clique_minor(
     for picks, _ in _walk(((), cands), children):
         if len(picks) == t:
             model = MinorModel(tuple(unpack(mask) for _, mask, _ in picks), r)
-            validate_minor_model(g, model)
+            try:
+                validate_minor_model(g, model)
+            except GraphError as exc:
+                raise RuntimeError(f"internal: invalid clique-minor model: {exc}")
             return model
     return None

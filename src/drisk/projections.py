@@ -134,8 +134,6 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     whichever pair it serves, so it stops at the first vertex an
     earlier walk toward v has passed: the rest of the path is grown
     already, and the grown set is that of walking every path in full.
-    A pair at distance 1 is not walked: its path is the pair itself, and
-    a later walk through u toward v only adds v.  It is still verified.
     Once the grown set holds every vertex no walk can add one, so the
     walks stop, and the check reads g itself, which is g[V]; when x is
     all of V that holds from the start.
@@ -153,8 +151,6 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
         if len(grown) == g.n:
             continue
         for v in vs:
-            if dists[v][u] == 1:
-                continue  # the walk is [u, v], and both are grown already
             path = _descend(g, dists[v], u, walked[v])
             walked[v].update(path)
             grown.update(path)

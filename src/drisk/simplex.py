@@ -41,7 +41,7 @@ class LpUnbounded(Exception):
     """The objective can be pushed beyond every bound."""
 
 
-class SimplexStall(Exception):
+class SimplexStall(RuntimeError):
     """Safety valve; Bland's rule should make this unreachable."""
 
 

@@ -116,6 +116,9 @@ def find_uqw(
     for s, b in scattered_ladder(g, a, r, s_max):
         if len(b) >= m:
             result = UqwResult(tuple(s), tuple(b), r)
-            result.validate(g)
+            try:
+                result.validate(g)
+            except GraphError as exc:
+                raise RuntimeError(f"internal: invalid scattered set: {exc}")
             return result
     return None

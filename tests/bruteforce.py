@@ -7,10 +7,10 @@ different routes.  The exceptions are the pins: earlier versions of
 library functions kept verbatim, so tests can hold a rewrite to the
 answers it replaced, and lp_packing, the packing solve that moved here
 from drisk.oracle.  Those call the library helpers they always called
-(among them _ball_masks, ball, distances_from, multi_source_distances,
-_descend, induced_subgraph, the distance validators, oracle._radius_at_most,
-oracle._audit_packing, oracle._max_clique, oracle._walk,
-validate_minor_model, solve_max, greedy_ball_cover, profile_classes,
+(among them BallTraces, through ball_masks, ball, distances_from,
+multi_source_distances, _descend, induced_subgraph, the distance
+validators, oracle._radius_at_most, oracle._audit_packing,
+oracle._max_clique, oracle._walk, validate_minor_model, solve_max, greedy_ball_cover, profile_classes,
 scattered_ladder and the kernel's certificate checks), and
 share whatever fault those helpers have with the code they pin;
 minor_model_holds checks a clique-minor model without them, and lp_cover
@@ -28,9 +28,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from drisk.ballvc import TwoShatterWitness
 from drisk.graph import (
+    BallTraces,
     Graph,
     GraphError,
-    _ball_masks,
     _descend,
     ball,
     distances_from,
@@ -63,6 +63,17 @@ from drisk.uqw import scattered_ladder
 from drisk.wcol import greedy_ball_cover
 
 INF = math.inf
+
+
+def ball_masks(
+    g: Graph, members: Sequence[int], r: int, blocked: Optional[set] = None
+) -> List[int]:
+    """A BallTraces table on members at radius r with every row filled:
+    bit i of masks[v] is set iff members[i] is within r of v (in g minus
+    blocked, when given).  The pins below read their tables through it."""
+    table = BallTraces(g, members, r, blocked)
+    table.bits(members)
+    return table.masks
 
 
 def simple_adj(g) -> List[set]:
@@ -880,7 +891,7 @@ def path_closure_pairs(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
 
 
 # uqw.scattered_ladder and its greedy packing as they were before both
-# read one ball-trace table per rung (graph._ball_masks on the members,
+# read one ball-trace table per rung (a BallTraces on the members,
 # blocked at the deleted set) instead of one search per picked member and
 # one per non-member.  They are kept verbatim apart from their names (and
 # the name of each other they call), so tests can pin the table-based
@@ -1238,7 +1249,7 @@ def lp_packing(g: Graph, a: Iterable[int], r: int) -> LpSolution:
     value is quoted with doubled radius (weights r-close to a common vertex
     pairwise interact within 2r)."""
     members = vset(a, g)
-    masks = _ball_masks(g, members, r)
+    masks = ball_masks(g, members, r)
     rows = [[F1 if m >> i & 1 else F0 for i in range(len(members))] for m in masks if m]
     res = solve_max([F1] * len(members), rows, [F1] * len(rows))
     _audit_packing(masks, res.x, res.value)
@@ -1411,7 +1422,7 @@ def domination_number_gain_bound(g: Graph, a: Iterable[int], r: int, limit: int 
     if not members:
         return 0, ()
     by_mask: Dict[int, int] = {}
-    for v, m in enumerate(_ball_masks(g, members, r)):
+    for v, m in enumerate(ball_masks(g, members, r)):
         if m and m not in by_mask:
             by_mask[m] = v
     masks = sorted(by_mask, key=lambda m: (-m.bit_count(), by_mask[m]))
@@ -1482,7 +1493,7 @@ def independence_number_id_order(g: Graph, a: Iterable[int], r: int, limit: int 
     if not members:
         return 0, ()
     n = len(members)
-    masks = _ball_masks(g, members, r)
+    masks = ball_masks(g, members, r)
     full = (1 << n) - 1
     # members[i]'s own trace holds bit i, so comp[i] has no loop
     comp = [full & ~masks[v] for v in members]
@@ -1520,7 +1531,7 @@ def domination_number_index_scan(g: Graph, a: Iterable[int], r: int, limit: int 
     if not members:
         return 0, ()
     by_mask: Dict[int, int] = {}
-    for v, m in enumerate(_ball_masks(g, members, r)):
+    for v, m in enumerate(ball_masks(g, members, r)):
         if m and m not in by_mask:
             by_mask[m] = v
     masks = sorted(by_mask, key=lambda m: (-m.bit_count(), by_mask[m]))

@@ -24,7 +24,7 @@ from drisk.generators import (
     path_graph,
     star_graph,
 )
-from drisk.graph import Graph, GraphError, _ball_masks, ball
+from drisk.graph import Graph, GraphError, ball
 from drisk.oracle import OracleLimitError, validate_minor_model
 
 
@@ -182,7 +182,7 @@ class TestPairSearchAgainstCoOccurrenceSearch:
                     rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(3)
                 ]:
                     members = sorted(keep)
-                    masks = _ball_masks(g, members, r)
+                    masks = bruteforce.ball_masks(g, members, r)
                     self.assert_same(len(members), masks, (name, r, members))
 
     @settings(max_examples=400)
@@ -214,7 +214,7 @@ class TestPairSearchAgainstCoOccurrenceSearch:
         monkeypatch.setattr(drisk.ballvc, "_walk", recorded)
         for name, g in corpus.small_corpus():
             for r in (1, 2, 3):
-                masks = _ball_masks(g, range(g.n), r)
+                masks = bruteforce.ball_masks(g, range(g.n), r)
                 nodes.clear()
                 _search_pair_shattered(g.n, masks)
                 for xs, cands in nodes:

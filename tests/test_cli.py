@@ -16,6 +16,8 @@ import drisk.cli
 import drisk.graph
 import drisk.kernel
 import drisk.oracle
+import drisk.simplex
+import drisk.uqw
 import drisk.wcol
 from drisk.cli import main
 from drisk.generators import (
@@ -581,11 +583,48 @@ class TestSolve:
         assert captured.err == "internal error: invalid independence witness\n"
         assert "Traceback" not in captured.err
 
+    @pytest.fixture
+    def grid44(self, tmp_path):
+        path = tmp_path / "g44.gr"
+        write_edge_list(grid_graph(4, 4), str(path))
+        return str(path)
+
+    def test_minor_model_is_rechecked(self, grid44, capsys, monkeypatch):
+        # the two sets the search sees pass its radius filter, but the
+        # corners 0 and 15 are not connected
+        monkeypatch.setattr(
+            drisk.oracle, "_connected_sets_bounded", lambda adjm, cap: [1 | 1 << 15, 1 << 1]
+        )
+        real, calls = drisk.oracle._radius_at_most, []
+
+        def radius_at_most(g, members, r):
+            calls.append(members)
+            return len(calls) <= 2 or real(g, members, r)
+
+        monkeypatch.setattr(drisk.oracle, "_radius_at_most", radius_at_most)
+        assert internal_error(
+            capsys, "solve", "minor", "--input", grid44, "--t", "2", "--r", "1"
+        ) == "invalid clique-minor model: branch set not connected within the radius bound"
+
+    def test_uqw_result_is_rechecked(self, grid44, capsys, monkeypatch):
+        # 0 and 1 are adjacent, so the rung's set is not scattered
+        monkeypatch.setattr(
+            drisk.uqw, "scattered_ladder", lambda g, a, r, s_max: iter([((), (0, 1))])
+        )
+        assert internal_error(
+            capsys, "solve", "uqw", "--input", grid44, "--m", "2", "--r", "1"
+        ) == "invalid scattered set: set is not scattered after the deletion"
+
+    def test_exhausted_pivot_budget_exits_one(self, grid44, capsys, monkeypatch):
+        monkeypatch.setattr(drisk.simplex, "_MAX_PIVOTS", 1)
+        assert internal_error(capsys, "solve", "lp", "--input", grid44, "--r", "1") \
+            == "pivot budget exhausted"
+
     def test_gamma_witness_is_rechecked(self, path10, capsys, monkeypatch):
         # a ball table in which vertex 0 covers every member
         monkeypatch.setattr(
-            drisk.oracle, "_ball_masks",
-            lambda g, members, r: [(1 << len(members)) - 1] + [0] * (g.n - 1),
+            drisk.oracle, "_member_traces",
+            lambda g, a, r, *_: (tuple(a), [(1 << len(a)) - 1] + [0] * (g.n - 1)),
         )
         assert internal_error(capsys, "solve", "gamma", "--input", path10, "--r", "1") \
             == "invalid domination witness"

@@ -11,7 +11,6 @@ import corpus
 from drisk.graph import (
     Graph,
     GraphError,
-    _ball_masks,
     _descend,
     ball,
     distances_from,
@@ -335,7 +334,8 @@ class TestSharedSearches:
 
 
 class TestBallMasks:
-    """The one table of radius-r balls traced on a member list."""
+    """BallTraces, the one table of radius-r balls traced on a member
+    list, with every row filled (through bruteforce.ball_masks)."""
 
     @settings(max_examples=200)
     @given(st.data())
@@ -353,7 +353,7 @@ class TestBallMasks:
             dm = bruteforce.dist_matrix(g)
         else:
             dm = [multi_source_distances(g, (u,), r, blocked) for u in range(g.n)]
-        masks = _ball_masks(g, members, r, blocked)
+        masks = bruteforce.ball_masks(g, members, r, blocked)
         assert len(masks) == g.n
         for v in range(g.n):
             for i, u in enumerate(members):
@@ -363,13 +363,13 @@ class TestBallMasks:
 
     def test_empty_members_and_radius_zero(self):
         g = corpus.twin_stars(3, 2)
-        assert _ball_masks(g, (), 3) == [0] * g.n
-        assert _ball_masks(Graph(0), (), 1) == []
+        assert bruteforce.ball_masks(g, (), 3) == [0] * g.n
+        assert bruteforce.ball_masks(Graph(0), (), 1) == []
         members = (0, 2, 5)
-        masks = _ball_masks(g, members, 0)
+        masks = bruteforce.ball_masks(g, members, 0)
         assert masks == [1 << members.index(v) if v in members else 0 for v in range(g.n)]
         # a blocked member's bit is set nowhere, and a blocked vertex's mask is 0
-        masks = _ball_masks(g, members, 2, blocked={0, 2})
+        masks = bruteforce.ball_masks(g, members, 2, blocked={0, 2})
         assert masks[0] == masks[2] == 0
         assert not any(m & 0b11 for m in masks)
         assert masks[5] & 0b100

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bruteforce
 import corpus
 import drisk.oracle
+from drisk.ballvc import two_vc_dimension
 from drisk.generators import (
     bucket_model,
     complete_graph,
@@ -205,8 +206,8 @@ class TestDominationNumber:
     def test_witness_is_checked(self, monkeypatch):
         # a ball table in which vertex 0 covers every member
         monkeypatch.setattr(
-            drisk.oracle, "_ball_masks",
-            lambda g, members, r: [(1 << len(members)) - 1] + [0] * (g.n - 1),
+            drisk.oracle, "_member_traces",
+            lambda g, a, r, *_: (tuple(a), [(1 << len(a)) - 1] + [0] * (g.n - 1)),
         )
         with pytest.raises(RuntimeError, match="^internal: invalid domination witness$"):
             domination_number(path_graph(10), range(10), 1)
@@ -367,6 +368,24 @@ class TestLinearRelaxations:
         assert lp_domination(g, [], 2).value == 0
         assert lp_domination(g, [], 2).dual == LpSolution(0, {})
         assert bruteforce.lp_packing(g, [], 2).value == 0
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(GraphError, match="^radius must be >= 0$"):
+            lp_domination(path_graph(5), range(5), -1)
+
+
+@pytest.mark.parametrize("search", [
+    lambda g, limit: independence_number(g, range(g.n), 1, limit),
+    lambda g, limit: domination_number(g, range(g.n), 1, limit),
+    lambda g, limit: two_vc_dimension(g, range(g.n), 1, limit),
+    lambda g, limit: find_clique_minor(g, 2, 1, limit),
+], ids=["alpha", "gamma", "vc2", "minor"])
+def test_negative_limit_refused(search):
+    # malformed input, not an instance above the cap
+    with pytest.raises(GraphError, match="^limit must be nonnegative$"):
+        search(path_graph(5), -1)
+    with pytest.raises(OracleLimitError):
+        search(path_graph(5), 0)
 
 
 def checked_minor(g, t, r):
