@@ -208,14 +208,8 @@ def is_distance_independent(
 
 def is_distance_dominating(g: Graph, d: Iterable[int], a: Iterable[int], r: int) -> bool:
     """True iff every vertex of a is within distance r of some vertex of d."""
-    dom = vset(d, g)
-    targets = vset(a, g)
-    if not targets:
-        return True
-    if not dom:
-        return False
-    reach = multi_source_distances(g, dom, r)
-    return all(v in reach for v in targets)
+    reach = multi_source_distances(g, vset(d, g), r)
+    return all(v in reach for v in vset(a, g))
 
 
 def girth(g: Graph, cap: Optional[int] = None):

@@ -212,9 +212,9 @@ def remove_irrelevant(
     victim.
     """
     if r < 1:
-        raise GraphError("radius must be at least 1")
+        raise GraphError("radius must be >= 1")
     if k < 1:
-        raise GraphError("threshold must be at least 1")
+        raise GraphError("target k must be >= 1")
     policy = policy or KernelPolicy()
     members = vset(a, g)
     log: List[Tuple[int, IrrelevanceCertificate]] = []

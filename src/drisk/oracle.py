@@ -20,6 +20,7 @@ from .graph import (
     GraphError,
     is_distance_dominating,
     is_distance_independent,
+    multi_source_distances,
     vset,
 )
 from .simplex import solve_max
@@ -132,8 +133,6 @@ def independence_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> 
     members, table = _member_traces(
         g, a, r, limit, "independence oracle limited to |A| <= {limit}, got {n}"
     )
-    if not members:
-        return 0, ()
     n = len(members)
     masks = [table[v] for v in members]
     full = (1 << n) - 1
@@ -166,9 +165,11 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     restricted to what is left) and ceil(|uncovered| / largest gain),
     tried first with the parent's largest gain, which is no smaller, so
     that the scan over every kept ball runs only where that does not cut.
-    Branches keep their order and the best cover is replaced only by a
-    strictly smaller one, so neither bound changes the witness.  The
-    witness is checked to dominate a at r before it is returned."""
+    The incumbent starts at |a| + 1 balls, which no bound reaches before
+    the first leaf because each chosen ball covers a new member; so the
+    first leaf is the first incumbent, only a strictly smaller cover
+    replaces it, and the witness is the walk's first minimum cover.  It
+    is checked to dominate a at r before it is returned."""
     members, table = _member_traces(
         g, a, r, limit, "domination oracle limited to |A| <= {limit}, got {n}"
     )
@@ -191,15 +192,7 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
             covering_sets[i].append(m)
             near[i] |= m
     ways = [len(c) for c in covering_sets]
-
-    # greedy upper bound
-    best: Tuple[int, ...] = ()
-    unc = full
-    while unc:
-        pick = max(kept, key=lambda m: ((m & unc).bit_count(), -by_mask[m]))
-        best += (pick,)
-        unc &= ~pick
-    best_len = len(best)
+    best, best_len = (), len(members) + 1
 
     def children(node):
         unc, chosen, gain = node
@@ -316,32 +309,35 @@ class MinorModel:
     radius: int
 
 
-def _radius_at_most(g: Graph, members: frozenset, r: int) -> bool:
-    adj = g.adjacency
-    size = len(members)
-    for c in sorted(members):
-        dist = {c: 0}
-        frontier = [c]
-        depth = 0
-        while frontier and depth < r:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w in members and w not in dist:
-                        dist[w] = depth
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) == size:
+def _radius_at_most(adjm: List[int], mask: int, r: int) -> bool:
+    """Whether some vertex of mask reaches all of mask within r steps
+    inside it, in the graph whose vertex v has the neighbour bitmask
+    adjm[v]; a frontier search on bits."""
+    for c in _bits(mask):
+        seen = frontier = 1 << c
+        for _ in range(r):
+            step = 0
+            while frontier:
+                b = frontier & -frontier
+                step |= adjm[b.bit_length() - 1]
+                frontier ^= b
+            frontier = step & mask & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+        if seen == mask:
             return True
     return False
 
 
 def validate_minor_model(g: Graph, model: MinorModel) -> None:
-    """Raise GraphError unless model is a valid clique-minor model in g."""
+    """Raise GraphError unless model is a valid clique-minor model in g.
+    A branch set S is searched from its vertices by multi_source_distances
+    blocked on N(S) - S, which keeps each search inside G[S]."""
     if model.radius < 0:
         raise GraphError("radius must be >= 0")
     seen: set = set()
+    nbr = []
     for bs in model.branch_sets:
         if not bs:
             raise GraphError("empty branch set")
@@ -351,9 +347,13 @@ def validate_minor_model(g: Graph, model: MinorModel) -> None:
         if not all(0 <= v < g.n for v in s):
             raise GraphError("branch set out of range")
         seen |= s
-        if not _radius_at_most(g, frozenset(s), model.radius):
+        nbr.append(set().union(*(g.adjacency[v] for v in s)))
+        boundary = nbr[-1] - s
+        if not any(
+            len(multi_source_distances(g, (c,), model.radius, boundary)) == len(s)
+            for c in s
+        ):
             raise GraphError("branch set not connected within the radius bound")
-    nbr = [set().union(*(g.adjacency[v] for v in bs)) for bs in model.branch_sets]
     for i in range(len(model.branch_sets)):
         for j in range(i + 1, len(model.branch_sets)):
             if not nbr[i].intersection(model.branch_sets[j]):
@@ -411,23 +411,17 @@ def find_clique_minor(
         raise OracleLimitError(
             f"clique-minor search limited to {limit} vertices, got {g.n}"
         )
-    if t == 1:
-        return MinorModel(((0,),), r) if g.n else None
     cap = 1 + (t - 1) * r
     adjm = [0] * g.n
     for u, v in g.edges:
         adjm[u] |= 1 << v
         adjm[v] |= 1 << u
 
-    def unpack(mask):
-        return tuple(i for i in range(g.n) if (mask >> i) & 1)
-
     cands = []
     for mask in _connected_sets_bounded(adjm, cap):
-        members = frozenset(unpack(mask))
-        if _radius_at_most(g, members, r):
+        if _radius_at_most(adjm, mask, r):
             nbr = 0
-            for v in members:
+            for v in _bits(mask):
                 nbr |= adjm[v]
             cands.append((mask & -mask, mask, nbr))
     cands.sort()
@@ -442,7 +436,7 @@ def find_clique_minor(
 
     for picks, _ in _walk(((), cands), children):
         if len(picks) == t:
-            model = MinorModel(tuple(unpack(mask) for _, mask, _ in picks), r)
+            model = MinorModel(tuple(tuple(_bits(mask)) for _, mask, _ in picks), r)
             try:
                 validate_minor_model(g, model)
             except GraphError as exc:

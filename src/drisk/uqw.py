@@ -84,7 +84,7 @@ def scattered_ladder(
     if s_max < 0:
         raise GraphError("deletion budget must be nonnegative")
     if r < 0:
-        raise GraphError("radius must be nonnegative")
+        raise GraphError("radius must be >= 0")
     members = vset(a, g)
     if tables is None:
         tables = LadderTables(g, members, r)

@@ -70,7 +70,7 @@ def weak_reach_sets(
     """
     _check_order(g, order)
     if r < 0:
-        raise GraphError("radius must be nonnegative")
+        raise GraphError("radius must be >= 0")
     n = g.n
     rank = [0] * n
     for i, v in enumerate(order.sequence):
@@ -140,7 +140,7 @@ def greedy_ball_cover(
     a; the greedy reads only the bits of a, so its picks are those of a
     fresh table on a alone.  Without it the cover makes its own."""
     if r < 0:
-        raise GraphError("radius must be nonnegative")
+        raise GraphError("radius must be >= 0")
     members = vset(a, g)
     if not members:
         return ()

@@ -9,7 +9,7 @@ answers it replaced, and lp_packing, the packing solve that moved here
 from drisk.oracle.  Those call the library helpers they always called
 (among them BallTraces, through ball_masks, ball, distances_from,
 multi_source_distances, _descend, induced_subgraph, the distance
-validators, oracle._radius_at_most, oracle._audit_packing,
+validators, oracle._audit_packing,
 oracle._max_clique, oracle._walk, validate_minor_model, solve_max, greedy_ball_cover, profile_classes,
 scattered_ladder and the kernel's certificate checks), and
 share whatever fault those helpers have with the code they pin;
@@ -53,7 +53,6 @@ from drisk.oracle import (
     OracleLimitError,
     _audit_packing,
     _max_clique,
-    _radius_at_most,
     _walk,
     validate_minor_model,
 )
@@ -1271,7 +1270,9 @@ def lp_cover(g: Graph, a: Iterable[int], r: int) -> LpSolution:
 # and column order), and oracle.find_clique_minor's floor-skipping walk
 # over the recursive connected-set enumeration as it was before it dropped
 # its recursion and rescans, kept verbatim apart from the names (and the
-# names of each other they call), so tests can pin the current ones to them.
+# names of each other they call) and the minor walk's radius test, now
+# minor_model_holds on a one-set model so that it shares no code with the
+# search's, so tests can pin the current ones to them.
 
 
 def lp_domination_balls(g: Graph, a: Iterable[int], r: int) -> LpSolution:
@@ -1375,7 +1376,7 @@ def find_clique_minor_floor(
     cands = []
     for mask in connected_sets_bounded_recursive(adjm, cap):
         members = frozenset(unpack(mask))
-        if _radius_at_most(g, members, r):
+        if minor_model_holds(g, MinorModel((tuple(members),), r)):
             nbr = 0
             for v in members:
                 nbr |= adjm[v]

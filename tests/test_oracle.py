@@ -176,6 +176,12 @@ class TestDominationNumber:
         assert domination_number(p6, range(6), 2)[0] == 2
         assert domination_number(p6, [], 1) == (0, ())
 
+    def test_first_leaf_is_the_incumbent(self):
+        # the walk first covers 0 (only the ball of 1 holds it), then 6,
+        # then 3 by the smallest id; a greedy cover by largest gain,
+        # smallest id, gives (1, 4, 5), also of size 3
+        assert domination_number(path_graph(7), range(7), 1) == (3, (1, 2, 5))
+
     def test_cover_may_use_non_members(self):
         # members are the leaves of a star: the center is the best cover
         g = star_graph(4)
@@ -228,19 +234,33 @@ class TestDominationNumber:
         assert is_distance_dominating(g, witness, range(g.n), 1)
 
 
+def assert_domination_answer(g, a, r, got, value):
+    """got is (value, witness): the witness is sorted, has value vertices,
+    and every member of a is within r of one of them by this module's own
+    BFS in bruteforce.dist_matrix."""
+    size, witness = got
+    assert size == value
+    assert len(witness) == size and list(witness) == sorted(set(witness))
+    dm = bruteforce.dist_matrix(g)
+    for u in a:
+        assert any(dm[u].get(v, bruteforce.INF) <= r for v in witness), u
+
+
 class TestMatchesGainBoundSearch:
-    """The search pruned by the packing bound against the gain-bound-only
-    search it replaced, and the branching member taken from the uncovered
-    bits against the scan over every member index it replaced, both kept
-    verbatim in bruteforce: the same value and the same witness."""
+    """The size found by the walk whose first leaf is its incumbent
+    against the greedy-seeded searches it replaced, the gain-bound-only
+    one and the one that scanned every member index for its branching
+    member, both kept verbatim in bruteforce: the same value, and a cover
+    that dominates by a distance matrix that drisk's BFS does not
+    compute."""
 
     def test_corpus(self):
         for name, g in corpus.small_corpus():
             for a in member_sets(g):
                 for r in range(4):
-                    got = domination_number(g, a, r)
-                    assert got == bruteforce.domination_number_gain_bound(g, a, r), (name, r)
-                    assert got == bruteforce.domination_number_index_scan(g, a, r), (name, r)
+                    value = bruteforce.domination_number_gain_bound(g, a, r)[0]
+                    assert bruteforce.domination_number_index_scan(g, a, r)[0] == value, (name, r)
+                    assert_domination_answer(g, a, r, domination_number(g, a, r), value)
 
     @settings(max_examples=250)
     @given(st.data())
@@ -253,9 +273,9 @@ class TestMatchesGainBoundSearch:
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(20) < density])
         for a in (range(n), rnd.sample(range(n), rnd.randint(0, n))):
             for r in range(4):
-                got = domination_number(g, a, r)
-                assert got == bruteforce.domination_number_gain_bound(g, a, r), (list(a), r)
-                assert got == bruteforce.domination_number_index_scan(g, a, r), (list(a), r)
+                value = bruteforce.domination_number_gain_bound(g, a, r)[0]
+                assert bruteforce.domination_number_index_scan(g, a, r)[0] == value, (list(a), r)
+                assert_domination_answer(g, a, r, domination_number(g, a, r), value)
 
 
 class TestLinearRelaxations:
@@ -399,6 +419,9 @@ def checked_minor(g, t, r):
 
 
 class TestMinorSearch:
+    RADIUS_ONE_CENTER = [(0, 1), (0, 2), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6),
+                         (2, 6), (3, 4), (3, 5), (3, 6), (5, 8), (7, 8)]
+
     def test_cycles_contain_triangle_minor(self):
         for n in (3, 6, 9):
             model = checked_minor(cycle_graph(n), 3, 1)
@@ -436,13 +459,21 @@ class TestMinorSearch:
         # (3, 5, 8) has radius 1 around 5; a radius check that searched
         # one level too deep would return `wide` instead, whose
         # (3, 5, 6, 8) has radius 2
-        g = Graph(9, [(0, 1), (0, 2), (0, 7), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6),
-                      (2, 6), (3, 4), (3, 5), (3, 6), (5, 8), (7, 8)])
+        g = Graph(9, self.RADIUS_ONE_CENTER)
         model = checked_minor(g, 4, 1)
         assert model == MinorModel(((0,), (1,), (2, 6), (3, 5, 8)), 1)
         wide = ((0,), (1,), (2,), (3, 5, 6, 8))
         assert not bruteforce.minor_model_holds(g, MinorModel(wide, 1))
         assert bruteforce.minor_model_holds(g, MinorModel(wide, 2))
+
+    def test_validator_shares_no_radius_test_with_the_search(self, monkeypatch):
+        # the search's radius filter accepts every set, so it returns
+        # (3, 5, 6, 8), of radius 2; the validator must still refuse it
+        g = Graph(9, self.RADIUS_ONE_CENTER)
+        monkeypatch.setattr(drisk.oracle, "_radius_at_most", lambda adjm, mask, r: True)
+        with pytest.raises(RuntimeError, match="^internal: invalid clique-minor model: "
+                           "branch set not connected within the radius bound$"):
+            find_clique_minor(g, 4, 1)
 
     def test_refusals(self):
         with pytest.raises(OracleLimitError):

@@ -195,7 +195,7 @@ class TestGreedyBallCover:
 
     def test_negative_radius_rejected(self):
         for a in ([0], []):
-            with pytest.raises(GraphError, match="^radius must be nonnegative$"):
+            with pytest.raises(GraphError, match="^radius must be >= 0$"):
                 greedy_ball_cover(path_graph(3), a, -1)
 
     def test_always_dominates_on_corpus(self):
