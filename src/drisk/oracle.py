@@ -164,11 +164,18 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     no two of which share a ball (the duality alpha_2r <= gamma_r,
     restricted to what is left) and ceil(|uncovered| / largest gain),
     tried first with the parent's largest gain, which is no smaller, so
-    that the scan over every kept ball runs only where that does not cut.
-    The incumbent starts at |a| + 1 balls, which no bound reaches before
-    the first leaf because each chosen ball covers a new member; so the
-    first leaf is the first incumbent, only a strictly smaller cover
-    replaces it, and the witness is the walk's first minimum cover.  It
+    that the scan for the largest gain runs only where that does not cut.
+    The scan reads the kept balls by descending size and stops at the
+    first one no larger than the best gain so far, which no later ball
+    can beat, so it finds the maximum over every kept ball.  A node
+    branches on the uncovered member in the fewest kept balls, ties to
+    the lowest id: the lowest uncovered bit of the first of the member
+    masks, one per ball count in ascending order, that meets the
+    uncovered members.  The incumbent starts at |a| + 1 balls, which no
+    bound reaches before the first leaf because each chosen ball covers
+    a new member; so the first leaf is the first incumbent, only a
+    strictly smaller cover replaces it, and the witness is the walk's
+    first minimum cover.  It
     is checked to dominate a at r before it is returned."""
     members, table = _member_traces(
         g, a, r, limit, "domination oracle limited to |A| <= {limit}, got {n}"
@@ -184,6 +191,7 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
     for m in masks:
         if not any(m & o == m for o in kept):
             kept.append(m)
+    sizes = [m.bit_count() for m in kept]
     full = (1 << len(members)) - 1
     covering_sets: List[List[int]] = [[] for _ in members]
     near = [0] * len(members)  # the members that share a kept ball with i
@@ -191,7 +199,11 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
         for i in _bits(m):
             covering_sets[i].append(m)
             near[i] |= m
-    ways = [len(c) for c in covering_sets]
+    # one mask per count of kept balls, ascending: the members in that many
+    by_ways: Dict[int, int] = {}
+    for i, c in enumerate(covering_sets):
+        by_ways[len(c)] = by_ways.get(len(c), 0) | 1 << i
+    way_masks = [by_ways[w] for w in sorted(by_ways)]
     best, best_len = (), len(members) + 1
 
     def children(node):
@@ -210,11 +222,23 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
         left = unc.bit_count()
         if len(chosen) - (-left // gain) >= best_len:  # + ceil(left / gain)
             return
-        gain = max((m & unc).bit_count() for m in kept)
+        # kept runs by descending size: no ball after one no larger than
+        # the best gain so far can beat it
+        gain = 0
+        for m, size in zip(kept, sizes):
+            if size <= gain:
+                break
+            cover = (m & unc).bit_count()
+            if cover > gain:
+                gain = cover
         if len(chosen) - (-left // gain) >= best_len:
             return
-        # min keeps the first of equal counts: ties go to the lowest member
-        e = min(_bits(unc), key=ways.__getitem__)
+        # the member with the fewest ways, ties to the lowest id
+        for w in way_masks:
+            w &= unc
+            if w:
+                break
+        e = (w & -w).bit_length() - 1
         options = sorted(
             covering_sets[e], key=lambda m: (-(m & unc).bit_count(), by_mask[m])
         )
@@ -222,7 +246,7 @@ def domination_number(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tu
             yield unc & ~m, chosen + (m,), gain
 
     # kept is sorted by size, so kept[0] has the root's largest gain
-    for unc, chosen, _ in _walk((full, (), kept[0].bit_count()), children):
+    for unc, chosen, _ in _walk((full, (), sizes[0]), children):
         if not unc and len(chosen) < best_len:
             best, best_len = chosen, len(chosen)
     witness = tuple(sorted(by_mask[m] for m in best))
@@ -394,10 +418,19 @@ def find_clique_minor(
 
     Any model can be shrunk until each branch set is a union of at most
     t-1 paths of length <= r from its center, so only connected sets of
-    size up to 1 + (t-1)*r need to be enumerated.  The search runs on
-    _walk.  A node is (picks, pool): the pool holds the candidates after
-    the last pick that are disjoint from every pick and touch each one, so
-    a node whose pool is shorter than the picks still needed is cut.
+    size up to 1 + (t-1)*r need to be enumerated.  Only sets of more than
+    2r + 1 vertices are radius-tested: a connected set of k vertices has
+    a spanning tree, whose center reaches it within floor(k/2) steps.
+
+    The search runs on _walk.  A node is (picks, pool): picks index the
+    candidates, and the pool is a bitmask of the candidates after the
+    last pick that are disjoint from every pick and touch each one.  Row
+    i holds the candidates after i that are disjoint from candidate i and
+    touch its neighbourhood, so pool & row(i) is the pool's tail after i
+    filtered by both tests, in order; a node whose pool has fewer bits
+    than the picks still needed is cut.  A row is filled the first time
+    the walk branches on its candidate, so rows it never reaches cost
+    nothing.
     """
     if t < 1:
         raise GraphError("clique minor order must be >= 1")
@@ -417,26 +450,46 @@ def find_clique_minor(
         adjm[u] |= 1 << v
         adjm[v] |= 1 << u
 
-    cands = []
-    for mask in _connected_sets_bounded(adjm, cap):
-        if _radius_at_most(adjm, mask, r):
-            nbr = 0
+    cands = sorted(
+        (m for m in _connected_sets_bounded(adjm, cap)
+         if m.bit_count() <= 2 * r + 1 or _radius_at_most(adjm, m, r)),
+        key=lambda m: (m & -m, m),
+    )
+    # bit k of holds[v] puts v in cands[k]
+    flags = [bytearray((len(cands) + 7) // 8) for _ in range(g.n)]
+    for k, mask in enumerate(cands):
+        byte, bit = k >> 3, 1 << (k & 7)
+        for v, digit in enumerate(bin(mask)[:1:-1]):  # lowest vertex first
+            if digit == "1":
+                flags[v][byte] |= bit
+    holds = [int.from_bytes(f, "little") for f in flags]
+    del flags  # not held through the walk
+    rows: List[Optional[int]] = [None] * len(cands)
+
+    def row(i):
+        """The candidates after cands[i] that are disjoint from it and
+        touch its neighbourhood, filled the first time it is asked for."""
+        if rows[i] is None:
+            mask, inside, nbr, touch = cands[i], 0, 0, 0
             for v in _bits(mask):
+                inside |= holds[v]
                 nbr |= adjm[v]
-            cands.append((mask & -mask, mask, nbr))
-    cands.sort()
+            for v in _bits(nbr & ~mask):
+                touch |= holds[v]
+            rows[i] = touch & ~inside & -(2 << i)
+        return rows[i]
 
     def children(node):
         picks, pool = node
         need = t - len(picks) - 1  # picks still needed below a child
-        for i, (_, mask, nbr) in enumerate(pool):
-            tail = [c for c in pool[i + 1:] if not c[1] & mask and c[1] & nbr]
-            if len(tail) >= need:
-                yield picks + (pool[i],), tail
+        for i in _bits(pool):
+            tail = pool & row(i)
+            if tail.bit_count() >= need:
+                yield picks + (i,), tail
 
-    for picks, _ in _walk(((), cands), children):
+    for picks, _ in _walk(((), (1 << len(cands)) - 1), children):
         if len(picks) == t:
-            model = MinorModel(tuple(tuple(_bits(mask)) for _, mask, _ in picks), r)
+            model = MinorModel(tuple(tuple(_bits(cands[i])) for i in picks), r)
             try:
                 validate_minor_model(g, model)
             except GraphError as exc:

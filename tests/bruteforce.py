@@ -9,7 +9,7 @@ answers it replaced, and lp_packing, the packing solve that moved here
 from drisk.oracle.  Those call the library helpers they always called
 (among them BallTraces, through ball_masks, ball, distances_from,
 multi_source_distances, _descend, induced_subgraph, the distance
-validators, oracle._audit_packing,
+validators, oracle._audit_packing, oracle._bits, oracle._member_traces,
 oracle._max_clique, oracle._walk, validate_minor_model, solve_max, greedy_ball_cover, profile_classes,
 scattered_ladder and the kernel's certificate checks), and
 share whatever fault those helpers have with the code they pin;
@@ -52,7 +52,9 @@ from drisk.oracle import (
     MinorModel,
     OracleLimitError,
     _audit_packing,
+    _bits,
     _max_clique,
+    _member_traces,
     _walk,
     validate_minor_model,
 )
@@ -1643,3 +1645,88 @@ def search_pair_shattered_co(n: int, masks: List[int]) -> int:
         if len(xs) > best_size:
             best_size, best_mask = len(xs), x_mask
     return best_mask
+
+
+# oracle.domination_number as it was when each node scanned every kept
+# ball for its largest gain and took its branching member as the min over
+# the uncovered bits of the number of kept balls that hold each, before
+# the scan stopped at the first ball no larger than the best gain and the
+# member came from one mask per ball count.  It is kept verbatim apart
+# from its name, so tests can pin the cheaper nodes to it, witness
+# included.
+
+
+def domination_number_full_scan(g: Graph, a: Iterable[int], r: int, limit: int = 40) -> Tuple[int, Tuple[int, ...]]:
+    """Smallest set of graph vertices whose r-balls cover a, with witness.
+
+    Branch and bound on the members' ball traces, on _walk: a node is the
+    uncovered members and the balls chosen.  It is pruned by two lower
+    bounds on the balls still needed: a greedy packing of uncovered members
+    no two of which share a ball (the duality alpha_2r <= gamma_r,
+    restricted to what is left) and ceil(|uncovered| / largest gain),
+    tried first with the parent's largest gain, which is no smaller, so
+    that the scan over every kept ball runs only where that does not cut.
+    The incumbent starts at |a| + 1 balls, which no bound reaches before
+    the first leaf because each chosen ball covers a new member; so the
+    first leaf is the first incumbent, only a strictly smaller cover
+    replaces it, and the witness is the walk's first minimum cover.  It
+    is checked to dominate a at r before it is returned."""
+    members, table = _member_traces(
+        g, a, r, limit, "domination oracle limited to |A| <= {limit}, got {n}"
+    )
+    if not members:
+        return 0, ()
+    by_mask: Dict[int, int] = {}
+    for v, m in enumerate(table):
+        if m and m not in by_mask:
+            by_mask[m] = v
+    masks = sorted(by_mask, key=lambda m: (-m.bit_count(), by_mask[m]))
+    kept: List[int] = []
+    for m in masks:
+        if not any(m & o == m for o in kept):
+            kept.append(m)
+    full = (1 << len(members)) - 1
+    covering_sets: List[List[int]] = [[] for _ in members]
+    near = [0] * len(members)  # the members that share a kept ball with i
+    for m in kept:
+        for i in _bits(m):
+            covering_sets[i].append(m)
+            near[i] |= m
+    ways = [len(c) for c in covering_sets]
+    best, best_len = (), len(members) + 1
+
+    def children(node):
+        unc, chosen, gain = node
+        # uncovered members pairwise in no common ball each need a ball;
+        # a cover has none left, so this cut also ends every leaf
+        packed = 0
+        rest = unc
+        while rest:
+            packed += 1
+            rest &= ~near[(rest & -rest).bit_length() - 1]
+        if len(chosen) + packed >= best_len:
+            return
+        # the parent's largest gain is no smaller than this node's, so its
+        # bound cuts only where the exact one does, without the scan
+        left = unc.bit_count()
+        if len(chosen) - (-left // gain) >= best_len:  # + ceil(left / gain)
+            return
+        gain = max((m & unc).bit_count() for m in kept)
+        if len(chosen) - (-left // gain) >= best_len:
+            return
+        # min keeps the first of equal counts: ties go to the lowest member
+        e = min(_bits(unc), key=ways.__getitem__)
+        options = sorted(
+            covering_sets[e], key=lambda m: (-(m & unc).bit_count(), by_mask[m])
+        )
+        for m in options:
+            yield unc & ~m, chosen + (m,), gain
+
+    # kept is sorted by size, so kept[0] has the root's largest gain
+    for unc, chosen, _ in _walk((full, (), kept[0].bit_count()), children):
+        if not unc and len(chosen) < best_len:
+            best, best_len = chosen, len(chosen)
+    witness = tuple(sorted(by_mask[m] for m in best))
+    if not is_distance_dominating(g, witness, members, r):
+        raise RuntimeError("internal: invalid domination witness")
+    return best_len, witness

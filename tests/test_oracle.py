@@ -3,6 +3,7 @@ their linear relaxations, and depth-bounded clique-minor search."""
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,35 @@ class TestMatchesGainBoundSearch:
                 assert_domination_answer(g, a, r, domination_number(g, a, r), value)
 
 
+class TestMatchesFullScan:
+    """The walk whose nodes stop the largest-gain scan at the first kept
+    ball no larger than the best gain so far, and take the branching
+    member from one mask per ball count, against the walk that scanned
+    every kept ball and took a min over the uncovered bits, kept verbatim
+    in bruteforce: the same nodes, so the same value and witness."""
+
+    def test_corpus(self):
+        for name, g in corpus.small_corpus():
+            for a in member_sets(g):
+                for r in range(4):
+                    got = domination_number(g, a, r)
+                    assert got == bruteforce.domination_number_full_scan(g, a, r), (name, r)
+
+    @settings(max_examples=250)
+    @given(st.data())
+    def test_drawn_graphs(self, data):
+        # sparse draws give many balls of equal size and many members
+        # with equal ball counts, so both tie-breaks are exercised
+        n = 16 - data.draw(st.integers(0, 16), label="n")
+        density = data.draw(st.integers(1, 8), label="density")
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(20) < density])
+        for a in (range(n), rnd.sample(range(n), rnd.randint(0, n))):
+            for r in range(4):
+                got = domination_number(g, a, r)
+                assert got == bruteforce.domination_number_full_scan(g, a, r), (list(a), r)
+
+
 class TestLinearRelaxations:
     def test_four_cycle_value(self):
         c4 = cycle_graph(4)
@@ -546,6 +576,66 @@ class TestMinorSearchAgainstRecursion:
         rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(10) < density])
         assert checked_minor(g, t, r) == bruteforce.find_clique_minor_floor(g, t, r)
+
+
+class TestMinorSearchCosts:
+    """What the search may skip: radius tests it can prove, and rows of
+    the candidates its walk never branches on."""
+
+    def test_rows_are_filled_lazily(self):
+        # K16 at t = 5, r = 4 keeps all 65,535 connected sets, so rows
+        # filled for every candidate would hold about 65,535^2 / 2 bits,
+        # some 270 MB of ints; the walk branches on five and is done
+        g = complete_graph(16)
+        tracemalloc.start()
+        try:
+            model = find_clique_minor(g, 5, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+        assert model == bruteforce.find_clique_minor_floor(g, 5, 4)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_small_connected_sets_have_radius_at_most_r(self, data):
+        # grow a connected set of at most 2r + 1 vertices from a random
+        # start by random neighbours, then read its radius in G[S] from
+        # bruteforce.dist_matrix
+        n = data.draw(st.integers(1, 12), label="n")
+        r = data.draw(st.integers(0, 3), label="r")
+        density = data.draw(st.integers(1, 9), label="density")
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.randrange(10) < density]
+        adj = bruteforce.simple_adj(Graph(n, edges))
+        s = [rnd.randrange(n)]
+        for _ in range(rnd.randint(0, 2 * r)):
+            frontier = sorted(set().union(*(adj[v] for v in s)) - set(s))
+            if not frontier:
+                break
+            s.append(rnd.choice(frontier))
+        pos = {v: i for i, v in enumerate(s)}
+        inner = Graph(len(s), [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos])
+        dm = bruteforce.dist_matrix(inner)
+        assert any(len(d) == len(s) and max(d.values()) <= r for d in dm), (s, edges)
+
+    def test_radius_tests_only_above_two_r_plus_one(self, monkeypatch):
+        calls = []
+        test = drisk.oracle._radius_at_most
+
+        def counted(adjm, mask, r):
+            calls.append((mask, r))
+            return test(adjm, mask, r)
+
+        monkeypatch.setattr(drisk.oracle, "_radius_at_most", counted)
+        for name, g in corpus.small_corpus():
+            if g.n > 12:
+                continue
+            for t in (2, 3, 4):
+                for r in (0, 1, 2):
+                    assert find_clique_minor(g, t, r) == bruteforce.find_clique_minor_floor(g, t, r), (name, t, r)
+        assert calls
+        assert all(mask.bit_count() > 2 * r + 1 for mask, r in calls)
 
 
 class TestValidateMinorModel:
