@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
 from .ballvc import two_vc_dimension
@@ -79,7 +80,37 @@ def _rat(value: Fraction) -> str:
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(report, indent=2, sort_keys=True) + "\\n".
+    That call skips CPython's C encoder once an indent is set, so the
+    shapes every report is made of are written here: str-keyed dicts in
+    key order, lists and tuples, with one join for a run of ints."""
+    return _encode(report, "\n") + "\n"
+
+
+def _encode(value, nl: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it at
+    the depth whose line break and indent is nl."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        # the C function json.dumps calls for a str
+        return encode_basestring_ascii(value)
+    inner = nl + "  "
+    if (kind is list or kind is tuple) and value:
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = [encode_basestring_ascii(k) + ": " + _encode(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    # other leaves and shapes (floats, None, int keys, empty containers):
+    # json.dumps writes no raw line break inside a string, so every one
+    # in its text is a line break of the layout
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -32,13 +32,20 @@ def profile_classes(
     g: Graph, candidates: Iterable[int], boundary: Iterable[int], r: int
 ) -> Tuple[Tuple[int, ...], ...]:
     """Partition of the candidates into classes of equal profiles on the
-    boundary, largest class first (ties by members)."""
+    boundary, largest class first (ties by members).
+
+    A path whose interior avoids the boundary reads the same from either
+    end, so a profile entry is the candidate's distance in the stop
+    search from that boundary vertex: one search per boundary vertex,
+    however many candidates there are.
+    """
     cands = vset(candidates, g)
     bound = vset(boundary, g)
     if set(cands) & set(bound):
         raise GraphError("candidates may not meet the boundary")
     bset = set(bound)
-    keys = {u: _profile_key(g, u, bound, bset, r) for u in cands}
+    reached = [multi_source_distances(g, (b,), r, stop=bset) for b in bound]
+    keys = {u: tuple(dist.get(u, INF) for dist in reached) for u in cands}
     return _profile_groups(cands, keys)
 
 
@@ -87,6 +94,10 @@ def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
     calling again.  The pick comes off a heap of (-size, vertex) whose
     entries go stale when a size changes or the vertex is absorbed;
     stale ones are skipped, so the pick is the same as a scan's.
+
+    The first sizes come from one stop search per closed vertex: a path
+    whose interior avoids the closed set reads the same from either
+    end, so u projects onto c iff c's search reaches u.
     """
     if target < 1:
         raise GraphError("projection target must be >= 1")
@@ -95,7 +106,11 @@ def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
     def size(u: int) -> int:
         return len(closed.intersection(multi_source_distances(g, (u,), r, stop=closed)))
 
-    sizes = {u: size(u) for u in range(g.n) if u not in closed}
+    sizes = {u: 0 for u in range(g.n) if u not in closed}
+    for c in closed:
+        for u in multi_source_distances(g, (c,), r, stop=closed):
+            if u not in closed:
+                sizes[u] += 1
     heap = [(-s, u) for u, s in sizes.items()]
     heapq.heapify(heap)
     additions = 0
@@ -136,7 +151,9 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     already, and the grown set is that of walking every path in full.
     Once the grown set holds every vertex no walk can add one, so the
     walks stop, and the check reads g itself, which is g[V]; when x is
-    all of V that holds from the start.
+    all of V that holds from the start.  In g a member's search is the
+    one made above, so the check reads it again and compares each pair's
+    two searches, one from each end.
     """
     members = vset(x, g)
     mset = set(members)
@@ -158,7 +175,7 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     # the identity range is g's id map onto itself
     sub, idmap = (g, range(g.n)) if len(closed) == g.n else induced_subgraph(g, closed)
     for u, vs in partners.items():
-        inside = distances_from(sub, idmap[u], r)
+        inside = dists[u] if sub is g else distances_from(sub, idmap[u], r)
         for v in vs:
             if inside.get(idmap[v]) != dists[v][u]:
                 raise RuntimeError(

@@ -104,17 +104,22 @@ def minor_model_holds(g, model) -> bool:
     """Whether model's branch sets are nonempty, pairwise disjoint and
     pairwise joined by an edge of g, each with a member from which the
     whole set lies within model.radius inside the set, checked with
-    this module's own BFS."""
-    adj = simple_adj(g)
+    this module's own BFS on the edges among the model's vertices."""
     sets = [set(bs) for bs in model.branch_sets]
     if any(not s or not s <= set(range(g.n)) for s in sets):
         return False
-    if sum(map(len, sets)) != len(set().union(*sets)):
+    verts = set().union(*sets)
+    if sum(map(len, sets)) != len(verts):
         return False
+    adj: Dict[int, set] = {v: set() for v in verts}
+    for u, v in g.edges:
+        if u in verts and v in verts:
+            adj[u].add(v)
+            adj[v].add(u)
     for s in sets:
-        inner = [adj[v] & s for v in range(g.n)]
-        if not any(max(bfs_dists(inner, c).values()) <= model.radius
-                   and len(bfs_dists(inner, c)) == len(s) for c in s):
+        inner = {v: adj[v] & s for v in s}
+        reach = (bfs_dists(inner, c) for c in s)
+        if not any(len(d) == len(s) and max(d.values()) <= model.radius for d in reach):
             return False
     return all(any(adj[u] & t for u in s) for s, t in itertools.combinations(sets, 2))
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import corpus
@@ -84,6 +86,24 @@ def two_solve_lp(g, r):
     cover = bruteforce.lp_cover(g, range(g.n), r).value
     packing = bruteforce.lp_packing(g, range(g.n), r).value
     return cover, packing
+
+
+def reference_dump(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def reports_match_reference_dump(monkeypatch):
+    """Every report a test here has the command line write, to stdout or
+    to a file, must be the bytes json.dumps gives for it."""
+    writer = drisk.cli._dump
+
+    def checked(report):
+        text = writer(report)
+        assert text == reference_dump(report)
+        return text
+
+    monkeypatch.setattr(drisk.cli, "_dump", checked)
 
 
 @pytest.fixture
@@ -943,6 +963,44 @@ class TestVerifyCert:
             "verify-cert", "--input", graph_path,
             "--cert", str(dummy), "--log", str(dummy),
         ]) == 3
+
+
+TRICKY_TEXT = st.sampled_from(['', '"', "\n", 'a "b"\nc\\', "é", "\u2028", "\U0001d11e", "\x00\x1f"])
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10 ** 40), 10 ** 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | TRICKY_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(st.integers(), max_size=6).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | TRICKY_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """_dump writes the bytes of json.dumps(indent=2, sort_keys=True)
+    plus a line break; every report the other tests here write is checked
+    by reports_match_reference_dump."""
+
+    @settings(max_examples=200)
+    @given(JSON_VALUES)
+    @example({
+        "b": [1, True, None, 2.5, (3, 4), [], {}],
+        "a": {"z": (), "y": {2: "two", 10: "ten"}, "x": [-(10 ** 30)]},
+        "é\n": [float("inf"), float("-inf"), float("nan"), -0.0],
+    })
+    def test_matches_json_dumps(self, value):
+        assert drisk.cli._dump(value) == reference_dump(value)
 
 
 def child_env():
