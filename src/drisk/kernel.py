@@ -163,7 +163,7 @@ def _find_removable_class(
         return None
     for u in candidates:
         if u not in keys:
-            keys[u] = _profile_key(g, u, z, zset, 2 * r)
+            keys[u] = _profile_key(g, u, zset, 2 * r)
     bulk = _profile_groups(candidates, keys)[0]
     d = r // 2
     # A rung with deletion set s certifies only with |s|+2 far members of
@@ -284,7 +284,7 @@ def kernelize(
         return KernelOutcome("NO", r, k)
     # the reach scan at half radius spreads its witness beyond 2*(r//2)+1 >= r;
     # only a witness that answers YES is checked, and only at r
-    _, witness, _ = _reach_scan(g, members, r // 2, order_heuristic(g))
+    witness, _ = _reach_scan(g, members, r // 2, order_heuristic(g))
     if len(witness) >= k:
         if not is_distance_independent(g, witness, r):
             raise RuntimeError("internal: YES witness is not r-independent")

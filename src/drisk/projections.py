@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Container, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Container, Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from .graph import (
     Graph,
@@ -49,17 +49,17 @@ def profile_classes(
     return _profile_groups(cands, keys)
 
 
-ProfileKey = Tuple[float, ...]
+ProfileKey = Tuple[Hashable, ...]
 
 
-def _profile_key(
-    g: Graph, u: int, bound: Tuple[int, ...], bset: Container[int], r: int
-) -> ProfileKey:
-    """u's profile on the sorted boundary bound (bset holds the same
-    vertices): the search stops at r, so every recorded length is
-    within the radius."""
+def _profile_key(g: Graph, u: int, bset: Container[int], r: int) -> ProfileKey:
+    """u's profile on the boundary bset, as the sorted (vertex, length)
+    pairs its stop search reaches there: two keys are equal exactly when
+    the profiles are, with no entry for the boundary vertices it misses.
+    The search stops at r, so every recorded length is within the
+    radius."""
     dist = multi_source_distances(g, (u,), r, stop=bset)
-    return tuple(dist.get(v, INF) for v in bound)
+    return tuple(sorted((v, d) for v, d in dist.items() if v in bset))
 
 
 def _profile_groups(

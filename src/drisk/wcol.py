@@ -8,7 +8,11 @@ below u in the order.  The weak coloring number of the order is the
 largest reach-set size.  Every set a public function here returns is
 re-checked by plain breadth-first search first; the private reach scan
 behind them checks nothing, and each caller checks only what it
-returns.
+returns.  The scan builds no reach-set table: it searches below each
+vertex it covers for the vertices that reach it, and walks forward
+from each member that joins for that member's reach set, so only
+weak_reach_sets, and duality_report through it, builds the whole
+table.
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ def dual_witness(
     members = vset(a, g)
     if order is None:
         order = order_heuristic(g)
-    _, witness, covered = _reach_scan(g, members, r, order)
+    witness, covered = _reach_scan(g, members, r, order)
     dominating = tuple(sorted(covered))
     if not is_distance_independent(g, witness, 2 * r + 1):
         raise RuntimeError("internal: witness is not spread far enough")
@@ -199,22 +203,87 @@ def dual_witness(
 
 def _reach_scan(
     g: Graph, members: Tuple[int, ...], r: int, order: VertexOrder
-) -> Tuple[int, Tuple[int, ...], set]:
-    """The reach scan, unchecked: the order's weak coloring number at
-    2r+1 (so callers that need it build the reach sets only once), the
-    witness, and the union of its reach sets.  Each caller checks what
-    it emits: dual_witness both sets at 2r+1, duality_report the
-    witness at 2r+1, and kernel.kernelize a witness that answers YES at
-    its own radius."""
-    reach = weak_reach_sets(g, order, 2 * r + 1)
-    wide = max((len(s) for s in reach), default=0)
+) -> Tuple[Tuple[int, ...], set]:
+    """The reach scan at 2r+1, unchecked: the witness, and the union of
+    its reach sets.  Each caller checks what it emits: dual_witness both
+    sets at 2r+1, duality_report the witness at 2r+1, and
+    kernel.kernelize a witness that answers YES at its own radius.
+
+    It builds reach sets only where it reads them.  A member is skipped
+    exactly when it weakly reaches a covered vertex u, and the vertices
+    that weakly reach u are those that u's search in weak_reach_sets
+    finds.  So each newly covered u runs that search once and stamps
+    what it meets, and a member is blocked once any search has stamped
+    it.  A member that joins gets its own reach set from _forward_reach.
+    """
+    _check_order(g, order)
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    steps = 2 * r + 1
+    n = g.n
+    rank = [0] * n
+    for i, v in enumerate(order.sequence):
+        rank[v] = i
+    adj = g.adjacency
+    mark = [-1] * n
     independent: List[int] = []
     covered: set = set()
     for v in members:
-        if covered.isdisjoint(reach[v]):
-            independent.append(v)
-            covered.update(reach[v])
-    return wide, tuple(independent), covered
+        if mark[v] >= 0:
+            continue
+        independent.append(v)
+        # v is not blocked, so its reach set is disjoint from covered
+        for u in _forward_reach(adj, rank, v, steps):
+            covered.add(u)
+            mark[u] = u
+            base = rank[u]
+            frontier = [u]
+            for _ in range(steps):
+                nxt = []
+                for x in frontier:
+                    for w in adj[x]:
+                        if mark[w] != u and rank[w] > base:
+                            mark[w] = u
+                            nxt.append(w)
+                if not nxt:
+                    break
+                frontier = nxt
+    return tuple(independent), covered
+
+
+def _forward_reach(
+    adj: Tuple[Tuple[int, ...], ...], rank: List[int], v: int, steps: int
+) -> List[int]:
+    """v's weak steps-reach set, by a walk forward from v.
+
+    low[w] is the highest, over the walks of at most the steps taken so
+    far from v to w, of the lowest rank on the walk, w included.  u is
+    in the reach set iff some such walk meets only vertices ranked above
+    u before it ends at u, that is iff a neighbour x passes on a value
+    low[x] above rank[u]; then low[u] = rank[u], its highest value, so
+    u is listed once.  Conversely low[u] = rank[u] only then (or at v):
+    the walk's first visit to u came from above u.
+    """
+    low = {v: rank[v]}
+    reach = [v]
+    # each step passes on the values of the step before, so that no
+    # walk grows by two edges in one step
+    frontier = low.copy()
+    for _ in range(steps):
+        nxt = {}
+        for x, p in frontier.items():
+            for w in adj[x]:
+                c = rank[w]
+                if p < c:
+                    c = p
+                if c > low.get(w, -1):
+                    if c == rank[w]:
+                        reach.append(w)
+                    low[w] = nxt[w] = c
+        if not nxt:
+            break
+        frontier = nxt
+    return reach
 
 
 def harmonic(n: int) -> Fraction:
@@ -256,7 +325,8 @@ def duality_report(
     # one table for the cover and the LP; the cover fills every row
     table = BallTraces(g, members, r)
     dominating = greedy_ball_cover(g, members, r, table)
-    wide, witness, _ = _reach_scan(g, members, r, order)
+    wide = max(map(len, weak_reach_sets(g, order, 2 * r + 1)), default=0)
+    witness, _ = _reach_scan(g, members, r, order)
     if not is_distance_independent(g, witness, 2 * r + 1):
         raise RuntimeError("internal: witness is not spread far enough")
     bound = harmonic(len(members))

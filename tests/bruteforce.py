@@ -250,6 +250,21 @@ def weak_reach(g, sequence: Sequence[int], r: int) -> List[set]:
     return reach
 
 
+def reach_scan(g, members: Iterable[int], r: int, sequence: Sequence[int]) -> Tuple[Tuple[int, ...], set]:
+    """The reach scan over the enumerated weak (2r+1)-reach sets: in
+    member order, a member joins the witness when its reach set misses
+    the union of those already joined; returns the witness and that
+    union."""
+    reach = weak_reach(g, sequence, 2 * r + 1)
+    witness: List[int] = []
+    covered: set = set()
+    for v in members:
+        if covered.isdisjoint(reach[v]):
+            witness.append(v)
+            covered |= reach[v]
+    return tuple(witness), covered
+
+
 def degeneracy_order(g) -> Tuple[int, ...]:
     """The (degree, id)-minimal peel by a full min-scan per step
     (quadratic), reversed so the first-peeled vertex comes last."""

@@ -658,17 +658,14 @@ class TestSolve:
         assert internal_error(capsys, "solve", "duality", "--input", path10, "--r", "1") \
             == "greedy cover failed to dominate"
 
-    @pytest.mark.parametrize("reach, error", [
+    @pytest.mark.parametrize("scan, error", [
         # every member joins the witness
-        (lambda v: (v,), "witness is not spread far enough"),
+        (lambda g, members, r, order: (members, set(members)), "witness is not spread far enough"),
     ], ids=["witness"])
     def test_duality_answer_is_checked_by_the_reach_scan(
-        self, reach, error, path10, capsys, monkeypatch
+        self, scan, error, path10, capsys, monkeypatch
     ):
-        monkeypatch.setattr(
-            drisk.wcol, "weak_reach_sets",
-            lambda g, order, r: tuple(reach(v) for v in range(g.n)),
-        )
+        monkeypatch.setattr(drisk.wcol, "_reach_scan", scan)
         assert internal_error(capsys, "solve", "duality", "--input", path10, "--r", "1") == error
 
     def test_header_above_the_vertex_cap_exits_three(self, tmp_path, capsys):
@@ -764,7 +761,7 @@ class TestKernel:
         self, path10, tmp_path, capsys, monkeypatch
     ):
         # an adjacent pair is not 2-independent
-        monkeypatch.setattr(drisk.kernel, "_reach_scan", lambda g, a, r, order: (0, (0, 1), set()))
+        monkeypatch.setattr(drisk.kernel, "_reach_scan", lambda g, a, r, order: ((0, 1), set()))
         assert internal_error(
             capsys, "kernel", "--input", path10, "--r", "2", "--k", "2",
             "--out-prefix", str(tmp_path / "run"),

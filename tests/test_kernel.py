@@ -468,6 +468,17 @@ class TestWorkGuards:
         assert out.tag == "YES"
         assert checks == [("is_distance_independent", 2)]
 
+    def test_kernelize_builds_no_reach_set_table(self, monkeypatch):
+        # YES reads the reach sets of the joining members only; a KERNEL
+        # and a NO after removals run the same scan first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weak_reach_sets called")
+
+        monkeypatch.setattr(drisk.wcol, "weak_reach_sets", forbidden)
+        assert kernelize(grid_graph(12, 12), tuple(range(144)), 2, 5).tag == "YES"
+        assert kernelize(TWIN, TWIN_LEAVES, 2, 3).tag == "KERNEL"
+        assert kernelize(star_graph(8), range(1, 9), 2, 3).tag == "NO"
+
     def test_closure_rescans_only_touched_vertices(self, monkeypatch):
         calls = []
         real = drisk.projections.multi_source_distances
@@ -544,9 +555,9 @@ class TestMatchesRebuiltRounds:
             closures.append((frozenset(x), target))
             return real_closure(g, x, r, target)
 
-        def counted_key(g, u, bound, bset, r):
-            profiled.append((u, bound))
-            return real_key(g, u, bound, bset, r)
+        def counted_key(g, u, bset, r):
+            profiled.append((u, tuple(sorted(bset))))
+            return real_key(g, u, bset, r)
 
         def recorded_find(g, members, z, r, policy, carried):
             rounds.append((members, z))

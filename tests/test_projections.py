@@ -112,6 +112,28 @@ class TestProfileClasses:
 
     @settings(max_examples=150)
     @given(st.data())
+    def test_reached_pair_keys_group_as_profiles(self, data):
+        # the kernel keys candidates by the (boundary vertex, length) pairs
+        # their stop search reaches, not by a full profile tuple
+        g = draw_sparse_graph(data)
+        boundary = sorted(data.draw(
+            st.sets(st.integers(0, g.n - 1), max_size=8), label="boundary"
+        ))
+        bset = set(boundary)
+        cands = [u for u in range(g.n) if u not in bset]
+        r = data.draw(st.integers(0, 4), label="r")
+        keys = {u: drisk.projections._profile_key(g, u, bset, r) for u in cands}
+        profiles = {u: bruteforce.stop_profile(g, u, boundary, r) for u in cands}
+        assert drisk.projections._profile_groups(cands, keys) == (
+            drisk.projections._profile_groups(cands, profiles)
+        )
+        for u in cands:
+            assert keys[u] == tuple(
+                (b, d) for b, d in zip(boundary, profiles[u]) if d != INF
+            )
+
+    @settings(max_examples=150)
+    @given(st.data())
     def test_classes_and_order_match_profile_keys(self, data):
         g = draw_sparse_graph(data)
         boundary = data.draw(

@@ -124,6 +124,54 @@ class TestWeakReach:
                 prev = val
 
 
+class TestReachScan:
+    """The scan builds reach sets only for the members that join; its
+    witness and covered union are those of a scan over every reach set."""
+
+    @staticmethod
+    def assert_matches(g, members, r, order, label):
+        got = drisk.wcol._reach_scan(g, tuple(members), r, order)
+        assert got == bruteforce.reach_scan(g, members, r, order.sequence), label
+
+    def test_matches_enumerated_reach_sets_on_corpus(self):
+        for name, g in corpus.small_corpus():
+            for order in (VertexOrder(tuple(range(g.n))), order_heuristic(g)):
+                for r in range(4):
+                    self.assert_matches(g, range(g.n), r, order, (name, order, r))
+
+    def test_matches_enumerated_reach_sets_on_drawn_graphs(self):
+        # shuffled orders and member subsets, so members skip vertices
+        rng = random.Random(41)
+        for trial in range(40):
+            n = rng.randint(1, 12)
+            g = gnm_random(n, rng.randint(0, min(18, n * (n - 1) // 2)), trial)
+            seq = list(range(n))
+            rng.shuffle(seq)
+            members = sorted(rng.sample(range(n), rng.randint(0, n)))
+            for r in range(3):
+                self.assert_matches(g, members, r, VertexOrder(tuple(seq)), (trial, r))
+
+    def test_matches_enumerated_reach_sets_on_bucket_draws(self):
+        for seed in range(1, 4):
+            g = bucket_model(60, 4, seed).g
+            for r in range(3):
+                self.assert_matches(g, range(g.n), r, order_heuristic(g), (seed, r))
+
+    def test_duality_value_is_the_largest_reach_set(self):
+        for name, g in corpus.small_corpus():
+            for r in (0, 1):
+                want = max((len(s) for s in bruteforce.weak_reach(
+                    g, order_heuristic(g).sequence, 2 * r + 1)), default=0)
+                rep = duality_report(g, range(g.n), r, include_lp=False)
+                assert rep.wcol_value == want, (name, r)
+
+    def test_refusals(self):
+        with pytest.raises(GraphError, match="^radius must be >= 0$"):
+            dual_witness(path_graph(3), [0], -1)
+        with pytest.raises(GraphError, match="order covers 2 vertices"):
+            dual_witness(path_graph(3), [0], 1, VertexOrder((0, 1)))
+
+
 class TestOrderHeuristic:
     def test_star_center_is_early(self):
         # leaves peel first and land late; the center is forced early
@@ -269,9 +317,9 @@ class TestDualWitness:
         assert is_distance_dominating(g, dom, range(6), 3)
 
     def test_reach_union_is_checked(self, monkeypatch):
-        # vertex 0 reaches nothing past 3 steps
+        # the union is vertex 0 alone, which reaches nothing past 3 steps
         monkeypatch.setattr(
-            drisk.wcol, "weak_reach_sets", lambda g, order, r: ((0,),) * g.n
+            drisk.wcol, "_reach_scan", lambda g, members, r, order: ((0,), {0})
         )
         with pytest.raises(RuntimeError, match="reach union fails to dominate"):
             dual_witness(path_graph(10), range(10), 1)
