@@ -422,18 +422,25 @@ def _replay_log(g: Graph, members: Tuple[int, ...], entries: List[dict]) -> dict
     }
 
 
+def _load_json(path: str, what: str):
+    """The JSON value in the file at path.  A value nested too deep to
+    decode is bad input, refused as a malformed what."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise GraphError(f"malformed {what}: {exc}")
+
+
 def _cmd_verify_cert(args) -> int:
     g, members, digests = _load_instance(args)
     if args.cert:
-        with open(args.cert) as fh:
-            data = json.load(fh)
-        cert = _cert_from_json(data)
+        cert = _cert_from_json(_load_json(args.cert, "certificate"))
         reason = check_certificate(g, members, cert)
         outputs = {"valid": reason is None, "failing": reason}
         digests["cert"] = _sha256(args.cert)
     else:
-        with open(args.log) as fh:
-            data = json.load(fh)
+        data = _load_json(args.log, "removal log")
         entries = data.get("entries") if isinstance(data, dict) else data
         outputs = _replay_log(g, members, entries)
         digests["log"] = _sha256(args.log)
@@ -491,7 +498,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RuntimeError as exc:  # a failed self-check, or RecursionError
+    except RuntimeError as exc:  # a failed self-check
         print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -131,32 +131,23 @@ def _far_members(
     return tuple(x for x in b if x not in near)
 
 
-@dataclass
-class _Carried:
-    """What a removal round reads from earlier rounds of one call: keys
-    holds profile keys on the current z at radius 2r, and ladder the
-    radius-4r ball traces of the call's initial members."""
-
-    keys: Dict[int, ProfileKey]
-    ladder: LadderTables
-
-
 def _find_removable_class(
     g: Graph,
     members: Tuple[int, ...],
     z: Tuple[int, ...],
     r: int,
     policy: KernelPolicy,
-    carried: _Carried,
+    keys: Dict[int, ProfileKey],
+    ladder: LadderTables,
 ) -> Optional[IrrelevanceCertificate]:
     """One round of the splitter: pick the largest profile class of
     A minus z, ladder up deletion sets at radius 4r, and return the
     first certificate whose far, profile and size conditions work out.
 
-    The keys of candidates not in carried.keys are added to it, and the
-    ladder fills the rows of carried.ladder that it reads.
+    keys holds profile keys on z at radius 2r and gains those of the
+    candidates it lacks; the ladder fills the rows of ladder, the
+    radius-4r traces of the call's initial members, that it reads.
     """
-    keys = carried.keys
     zset = set(z)
     candidates = tuple(x for x in members if x not in zset)
     if not candidates:
@@ -171,7 +162,7 @@ def _find_removable_class(
     s_max = min(policy.uqw_s_max, len(bulk) - 2)
     if s_max < 0:
         return None
-    for s, b in scattered_ladder(g, bulk, 4 * r, s_max, carried.ladder):
+    for s, b in scattered_ladder(g, bulk, 4 * r, s_max, ladder):
         need = len(s) + 2
         far = _far_members(g, b, z, s, r)
         if len(far) < need:
@@ -220,7 +211,8 @@ def remove_irrelevant(
     log: List[Tuple[int, IrrelevanceCertificate]] = []
     d = r // 2
     cover = BallTraces(g, members, d)
-    carried = _Carried({}, LadderTables(g, members, 4 * r))
+    keys: Dict[int, ProfileKey] = {}
+    ladder = LadderTables(g, members, 4 * r)
     closed_key: Optional[Tuple[FrozenSet[int], int]] = None
     z: Tuple[int, ...] = ()
     while len(members) >= k:
@@ -233,8 +225,8 @@ def remove_irrelevant(
             closed_key = key
             closed = closure(g, dom, 2 * r, target).closed_set
             if closed != z:
-                z, carried.keys = closed, {}
-        cert = _find_removable_class(g, members, z, r, policy, carried)
+                z, keys = closed, {}
+        cert = _find_removable_class(g, members, z, r, policy, keys, ladder)
         if cert is None:
             break
         name = check_certificate(g, members, cert)

@@ -5,15 +5,15 @@ one that grows a set until it preserves all short internal distances.
 The projection of u onto a boundary set is the set of boundary vertices
 reachable from u by paths of length <= r whose interior stays off the
 boundary; u's profile records the shortest such length per boundary
-vertex, with infinity where there is none.
+vertex it reaches.  A profile is keyed by its sorted (vertex, length)
+pairs, so two keys are equal exactly when the profiles are.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
-from typing import Container, Dict, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .graph import (
     Graph,
@@ -25,8 +25,6 @@ from .graph import (
     vset,
 )
 
-INF = math.inf
-
 
 def profile_classes(
     g: Graph, candidates: Iterable[int], boundary: Iterable[int], r: int
@@ -37,27 +35,26 @@ def profile_classes(
     A path whose interior avoids the boundary reads the same from either
     end, so a profile entry is the candidate's distance in the stop
     search from that boundary vertex: one search per boundary vertex,
-    however many candidates there are.
+    however many candidates there are.  Read in boundary order, the
+    entries are the sorted pairs of _profile_key.
     """
     cands = vset(candidates, g)
     bound = vset(boundary, g)
     if set(cands) & set(bound):
         raise GraphError("candidates may not meet the boundary")
     bset = set(bound)
-    reached = [multi_source_distances(g, (b,), r, stop=bset) for b in bound]
-    keys = {u: tuple(dist.get(u, INF) for dist in reached) for u in cands}
+    reached = [(b, multi_source_distances(g, (b,), r, stop=bset)) for b in bound]
+    keys = {u: tuple((b, dist[u]) for b, dist in reached if u in dist) for u in cands}
     return _profile_groups(cands, keys)
 
 
-ProfileKey = Tuple[Hashable, ...]
+ProfileKey = Tuple[Tuple[int, int], ...]
 
 
 def _profile_key(g: Graph, u: int, bset: Container[int], r: int) -> ProfileKey:
-    """u's profile on the boundary bset, as the sorted (vertex, length)
-    pairs its stop search reaches there: two keys are equal exactly when
-    the profiles are, with no entry for the boundary vertices it misses.
-    The search stops at r, so every recorded length is within the
-    radius."""
+    """u's profile key on the boundary bset: the sorted (vertex, length)
+    pairs its stop search reaches there.  The search stops at r, so
+    every recorded length is within the radius."""
     dist = multi_source_distances(g, (u,), r, stop=bset)
     return tuple(sorted((v, d) for v, d in dist.items() if v in bset))
 

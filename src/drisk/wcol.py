@@ -8,11 +8,12 @@ below u in the order.  The weak coloring number of the order is the
 largest reach-set size.  Every set a public function here returns is
 re-checked by plain breadth-first search first; the private reach scan
 behind them checks nothing, and each caller checks only what it
-returns.  The scan builds no reach-set table: it searches below each
-vertex it covers for the vertices that reach it, and walks forward
-from each member that joins for that member's reach set, so only
-weak_reach_sets, and duality_report through it, builds the whole
-table.
+returns.  One confined search, _reached_from_above, finds the vertices
+that weakly reach a vertex u, searching from u through the vertices
+ranked above it.  weak_reach_sets runs it from every vertex to build
+the whole table; the scan builds no table: it runs the search only from
+each vertex it covers, to block the members that reach it, and walks
+forward from each member that joins for that member's reach set.
 """
 
 from __future__ import annotations
@@ -50,11 +51,47 @@ class VertexOrder:
         return len(self.sequence)
 
 
-def _check_order(g: Graph, order: VertexOrder) -> None:
+def _ranks(g: Graph, order: VertexOrder, r: int) -> List[int]:
+    """rank[v], v's position in the order, once the order is checked
+    to cover g and the radius to be nonnegative."""
     if len(order) != g.n:
-        raise GraphError(
-            f"order covers {len(order)} vertices, graph has {g.n}"
-        )
+        raise GraphError(f"order covers {len(order)} vertices, graph has {g.n}")
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    rank = [0] * g.n
+    for i, v in enumerate(order.sequence):
+        rank[v] = i
+    return rank
+
+
+def _reached_from_above(
+    adj: Tuple[Tuple[int, ...], ...], rank: List[int], u: int, steps: int, mark: List[int]
+) -> List[int]:
+    """u, then the vertices ranked above u that weakly steps-reach u.
+
+    One BFS of at most steps levels from u, confined to vertices ranked
+    above u; every vertex it meets weakly reaches u.  The test is
+    rank[w] > rank[u]: u is the only vertex of its rank, so the strict
+    test is "at or above u" with u, found first, left out.  The mark
+    list, stamped with u on every vertex returned, stands in for a
+    per-search seen set, so one list serves all of a caller's searches.
+    """
+    base = rank[u]
+    mark[u] = u
+    found = [u]
+    frontier = found
+    for _ in range(steps):
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if mark[w] != u and rank[w] > base:
+                    mark[w] = u
+                    nxt.append(w)
+        if not nxt:
+            break
+        found += nxt
+        frontier = nxt
+    return found
 
 
 def weak_reach_sets(
@@ -63,40 +100,17 @@ def weak_reach_sets(
     """reach[v] = all vertices weakly r-reachable from v under the
     order, v itself included.
 
-    One BFS per target u, confined to vertices ranked at or above u;
-    every vertex it meets weakly reaches u.  The test is rank[w] >
-    rank[u]: u is the only vertex of its rank, so the strict test is
-    "at or above u" with the start itself left out, and the start needs
-    no mark.  One mark list, stamped with u as the search enters a
-    vertex, stands in for a per-search seen set.  The targets run in
-    ascending id and each is appended where it is met, so every reach
-    list is built already sorted.
+    Each target u appends itself to the reach list of every vertex
+    _reached_from_above returns for it.  The targets run in ascending
+    id, so every reach list is built already sorted.
     """
-    _check_order(g, order)
-    if r < 0:
-        raise GraphError("radius must be >= 0")
-    n = g.n
-    rank = [0] * n
-    for i, v in enumerate(order.sequence):
-        rank[v] = i
+    rank = _ranks(g, order, r)
     adj = g.adjacency
-    reach: List[List[int]] = [[] for _ in range(n)]
-    mark = [-1] * n
-    for u in range(n):
-        base = rank[u]
-        reach[u].append(u)
-        frontier = [u]
-        for _ in range(r):
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if mark[w] != u and rank[w] > base:
-                        mark[w] = u
-                        reach[w].append(u)
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
+    reach: List[List[int]] = [[] for _ in range(g.n)]
+    mark = [-1] * g.n
+    for u in range(g.n):
+        for w in _reached_from_above(adj, rank, u, r, mark):
+            reach[w].append(u)
     return tuple(map(tuple, reach))
 
 
@@ -211,21 +225,15 @@ def _reach_scan(
 
     It builds reach sets only where it reads them.  A member is skipped
     exactly when it weakly reaches a covered vertex u, and the vertices
-    that weakly reach u are those that u's search in weak_reach_sets
-    finds.  So each newly covered u runs that search once and stamps
-    what it meets, and a member is blocked once any search has stamped
-    it.  A member that joins gets its own reach set from _forward_reach.
+    that weakly reach u are those _reached_from_above returns for u.  So
+    each newly covered u runs that search once, which stamps what it
+    returns, and a member is blocked once any search has stamped it.  A
+    member that joins gets its own reach set from _forward_reach.
     """
-    _check_order(g, order)
-    if r < 0:
-        raise GraphError("radius must be >= 0")
+    rank = _ranks(g, order, r)
     steps = 2 * r + 1
-    n = g.n
-    rank = [0] * n
-    for i, v in enumerate(order.sequence):
-        rank[v] = i
     adj = g.adjacency
-    mark = [-1] * n
+    mark = [-1] * g.n
     independent: List[int] = []
     covered: set = set()
     for v in members:
@@ -235,19 +243,7 @@ def _reach_scan(
         # v is not blocked, so its reach set is disjoint from covered
         for u in _forward_reach(adj, rank, v, steps):
             covered.add(u)
-            mark[u] = u
-            base = rank[u]
-            frontier = [u]
-            for _ in range(steps):
-                nxt = []
-                for x in frontier:
-                    for w in adj[x]:
-                        if mark[w] != u and rank[w] > base:
-                            mark[w] = u
-                            nxt.append(w)
-                if not nxt:
-                    break
-                frontier = nxt
+            _reached_from_above(adj, rank, u, steps, mark)
     return tuple(independent), covered
 
 

@@ -775,7 +775,7 @@ class TestKernel:
         # is enough to apply it
         bad = IrrelevanceCertificate((0, 6), (), (1, 2, 3, 4, 5), 2, 1)
         monkeypatch.setattr(
-            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy, carried: bad
+            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy, keys, ladder: bad
         )
         graph_path, a_path = twin
         assert internal_error(
@@ -951,6 +951,24 @@ class TestVerifyCert:
             "--log", str(log_path),
         ])
         assert (code, capsys.readouterr().err) == (3, f"input error: {line}\n")
+
+    @pytest.mark.parametrize("flag,what", [
+        ("--cert", "certificate"), ("--log", "removal log"),
+    ], ids=["cert", "log"])
+    def test_too_deeply_nested_json_is_malformed(
+        self, flag, what, twin, tmp_path, capsys
+    ):
+        # raw text: json.dumps cannot write a value this deep
+        graph_path, a_path = twin
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        code = main([
+            "verify-cert", "--input", graph_path, "--a-file", a_path, flag, str(path),
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"input error: malformed {what}: maximum recursion depth")
 
     def test_cert_and_log_are_mutually_exclusive(self, twin, tmp_path):
         graph_path, _ = twin

@@ -337,7 +337,7 @@ def reference_pipeline():
         mp.setattr(
             drisk.kernel,
             "_find_removable_class",
-            lambda g, members, z, r, policy, carried: (
+            lambda g, members, z, r, policy, keys, ladder: (
                 bruteforce.find_removable_class_uncapped(g, members, z, r, policy)
             ),
         )
@@ -559,9 +559,9 @@ class TestMatchesRebuiltRounds:
             profiled.append((u, tuple(sorted(bset))))
             return real_key(g, u, bset, r)
 
-        def recorded_find(g, members, z, r, policy, carried):
+        def recorded_find(g, members, z, r, policy, keys, ladder):
             rounds.append((members, z))
-            return real_find(g, members, z, r, policy, carried)
+            return real_find(g, members, z, r, policy, keys, ladder)
 
         monkeypatch.setattr(drisk.kernel, "closure", counted_closure)
         monkeypatch.setattr(drisk.kernel, "_profile_key", counted_key)

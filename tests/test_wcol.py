@@ -166,10 +166,19 @@ class TestReachScan:
                 assert rep.wcol_value == want, (name, r)
 
     def test_refusals(self):
+        # the scan and the table share one refusal, order first
         with pytest.raises(GraphError, match="^radius must be >= 0$"):
             dual_witness(path_graph(3), [0], -1)
-        with pytest.raises(GraphError, match="order covers 2 vertices"):
-            dual_witness(path_graph(3), [0], 1, VertexOrder((0, 1)))
+        with pytest.raises(GraphError, match="^radius must be >= 0$"):
+            weak_reach_sets(path_graph(3), VertexOrder((0, 1, 2)), -1)
+        for refuse in (
+            lambda order: dual_witness(path_graph(3), [0], -1, order),
+            lambda order: weak_reach_sets(path_graph(3), order, -1),
+        ):
+            with pytest.raises(
+                GraphError, match="^order covers 2 vertices, graph has 3$"
+            ):
+                refuse(VertexOrder((0, 1)))
 
 
 class TestOrderHeuristic:
