@@ -441,6 +441,9 @@ def _cmd_verify_cert(args) -> int:
         digests["cert"] = _sha256(args.cert)
     else:
         data = _load_json(args.log, "removal log")
+        for name, have in (("graph_digest", digests["input"]), ("a", list(members))):
+            if isinstance(data, dict) and data.get(name, have) != have:
+                raise GraphError(f"removal log {name} does not match the loaded input")
         entries = data.get("entries") if isinstance(data, dict) else data
         outputs = _replay_log(g, members, entries)
         digests["log"] = _sha256(args.log)

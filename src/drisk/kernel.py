@@ -15,9 +15,10 @@ solution vertex, and there are not enough of those.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .graph import (
     BallTraces,
@@ -29,9 +30,8 @@ from .graph import (
     vset,
 )
 from .projections import (
-    ProfileKey,
+    ClosureResult,
     _profile_groups,
-    _profile_key,
     closure,
     path_closure,
     profile_classes,
@@ -134,28 +134,21 @@ def _far_members(
 def _find_removable_class(
     g: Graph,
     members: Tuple[int, ...],
-    z: Tuple[int, ...],
+    closed: ClosureResult,
     r: int,
     policy: KernelPolicy,
-    keys: Dict[int, ProfileKey],
     ladder: LadderTables,
 ) -> Optional[IrrelevanceCertificate]:
     """One round of the splitter: pick the largest profile class of
     A minus z, ladder up deletion sets at radius 4r, and return the
     first certificate whose far, profile and size conditions work out.
 
-    keys holds profile keys on z at radius 2r and gains those of the
-    candidates it lacks; the ladder fills the rows of ladder, the
-    radius-4r traces of the call's initial members, that it reads.
+    z is closed's set, and its projections, made at radius 2r, key the
+    candidates; the ladder fills the rows of ladder, the radius-4r
+    traces of the call's initial members, that it reads.
     """
-    zset = set(z)
-    candidates = tuple(x for x in members if x not in zset)
-    if not candidates:
-        return None
-    for u in candidates:
-        if u not in keys:
-            keys[u] = _profile_key(g, u, zset, 2 * r)
-    bulk = _profile_groups(candidates, keys)[0]
+    candidates = tuple(x for x in members if x in closed.projections)
+    bulk = next(iter(_profile_groups(candidates, closed.projections)), ())
     d = r // 2
     # A rung with deletion set s certifies only with |s|+2 far members of
     # its b, a subset of bulk, so rungs past |bulk|-2 deletions are futile.
@@ -164,12 +157,12 @@ def _find_removable_class(
         return None
     for s, b in scattered_ladder(g, bulk, 4 * r, s_max, ladder):
         need = len(s) + 2
-        far = _far_members(g, b, z, s, r)
+        far = _far_members(g, b, closed.closed_set, s, r)
         if len(far) < need:
             continue
         for cls in profile_classes(g, far, s, r) if s else (far,):
             if len(cls) >= need:
-                return IrrelevanceCertificate(z, s, cls, r, d)
+                return IrrelevanceCertificate(closed.closed_set, s, cls, r, d)
     return None
 
 
@@ -195,12 +188,9 @@ def remove_irrelevant(
     A member's ball trace reads only g, the member, the radius and the
     deletion set, so the cover's radius-r//2 traces of the initial
     members are found once per call, and the ladder's radius-4r traces
-    once per member and deletion set.  The closure reads only g, the
-    set of the greedy cover, 2r and the target, so it is kept while
-    that cover and target repeat.  A candidate's profile key reads only
-    g, the candidate, the closed set z and 2r, so the keys are kept
-    while z repeats; the candidates are then the last round's minus its
-    victim.
+    once per member and deletion set.  The closure, with the profile
+    keys it returns, reads only g, the set of the greedy cover, 2r and
+    the target, so the last one is kept while they repeat.
     """
     if r < 1:
         raise GraphError("radius must be >= 1")
@@ -211,22 +201,15 @@ def remove_irrelevant(
     log: List[Tuple[int, IrrelevanceCertificate]] = []
     d = r // 2
     cover = BallTraces(g, members, d)
-    keys: Dict[int, ProfileKey] = {}
     ladder = LadderTables(g, members, 4 * r)
-    closed_key: Optional[Tuple[FrozenSet[int], int]] = None
-    z: Tuple[int, ...] = ()
+    closed_on = functools.lru_cache(maxsize=1)(closure)
     while len(members) >= k:
         if policy.max_rounds is not None and len(log) >= policy.max_rounds:
             break
         dom = greedy_ball_cover(g, members, d, cover)
         target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
-        key = (frozenset(dom), target)
-        if key != closed_key:
-            closed_key = key
-            closed = closure(g, dom, 2 * r, target).closed_set
-            if closed != z:
-                z, keys = closed, {}
-        cert = _find_removable_class(g, members, z, r, policy, keys, ladder)
+        closed = closed_on(g, frozenset(dom), 2 * r, target)
+        cert = _find_removable_class(g, members, closed, r, policy, ladder)
         if cert is None:
             break
         name = check_certificate(g, members, cert)

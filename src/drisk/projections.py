@@ -12,8 +12,8 @@ pairs, so two keys are equal exactly when the profiles are.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Container, Dict, Iterable, List, Mapping, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .graph import (
     Graph,
@@ -26,37 +26,47 @@ from .graph import (
 )
 
 
+ProfileKey = Tuple[Tuple[int, int], ...]
+
+
+def _boundary_keys(
+    g: Graph, cands: Iterable[int], bound: Sequence[int], r: int
+) -> Dict[int, ProfileKey]:
+    """The profile key on the sorted boundary bound of each candidate.
+
+    A path whose interior avoids the boundary reads the same from either
+    end, so a key entry is the candidate's distance in the stop search
+    from that boundary vertex: one search per boundary vertex, however
+    many candidates there are.  Read in boundary order, the entries are
+    the sorted pairs of _profile_key.
+    """
+    if r < 0:
+        raise GraphError("radius must be >= 0")
+    bset = set(bound)
+    pairs: Dict[int, List[Tuple[int, int]]] = {u: [] for u in cands}
+    for b in bound:
+        for u, d in multi_source_distances(g, (b,), r, stop=bset).items():
+            if u in pairs:
+                pairs[u].append((b, d))
+    return {u: tuple(p) for u, p in pairs.items()}
+
+
 def profile_classes(
     g: Graph, candidates: Iterable[int], boundary: Iterable[int], r: int
 ) -> Tuple[Tuple[int, ...], ...]:
     """Partition of the candidates into classes of equal profiles on the
-    boundary, largest class first (ties by members).
-
-    A path whose interior avoids the boundary reads the same from either
-    end, so a profile entry is the candidate's distance in the stop
-    search from that boundary vertex: one search per boundary vertex,
-    however many candidates there are.  Read in boundary order, the
-    entries are the sorted pairs of _profile_key.
-    """
+    boundary, largest class first (ties by members)."""
     cands = vset(candidates, g)
     bound = vset(boundary, g)
     if set(cands) & set(bound):
         raise GraphError("candidates may not meet the boundary")
-    bset = set(bound)
-    reached = [(b, multi_source_distances(g, (b,), r, stop=bset)) for b in bound]
-    keys = {u: tuple((b, dist[u]) for b, dist in reached if u in dist) for u in cands}
-    return _profile_groups(cands, keys)
+    return _profile_groups(cands, _boundary_keys(g, cands, bound, r))
 
 
-ProfileKey = Tuple[Tuple[int, int], ...]
-
-
-def _profile_key(g: Graph, u: int, bset: Container[int], r: int) -> ProfileKey:
-    """u's profile key on the boundary bset: the sorted (vertex, length)
-    pairs its stop search reaches there.  The search stops at r, so
-    every recorded length is within the radius."""
-    dist = multi_source_distances(g, (u,), r, stop=bset)
-    return tuple(sorted((v, d) for v, d in dist.items() if v in bset))
+def _profile_key(dist: Mapping[int, int], bset: Set[int]) -> ProfileKey:
+    """The profile key on bset of a vertex whose stop search at bset
+    found dist: the sorted (vertex, length) pairs of dist on bset."""
+    return tuple([(v, dist[v]) for v in sorted(bset.intersection(dist))])
 
 
 def _profile_groups(
@@ -78,6 +88,8 @@ class ClosureResult:
     max_projection: int
     iterations: int
     target: int
+    # g, the radius and closed_set fix it, so results compare without it
+    projections: Mapping[int, ProfileKey] = field(default_factory=dict, compare=False)
 
 
 def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
@@ -92,45 +104,43 @@ def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
     entries go stale when a size changes or the vertex is absorbed;
     stale ones are skipped, so the pick is the same as a scan's.
 
-    The first sizes come from one stop search per closed vertex: a path
-    whose interior avoids the closed set reads the same from either
-    end, so u projects onto c iff c's search reaches u.
+    projections maps each outside vertex to its profile key on the grown
+    set.  A key changes only when its vertex is touched, and no vertex its
+    last search reached is absorbed later (that would touch it), so keys
+    are read off the last searches, or the first: one per closed vertex.
     """
     if target < 1:
         raise GraphError("projection target must be >= 1")
     closed = set(vset(x, g))
-
-    def size(u: int) -> int:
-        return len(closed.intersection(multi_source_distances(g, (u,), r, stop=closed)))
-
-    sizes = {u: 0 for u in range(g.n) if u not in closed}
-    for c in closed:
-        for u in multi_source_distances(g, (c,), r, stop=closed):
-            if u not in closed:
-                sizes[u] += 1
+    keys = _boundary_keys(g, [u for u in range(g.n) if u not in closed], sorted(closed), r)
+    sizes = {u: len(key) for u, key in keys.items()}
     heap = [(-s, u) for u, s in sizes.items()]
     heapq.heapify(heap)
+    searched: Dict[int, Dict[int, int]] = {}
     additions = 0
     while True:
         while heap and sizes.get(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)
         mx = -heap[0][0] if heap else 0
         if mx <= target:
-            return ClosureResult(tuple(sorted(closed)), mx, additions, target)
+            break
         best = heapq.heappop(heap)[1]
         # Only a vertex with a path of length <= r to best whose interior
         # avoids the closed set can gain best or lose a member reached
-        # through it; every other projection size stays as it was.
+        # through it; every other profile key stays as it was.
         touched = multi_source_distances(g, (best,), r, stop=closed)
         closed.add(best)
-        del sizes[best]
+        del sizes[best], keys[best]
         for u in touched:
             if u not in closed:
-                new = size(u)
+                searched[u] = dist = multi_source_distances(g, (u,), r, stop=closed)
+                new = len(closed.intersection(dist))
                 if new != sizes[u]:
                     sizes[u] = new
                     heapq.heappush(heap, (-new, u))
         additions += 1
+    keys.update((u, _profile_key(dist, closed)) for u, dist in searched.items() if u in keys)
+    return ClosureResult(tuple(sorted(closed)), mx, additions, target, keys)
 
 
 def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
@@ -152,6 +162,8 @@ def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     one made above, so the check reads it again and compares each pair's
     two searches, one from each end.
     """
+    if r < 0:
+        raise GraphError("radius must be >= 0")
     members = vset(x, g)
     mset = set(members)
     grown = set(members)

@@ -775,7 +775,7 @@ class TestKernel:
         # is enough to apply it
         bad = IrrelevanceCertificate((0, 6), (), (1, 2, 3, 4, 5), 2, 1)
         monkeypatch.setattr(
-            drisk.kernel, "_find_removable_class", lambda g, members, z, r, policy, keys, ladder: bad
+            drisk.kernel, "_find_removable_class", lambda g, members, closed, r, policy, ladder: bad
         )
         graph_path, a_path = twin
         assert internal_error(
@@ -894,6 +894,49 @@ class TestVerifyCert:
         assert rep["outputs"]["failures"][0]["reason"] == (
             "removed vertex outside the certified class"
         )
+
+    def test_log_of_another_graph_is_refused(self, twin, tmp_path, capsys):
+        graph_path, a_path = twin
+        prefix = str(tmp_path / "kk")
+        run(
+            capsys, "kernel", "--input", graph_path, "--a-file", a_path,
+            "--r", "2", "--k", "3", "--out-prefix", prefix,
+        )
+        # same vertex count and members, another graph
+        other = tmp_path / "path.gr"
+        write_edge_list(path_graph(read_edge_list(graph_path).n), str(other))
+        code = main([
+            "verify-cert", "--input", str(other), "--a-file", a_path,
+            "--log", f"{prefix}.log.json",
+        ])
+        assert (code, capsys.readouterr()) == (3, (
+            "", "input error: removal log graph_digest does not match the loaded input\n"
+        ))
+
+    def test_log_of_other_members_is_refused(self, twin, tmp_path, capsys):
+        graph_path, a_path = twin
+        prefix = str(tmp_path / "kk")
+        run(
+            capsys, "kernel", "--input", graph_path, "--a-file", a_path,
+            "--r", "2", "--k", "3", "--out-prefix", prefix,
+        )
+        fewer = tmp_path / "fewer.a"
+        write_vertex_set(read_vertex_set(a_path)[1:], str(fewer))
+        code = main([
+            "verify-cert", "--input", graph_path, "--a-file", str(fewer),
+            "--log", f"{prefix}.log.json",
+        ])
+        assert (code, capsys.readouterr()) == (3, (
+            "", "input error: removal log a does not match the loaded input\n"
+        ))
+        # a bare list of entries has no header to check
+        bare = tmp_path / "bare.log.json"
+        bare.write_text(json.dumps(json.loads(open(f"{prefix}.log.json").read())["entries"]))
+        code, rep = run_json(
+            capsys, "verify-cert", "--input", graph_path, "--a-file", str(fewer),
+            "--log", str(bare),
+        )
+        assert code == 0 and rep["outputs"]["failures"]
 
     def test_malformed_certificate_exits_three(self, twin, tmp_path, capsys):
         graph_path, a_path = twin

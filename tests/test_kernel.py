@@ -337,8 +337,10 @@ def reference_pipeline():
         mp.setattr(
             drisk.kernel,
             "_find_removable_class",
-            lambda g, members, z, r, policy, keys, ladder: (
-                bruteforce.find_removable_class_uncapped(g, members, z, r, policy)
+            lambda g, members, closed, r, policy, ladder: (
+                bruteforce.find_removable_class_uncapped(
+                    g, members, closed.closed_set, r, policy
+                )
             ),
         )
         mp.setattr(
@@ -501,9 +503,9 @@ class TestWorkGuards:
 
 
 class TestMatchesRebuiltRounds:
-    """remove_irrelevant carries the closure and the profile keys from
-    round to round; bruteforce.remove_irrelevant_rounds rebuilds both in
-    every round, with the closure's max scan."""
+    """remove_irrelevant carries the closure, with its profile keys, from
+    round to round; bruteforce.remove_irrelevant_rounds rebuilds it and
+    the keys in every round, with the closure's max scan."""
 
     def test_corpus_and_twin_stars(self):
         removals = 0
@@ -543,47 +545,51 @@ class TestMatchesRebuiltRounds:
     @staticmethod
     def record_reuse(monkeypatch, g, a, k, r):
         """Run remove_irrelevant, recording each closure's (cover, target),
-        each profile search's (candidate, z) and each round's (members,
-        z); also returns the profile searches a round must make: all its
-        candidates when its z differs from the round before, else none."""
-        closures, profiled, rounds = [], [], []
+        each round's (members, z) and the stop set of every search the
+        kernel and drisk.projections make outside a closure."""
+        closures, rounds, stops, inside = [], [], [], []
         real_closure = drisk.kernel.closure
-        real_key = drisk.kernel._profile_key
         real_find = drisk.kernel._find_removable_class
 
         def counted_closure(g, x, r, target):
             closures.append((frozenset(x), target))
-            return real_closure(g, x, r, target)
+            inside.append(x)
+            try:
+                return real_closure(g, x, r, target)
+            finally:
+                inside.pop()
 
-        def counted_key(g, u, bset, r):
-            profiled.append((u, tuple(sorted(bset))))
-            return real_key(g, u, bset, r)
+        def recorded(real):
+            def search(g, sources, cutoff=None, blocked=None, stop=()):
+                if stop and not inside:
+                    stops.append(tuple(sorted(stop)))
+                return real(g, sources, cutoff, blocked, stop)
 
-        def recorded_find(g, members, z, r, policy, keys, ladder):
-            rounds.append((members, z))
-            return real_find(g, members, z, r, policy, keys, ladder)
+            return search
+
+        def recorded_find(g, members, closed, r, policy, ladder):
+            rounds.append((members, closed.closed_set))
+            return real_find(g, members, closed, r, policy, ladder)
 
         monkeypatch.setattr(drisk.kernel, "closure", counted_closure)
-        monkeypatch.setattr(drisk.kernel, "_profile_key", counted_key)
+        for module in (drisk.kernel, drisk.projections):
+            monkeypatch.setattr(
+                module, "multi_source_distances", recorded(module.multi_source_distances)
+            )
         monkeypatch.setattr(drisk.kernel, "_find_removable_class", recorded_find)
         got = remove_irrelevant(g, a, k, r)
-        want, last_z = [], None
-        for members, z in rounds:
-            if z != last_z:
-                want += [(u, z) for u in members if u not in z]
-                last_z = z
-        return got, closures, profiled, rounds, want
+        return got, closures, rounds, tuple(stops)
 
     def test_twin_stars_reuse_closures_and_profile_keys(self, monkeypatch):
         g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
-        (_, log), closures, profiled, rounds, want = self.record_reuse(
-            monkeypatch, g, a, 3, 2
-        )
+        (_, log), closures, rounds, stops = self.record_reuse(monkeypatch, g, a, 3, 2)
         assert len(log) == len(rounds) - 1 > 20
         # one closure per distinct (cover, target), far fewer than rounds
         assert len(closures) == len(set(closures)) < len(rounds)
-        assert profiled == want
-        assert len(profiled) < sum(len(m) for m, _ in rounds) // 4
+        # the closure's profile keys serve every round: the searches made
+        # outside it stop at deletion sets, never at z
+        assert not hasattr(drisk.kernel, "_profile_key")
+        assert stops and not set(stops) & {z for _, z in rounds}
 
     @staticmethod
     def widen_cover(monkeypatch):
@@ -599,16 +605,14 @@ class TestMatchesRebuiltRounds:
         monkeypatch.setattr(drisk.kernel, "greedy_ball_cover", cover)
         monkeypatch.setattr(bruteforce, "greedy_ball_cover", cover)
 
-    def test_a_new_closed_set_drops_the_kept_keys(self, monkeypatch):
+    def test_a_moving_closed_set_matches_rebuilt_rounds(self, monkeypatch):
         self.widen_cover(monkeypatch)
         g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
-        got, closures, profiled, rounds, want = self.record_reuse(
-            monkeypatch, g, a, 3, 2
-        )
+        got, closures, rounds, stops = self.record_reuse(monkeypatch, g, a, 3, 2)
         assert got == bruteforce.remove_irrelevant_rounds(g, a, 3, 2)
         assert len({z for _, z in rounds}) > 2
         assert len(closures) == len(set(closures)) < len(rounds)
-        assert profiled == want
+        assert not set(stops) & {z for _, z in rounds}
 
     def test_bulk_changes_between_rounds_on_drawn_inputs(self, monkeypatch):
         # Under the widened cover z moves, so a round's bulk class is not

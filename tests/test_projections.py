@@ -10,7 +10,13 @@ import bruteforce
 import corpus
 import drisk.projections
 from drisk.generators import path_graph, star_graph
-from drisk.graph import Graph, GraphError, distances_from, induced_subgraph
+from drisk.graph import (
+    Graph,
+    GraphError,
+    distances_from,
+    induced_subgraph,
+    multi_source_distances,
+)
 from drisk.projections import closure, path_closure, profile_classes
 from drisk.wcol import greedy_ball_cover
 
@@ -49,6 +55,31 @@ def assert_classes_are_profiles(g, boundary, r, name):
     ]
     assert all(len(k) == 1 for k in keys), (name, r)
     assert len(set().union(*keys)) == len(classes), (name, r)
+
+
+def assert_projections_are_profiles(g, res, r, name):
+    """closure's projections hold every outside vertex's finite
+    bruteforce.stop_profile entries on the closed set, and the longest
+    key has max_projection entries."""
+    outside = [u for u in range(g.n) if u not in set(res.closed_set)]
+    assert sorted(res.projections) == outside, name
+    for u in outside:
+        profile = bruteforce.stop_profile(g, u, res.closed_set, r)
+        assert res.projections[u] == tuple(
+            (b, d) for b, d in zip(res.closed_set, profile) if d != INF
+        ), (name, u, r)
+    sizes = [len(key) for key in res.projections.values()]
+    assert max(sizes, default=0) == res.max_projection, (name, r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: closure(g, [0], -1, 1),
+    lambda g: profile_classes(g, [0, 1], [3], -1),
+    lambda g: path_closure(g, [0, 3], -1),
+], ids=["closure", "profile_classes", "path_closure"])
+def test_negative_radius_is_refused(call):
+    with pytest.raises(GraphError, match=r"^radius must be >= 0$"):
+        call(path_graph(4))
 
 
 class TestProjection:
@@ -122,7 +153,12 @@ class TestProfileClasses:
         bset = set(boundary)
         cands = [u for u in range(g.n) if u not in bset]
         r = data.draw(st.integers(0, 4), label="r")
-        keys = {u: drisk.projections._profile_key(g, u, bset, r) for u in cands}
+        keys = {
+            u: drisk.projections._profile_key(
+                multi_source_distances(g, (u,), r, stop=bset), bset
+            )
+            for u in cands
+        }
         profiles = {u: bruteforce.stop_profile(g, u, boundary, r) for u in cands}
         assert drisk.projections._profile_groups(cands, keys) == (
             drisk.projections._profile_groups(cands, profiles)
@@ -199,7 +235,15 @@ class TestClosure:
         )
         r = data.draw(st.integers(1, 4), label="r")
         target = data.draw(st.integers(1, 2), label="target")
-        assert closure(g, x, r, target) == bruteforce.closure_rescan(g, x, r, target)
+        res = closure(g, x, r, target)
+        assert res == bruteforce.closure_rescan(g, x, r, target)
+        assert_projections_are_profiles(g, res, r, "drawn")
+
+    def test_projections_are_the_final_profiles(self):
+        for name, g, a in corpus.member_corpus():
+            for r in (1, 2, 3, 4):
+                for target in (1, 2):
+                    assert_projections_are_profiles(g, closure(g, a, r, target), r, name)
 
 
 class TestPathClosure:
