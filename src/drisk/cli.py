@@ -181,7 +181,7 @@ def _outcome_to_json(outcome: KernelOutcome) -> dict:
     return {
         **vars(outcome),
         "removal_log": [
-            {"removed": v, "certificate": vars(c)} for v, c in outcome.removal_log
+            {"certificate": vars(c), "removed": batch} for c, batch in outcome.removal_log
         ],
     }
 
@@ -233,7 +233,7 @@ def _build_parser() -> _Parser:
     kern.add_argument("--k", type=int, required=True)
     kern.add_argument("--target", type=int, help="closure projection target")
     kern.add_argument("--s-max", type=int, default=3)
-    kern.add_argument("--max-rounds", type=int)
+    kern.add_argument("--max-rounds", type=int, help="cap on removals")
     kern.add_argument("--out-prefix", help="write Y/B files and removal log")
     kern.add_argument("--timing", action="store_true")
     kern.add_argument("--out")
@@ -396,28 +396,63 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _replay_log(g: Graph, members: Tuple[int, ...], entries: List[dict]) -> dict:
-    if not isinstance(entries, list):
-        raise GraphError("malformed removal log: expected a list of entries")
+def _entry_batch(entry) -> Tuple[IrrelevanceCertificate, Tuple[int, ...]]:
+    """A schema-1 entry, one removal with its own certificate, as a batch."""
+    return _cert_from_json(entry["certificate"]), (_json_int(entry["removed"], "removed"),)
+
+
+def _batch(entry) -> Tuple[IrrelevanceCertificate, Tuple[int, ...]]:
+    """A schema-2 batch: one certificate and the members it removes."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected an object, got {json.dumps(entry)}")
+    removed = _json_ids(entry["removed"], "removed")
+    if not removed:
+        raise TypeError("removed must not be empty")
+    return _cert_from_json(entry["certificate"]), removed
+
+
+# per log schema: the header key of its list, that list's items and
+# the reader that makes each item a (certificate, removed) batch
+_LOG_SCHEMAS = {1: ("entries", "entry", _entry_batch), 2: ("batches", "batch", _batch)}
+
+
+def _replay_log(g: Graph, members: Tuple[int, ...], items, schema: int) -> dict:
+    """Replay the log's batches from members.  Each batch's certificate
+    is checked in full against the members it is applied to; each
+    removal then only needs its victim among the class members left and
+    at least |s|+2 of those.  A schema-1 entry is a batch of one, so its
+    replay is the full check.  Failures carry flat removal indexes."""
+    key, item, read = _LOG_SCHEMAS[schema]
+    if not isinstance(items, list):
+        raise GraphError(f"malformed removal log: expected a list of {key}")
     current = list(members)
-    failures: List[dict] = []
-    for index, entry in enumerate(entries):
+    reason = None
+    index = 0
+    for position, entry in enumerate(items):
         try:
-            cert = _cert_from_json(entry["certificate"])
-            removed = _json_int(entry["removed"], "removed")
+            cert, removed = read(entry)
         except (KeyError, TypeError) as exc:
-            raise GraphError(f"malformed removal log entry {index}: {exc}")
+            raise GraphError(f"malformed removal log {item} {position}: {exc}")
         reason = check_certificate(g, current, cert)
-        if reason is None and removed not in cert.l_prime:
-            reason = "removed vertex outside the certified class"
+        live = set(cert.l_prime)
+        for victim in removed:
+            if reason is not None:
+                break
+            if victim not in live:
+                reason = "removed vertex outside the certified class"
+            elif len(live) < len(cert.s) + 2:
+                reason = "size"
+            else:
+                live.remove(victim)
+                index += 1
         if reason is not None:
-            failures.append({"index": index, "reason": reason})
             break
-        current.remove(removed)
+        gone = set(removed)
+        current = [v for v in current if v not in gone]
     return {
-        "valid": not failures,
-        "checked": len(entries) if not failures else failures[0]["index"],
-        "failures": failures,
+        "valid": reason is None,
+        "checked": index,
+        "failures": [] if reason is None else [{"index": index, "reason": reason}],
         "final_members": current,
     }
 
@@ -441,11 +476,15 @@ def _cmd_verify_cert(args) -> int:
         digests["cert"] = _sha256(args.cert)
     else:
         data = _load_json(args.log, "removal log")
+        # a bare list is a schema-1 log without its header
+        header = data if isinstance(data, dict) else {"schema": 1, "entries": data}
+        schema = header.get("schema", 1)
+        if type(schema) is not int or schema not in _LOG_SCHEMAS:
+            raise GraphError(f"removal log schema {json.dumps(schema)} is not supported")
         for name, have in (("graph_digest", digests["input"]), ("a", list(members))):
-            if isinstance(data, dict) and data.get(name, have) != have:
+            if header.get(name, have) != have:
                 raise GraphError(f"removal log {name} does not match the loaded input")
-        entries = data.get("entries") if isinstance(data, dict) else data
-        outputs = _replay_log(g, members, entries)
+        outputs = _replay_log(g, members, header.get(_LOG_SCHEMAS[schema][0]), schema)
         digests["log"] = _sha256(args.log)
     report = _report("verify-cert", digests, {}, outputs)
     _emit(_dump(report), args.out)
@@ -469,12 +508,12 @@ def _cmd_kernel(args) -> int:
         write_vertex_set(outcome.y, f"{args.out_prefix}.y")
         write_vertex_set(outcome.b, f"{args.out_prefix}.b")
         log = {
-            "schema": 1,
+            "schema": 2,
             "graph_digest": digests["input"],
             "a": list(members),
             "r": args.r,
             "k": args.k,
-            "entries": serial["removal_log"],
+            "batches": serial["removal_log"],
         }
         with open(f"{args.out_prefix}.log.json", "w") as fh:
             fh.write(_dump(log))

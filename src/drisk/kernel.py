@@ -11,6 +11,15 @@ number unchanged: an optimal solution avoiding the removed vertex can
 always be rebuilt by swapping it for a classmate, because each
 classmate outside the solution must be blocked through s by a distinct
 solution vertex, and there are not enough of those.
+
+One checked certificate serves a batch of removals.  Every condition
+but (c) survives shrinking l_prime and the member set: z still
+dominates fewer members, and a subset of l_prime is still a subset,
+still far, on one profile and spread.  So once a member of l_prime is
+gone, the certificate restricted to the rest of l_prime holds against
+the rest of the members for as long as (c) does, and l_prime's members
+can go one at a time, smallest id first, while at least |s|+2 of them
+remain.
 """
 
 from __future__ import annotations
@@ -100,10 +109,11 @@ def check_certificate(
 @dataclass(frozen=True)
 class KernelPolicy:
     """Tunables of the removal pipeline; defaults are safe because
-    soundness rests on per-removal certificates, never on the policy.
+    soundness rests on the checked certificates, never on the policy.
 
     closure_target of None picks max(1, ceil(|D|^0.2)) per round;
-    max_rounds of None keeps removing until no certificate is found.
+    max_rounds caps the removals, however many certificates they take;
+    None keeps removing until no certificate is found.
     Budgets are checked here, so a bad one is refused on every input.
     """
 
@@ -120,7 +130,8 @@ class KernelPolicy:
             raise GraphError("round cap must be nonnegative")
 
 
-RemovalLog = Tuple[Tuple[int, IrrelevanceCertificate], ...]
+# one (certificate, removed members) batch per applied certificate
+RemovalLog = Tuple[Tuple[IrrelevanceCertificate, Tuple[int, ...]], ...]
 
 
 def _far_members(
@@ -173,13 +184,18 @@ def remove_irrelevant(
     r: int,
     policy: Optional[KernelPolicy] = None,
 ) -> Tuple[Tuple[int, ...], RemovalLog]:
-    """Repeatedly remove one certified-irrelevant member of a (the
-    smallest id in the certified class), until no certificate is found,
-    the round cap is hit, or fewer than k members remain.
+    """Repeatedly find a certificate and remove a batch of its class,
+    until no certificate is found, the removal cap is hit, or fewer than
+    k members remain.  The batch is the class's smallest ids, removed one
+    at a time while at least |s|+2 class members and at least k members
+    remain and the cap, which counts removals, is not reached.  Each
+    removal is sound by the certificate restricted to the class members
+    left, which holds because only its size condition reads how many
+    there are (see the module docstring).
 
     Every logged certificate has passed check_certificate against the
-    member set it was applied to; this is the log's one check before
-    the command line writes it.  An exhausted ladder ends the loop
+    member set its batch was applied to; this is the log's one check
+    before the command line writes it.  An exhausted ladder ends the loop
     without removing anything further; it can cost kernel size, never
     correctness.
 
@@ -198,13 +214,19 @@ def remove_irrelevant(
         raise GraphError("target k must be >= 1")
     policy = policy or KernelPolicy()
     members = vset(a, g)
-    log: List[Tuple[int, IrrelevanceCertificate]] = []
+    log: List[Tuple[IrrelevanceCertificate, Tuple[int, ...]]] = []
+    removals = 0
     d = r // 2
     cover = BallTraces(g, members, d)
     ladder = LadderTables(g, members, 4 * r)
     closed_on = functools.lru_cache(maxsize=1)(closure)
     while len(members) >= k:
-        if policy.max_rounds is not None and len(log) >= policy.max_rounds:
+        # the removals this round may make: down to k - 1 members, and
+        # no further than the cap
+        room = len(members) - k + 1
+        if policy.max_rounds is not None:
+            room = min(room, policy.max_rounds - removals)
+        if room <= 0:
             break
         dom = greedy_ball_cover(g, members, d, cover)
         target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
@@ -215,9 +237,12 @@ def remove_irrelevant(
         name = check_certificate(g, members, cert)
         if name is not None:
             raise RuntimeError(f"internal: pipeline emitted a bad certificate ({name})")
-        victim = min(cert.l_prime)
-        members = tuple(v for v in members if v != victim)
-        log.append((victim, cert))
+        # each removal leaves at least |s|+1 of the class behind it
+        batch = cert.l_prime[:min(room, len(cert.l_prime) - len(cert.s) - 1)]
+        gone = set(batch)
+        members = tuple(v for v in members if v not in gone)
+        log.append((cert, batch))
+        removals += len(batch)
     return members, tuple(log)
 
 

@@ -814,26 +814,27 @@ def remove_irrelevant_rounds(
     r: int,
     policy: Optional[KernelPolicy] = None,
 ) -> Tuple[Tuple[int, ...], RemovalLog]:
-    """Repeatedly remove one certified-irrelevant member of a (the
-    smallest id in the certified class), until no certificate is found,
-    the round cap is hit, or fewer than k members remain.
+    """Repeatedly find a certificate and remove a batch of its class
+    (smallest ids first, one at a time while at least |s|+2 class
+    members and k members remain and the removal cap allows), until no
+    certificate is found, the cap is hit, or fewer than k members
+    remain.  Every round rebuilds the cover, the closure and the class.
 
     Every logged certificate has passed check_certificate against the
-    member set it was applied to; this is the log's one check before
-    the command line writes it.  An exhausted ladder ends the loop
-    without removing anything further; it can cost kernel size, never
-    correctness.
+    member set its batch was applied to.
     """
     if r < 1:
         raise GraphError("radius must be at least 1")
     if k < 1:
         raise GraphError("threshold must be at least 1")
     policy = policy or KernelPolicy()
+    cap = math.inf if policy.max_rounds is None else policy.max_rounds
     members = vset(a, g)
-    log: List[Tuple[int, IrrelevanceCertificate]] = []
+    log: List[Tuple[IrrelevanceCertificate, Tuple[int, ...]]] = []
+    removals = 0
     d = r // 2
     while len(members) >= k:
-        if policy.max_rounds is not None and len(log) >= policy.max_rounds:
+        if removals >= cap:
             break
         dom = greedy_ball_cover(g, members, d)
         target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
@@ -844,9 +845,15 @@ def remove_irrelevant_rounds(
         name = check_certificate(g, members, cert)
         if name is not None:
             raise RuntimeError(f"internal: pipeline emitted a bad certificate ({name})")
-        victim = min(cert.l_prime)
-        members = tuple(v for v in members if v != victim)
-        log.append((victim, cert))
+        batch: List[int] = []
+        for victim in cert.l_prime:
+            left = len(cert.l_prime) - len(batch)
+            if left < len(cert.s) + 2 or len(members) < k or removals >= cap:
+                break
+            members = tuple(v for v in members if v != victim)
+            batch.append(victim)
+            removals += 1
+        log.append((cert, tuple(batch)))
     return members, tuple(log)
 
 

@@ -51,6 +51,25 @@ def twin_star_leaves(p: int) -> Tuple[int, ...]:
     return tuple(range(1, p + 1)) + tuple(range(p + 2, 2 * p + 2))
 
 
+def star_chain(c: int, p: int, bridge: int) -> Tuple[Graph, Tuple[int, ...]]:
+    """c K_{1,p} stars whose consecutive centers are joined by paths with
+    `bridge` edges, and their leaves.  Each center has the smallest id
+    in its star, so every star's leaves take a certificate of their own."""
+    edges: List[Tuple[int, int]] = []
+    centers = [i * (p + 1) for i in range(c)]
+    for center in centers:
+        edges += [(center, center + i) for i in range(1, p + 1)]
+    nxt = c * (p + 1)
+    for left, right in zip(centers, centers[1:]):
+        prev = left
+        for _ in range(bridge - 1):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+        edges.append((prev, right))
+    leaves = tuple(v for center in centers for v in range(center + 1, center + p + 1))
+    return Graph(nxt, edges), leaves
+
+
 def small_corpus() -> List[Tuple[str, Graph]]:
     out: List[Tuple[str, Graph]] = []
     for n in range(1, 9):

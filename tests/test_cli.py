@@ -699,13 +699,14 @@ class TestKernel:
         assert out["tag"] == "KERNEL"
         assert out["b"] == [4, 5, 9, 10, 11]
         assert out["y"] == [0, 4, 5, 6, 9, 10, 11]
-        assert len(out["removal_log"]) == 5
+        assert [batch["removed"] for batch in out["removal_log"]] == [[1, 2, 3], [7, 8]]
         assert read_vertex_set(f"{prefix}.y") == (0, 4, 5, 6, 9, 10, 11)
         assert read_vertex_set(f"{prefix}.b") == (4, 5, 9, 10, 11)
         log = json.loads(open(f"{prefix}.log.json").read())
-        assert log["schema"] == 1
+        assert log["schema"] == 2
         assert log["r"] == 2 and log["k"] == 3
-        assert len(log["entries"]) == 5
+        assert log["batches"] == out["removal_log"]
+        assert "entries" not in log
 
     def test_unwritable_prefix_exits_three_without_a_report(
         self, path10, tmp_path, capsys
@@ -755,7 +756,9 @@ class TestKernel:
         assert code == 0
         assert rep["parameters"]["max_rounds"] == 2
         assert rep["parameters"]["target"] == 2
-        assert len(rep["outputs"]["removal_log"]) <= 2
+        # the cap counts removals: it stops the first batch after two
+        removed = [v for batch in rep["outputs"]["removal_log"] for v in batch["removed"]]
+        assert removed == [1, 2]
 
     def test_bad_yes_witness_exits_one_without_files(
         self, path10, tmp_path, capsys, monkeypatch
@@ -847,6 +850,57 @@ class TestKernel:
 # a valid certificate for the twin fixture, whose log entry removes 1
 TWIN_CERT = {"z": [0, 6], "s": [0], "l_prime": [1, 2, 3, 4, 5], "r": 2, "d": 1}
 
+# the schema-1 removal log of the twin fixture at r = 2, k = 3, as
+# (removed, s, l_prime) with z = [0, 6]: one certificate per removal,
+# alternating between the stars
+TWIN_ENTRIES = [
+    (1, [0], [1, 2, 3, 4, 5]),
+    (7, [0, 6], [7, 8, 9, 10, 11]),
+    (2, [0], [2, 3, 4, 5]),
+    (8, [0, 6], [8, 9, 10, 11]),
+    (3, [0], [3, 4, 5]),
+]
+
+
+def schema1_log(twin, tmp_path) -> str:
+    """Write the twin fixture's schema-1 removal log, header included,
+    and return its path."""
+    graph_path, a_path = twin
+    log = {
+        "schema": 1,
+        "graph_digest": hashlib.sha256(open(graph_path, "rb").read()).hexdigest(),
+        "a": list(read_vertex_set(a_path)),
+        "r": 2,
+        "k": 3,
+        "entries": [
+            {"removed": v, "certificate": {**TWIN_CERT, "s": s, "l_prime": lp}}
+            for v, s, lp in TWIN_ENTRIES
+        ],
+    }
+    path = tmp_path / "schema1.log.json"
+    path.write_text(json.dumps(log))
+    return str(path)
+
+
+def kernel_log(twin, tmp_path, capsys) -> str:
+    """Run kernel on the twin fixture at r = 2, k = 3 and return the path
+    of the schema-2 removal log it writes."""
+    graph_path, a_path = twin
+    prefix = str(tmp_path / "kk")
+    run(
+        capsys, "kernel", "--input", graph_path, "--a-file", a_path,
+        "--r", "2", "--k", "3", "--out-prefix", prefix,
+    )
+    return f"{prefix}.log.json"
+
+
+def replay(capsys, twin, log_path):
+    """Run verify-cert on the twin fixture and the log at log_path."""
+    graph_path, a_path = twin
+    return run_json(
+        capsys, "verify-cert", "--input", graph_path, "--a-file", a_path, "--log", log_path,
+    )
+
 
 class TestVerifyCert:
     def test_single_certificate(self, twin, tmp_path, capsys):
@@ -874,14 +928,17 @@ class TestVerifyCert:
         assert code == 0
         assert rep["outputs"] == {"valid": False, "failing": "far"}
 
+    def test_schema1_log_replays_clean(self, twin, tmp_path, capsys):
+        code, rep = replay(capsys, twin, schema1_log(twin, tmp_path))
+        assert code == 0
+        assert rep["outputs"] == {
+            "valid": True, "checked": 5, "failures": [],
+            "final_members": [4, 5, 9, 10, 11],
+        }
+
     def test_tampered_log_is_rejected(self, twin, tmp_path, capsys):
         graph_path, a_path = twin
-        prefix = str(tmp_path / "kk")
-        run(
-            capsys, "kernel", "--input", graph_path, "--a-file", a_path,
-            "--r", "2", "--k", "3", "--out-prefix", prefix,
-        )
-        log = json.loads(open(f"{prefix}.log.json").read())
+        log = json.loads(open(schema1_log(twin, tmp_path)).read())
         log["entries"][0]["removed"] = 11  # outside the certified class
         bad = tmp_path / "bad.log.json"
         bad.write_text(json.dumps(log))
@@ -897,41 +954,34 @@ class TestVerifyCert:
 
     def test_log_of_another_graph_is_refused(self, twin, tmp_path, capsys):
         graph_path, a_path = twin
-        prefix = str(tmp_path / "kk")
-        run(
-            capsys, "kernel", "--input", graph_path, "--a-file", a_path,
-            "--r", "2", "--k", "3", "--out-prefix", prefix,
-        )
         # same vertex count and members, another graph
         other = tmp_path / "path.gr"
         write_edge_list(path_graph(read_edge_list(graph_path).n), str(other))
-        code = main([
-            "verify-cert", "--input", str(other), "--a-file", a_path,
-            "--log", f"{prefix}.log.json",
-        ])
-        assert (code, capsys.readouterr()) == (3, (
-            "", "input error: removal log graph_digest does not match the loaded input\n"
-        ))
+        for log_path in (schema1_log(twin, tmp_path), kernel_log(twin, tmp_path, capsys)):
+            code = main([
+                "verify-cert", "--input", str(other), "--a-file", a_path,
+                "--log", log_path,
+            ])
+            assert (code, capsys.readouterr()) == (3, (
+                "", "input error: removal log graph_digest does not match the loaded input\n"
+            ))
 
     def test_log_of_other_members_is_refused(self, twin, tmp_path, capsys):
         graph_path, a_path = twin
-        prefix = str(tmp_path / "kk")
-        run(
-            capsys, "kernel", "--input", graph_path, "--a-file", a_path,
-            "--r", "2", "--k", "3", "--out-prefix", prefix,
-        )
+        log_path = schema1_log(twin, tmp_path)
         fewer = tmp_path / "fewer.a"
         write_vertex_set(read_vertex_set(a_path)[1:], str(fewer))
-        code = main([
-            "verify-cert", "--input", graph_path, "--a-file", str(fewer),
-            "--log", f"{prefix}.log.json",
-        ])
-        assert (code, capsys.readouterr()) == (3, (
-            "", "input error: removal log a does not match the loaded input\n"
-        ))
+        for path in (log_path, kernel_log(twin, tmp_path, capsys)):
+            code = main([
+                "verify-cert", "--input", graph_path, "--a-file", str(fewer),
+                "--log", path,
+            ])
+            assert (code, capsys.readouterr()) == (3, (
+                "", "input error: removal log a does not match the loaded input\n"
+            ))
         # a bare list of entries has no header to check
         bare = tmp_path / "bare.log.json"
-        bare.write_text(json.dumps(json.loads(open(f"{prefix}.log.json").read())["entries"]))
+        bare.write_text(json.dumps(json.loads(open(log_path).read())["entries"]))
         code, rep = run_json(
             capsys, "verify-cert", "--input", graph_path, "--a-file", str(fewer),
             "--log", str(bare),
@@ -1022,6 +1072,137 @@ class TestVerifyCert:
             "--cert", str(dummy), "--log", str(dummy),
         ]) == 3
 
+
+
+def refused(capsys, twin, log_path):
+    """Exit code and (stdout, stderr) of verify-cert on the twin fixture
+    and the log at log_path."""
+    graph_path, a_path = twin
+    code = main(["verify-cert", "--input", graph_path, "--a-file", a_path, "--log", log_path])
+    return code, tuple(capsys.readouterr())
+
+
+def edited_kernel_log(twin, tmp_path, capsys, edit) -> str:
+    """The twin fixture's schema-2 kernel log after edit(log), written
+    beside it; returns its path."""
+    log = json.loads(open(kernel_log(twin, tmp_path, capsys)).read())
+    edit(log)
+    path = tmp_path / "edited.log.json"
+    path.write_text(json.dumps(log))
+    return str(path)
+
+
+class TestBatchLog:
+    """Schema-2 logs: the twin fixture's kernel log has two batches,
+    [1, 2, 3] under s = [0] and [7, 8] under s = [0, 6]."""
+
+    def test_kernel_log_replays_clean(self, twin, tmp_path, capsys):
+        code, rep = replay(capsys, twin, kernel_log(twin, tmp_path, capsys))
+        assert code == 0
+        assert rep["outputs"] == {
+            "valid": True, "checked": 5, "failures": [],
+            "final_members": [4, 5, 9, 10, 11],
+        }
+
+    @pytest.mark.parametrize("edit,failure", [
+        # 11 is a member, but of the other star's class
+        (lambda log: log["batches"][0]["removed"].__setitem__(1, 11),
+         {"index": 1, "reason": "removed vertex outside the certified class"}),
+        # 4 would leave one class member, not |s| + 1 = 2
+        (lambda log: log["batches"][0]["removed"].append(4),
+         {"index": 3, "reason": "size"}),
+        (lambda log: log["batches"][0]["removed"].insert(1, 1),
+         {"index": 1, "reason": "removed vertex outside the certified class"}),
+        (lambda log: log["batches"][1]["removed"].insert(0, 2),
+         {"index": 3, "reason": "removed vertex outside the certified class"}),
+        # z = [0] leaves the second star's leaves undominated
+        (lambda log: log["batches"][1]["certificate"].__setitem__("z", [0]),
+         {"index": 3, "reason": "dominates"}),
+        # without a deletion set each leaf is next to its center in z
+        (lambda log: log["batches"][1]["certificate"].__setitem__("s", []),
+         {"index": 3, "reason": "far"}),
+    ], ids=["outside-class", "one-too-long", "listed-twice", "removed-earlier",
+            "z-changed", "s-changed"])
+    def test_tampered_batch_is_rejected(self, edit, failure, twin, tmp_path, capsys):
+        code, rep = replay(capsys, twin, edited_kernel_log(twin, tmp_path, capsys, edit))
+        assert code == 0
+        out = rep["outputs"]
+        assert out["valid"] is False
+        assert out["failures"] == [failure]
+        assert out["checked"] == failure["index"]
+
+    @pytest.mark.parametrize("batch,line", [
+        ({"certificate": TWIN_CERT}, "malformed removal log batch 0: 'removed'"),
+        ({"removed": [1]}, "malformed removal log batch 0: 'certificate'"),
+        ({"removed": [], "certificate": TWIN_CERT},
+         "malformed removal log batch 0: removed must not be empty"),
+        ({"removed": 1, "certificate": TWIN_CERT},
+         "malformed removal log batch 0: removed must be a list of integers, got 1"),
+        ({"removed": ["1"], "certificate": TWIN_CERT},
+         'malformed removal log batch 0: removed must be a list of integers, got ["1"]'),
+        ({"removed": [1.0], "certificate": TWIN_CERT},
+         "malformed removal log batch 0: removed must be a list of integers, got [1.0]"),
+        ({"removed": [True], "certificate": TWIN_CERT},
+         "malformed removal log batch 0: removed must be a list of integers, got [true]"),
+        ([1, 2], "malformed removal log batch 0: expected an object, got [1, 2]"),
+        ({"removed": [1], "certificate": {**TWIN_CERT, "s": "0"}},
+         'malformed certificate: s must be a list of integers, got "0"'),
+    ], ids=["no-removed", "no-certificate", "empty-removed", "int-removed",
+            "string-id", "float-id", "bool-id", "not-an-object", "string-ids"])
+    def test_malformed_batch_exits_three(self, batch, line, twin, tmp_path, capsys):
+        def edit(log):
+            log["batches"][0] = batch
+
+        path = edited_kernel_log(twin, tmp_path, capsys, edit)
+        assert refused(capsys, twin, path) == (3, ("", f"input error: {line}\n"))
+
+    def test_missing_batches_are_malformed(self, twin, tmp_path, capsys):
+        path = edited_kernel_log(twin, tmp_path, capsys, lambda log: log.pop("batches"))
+        assert refused(capsys, twin, path) == (
+            3, ("", "input error: malformed removal log: expected a list of batches\n")
+        )
+
+    @pytest.mark.parametrize("schema,shown", [
+        (7, "7"), (0, "0"), ("2", '"2"'), (True, "true"), (None, "null"), (2.0, "2.0"),
+    ], ids=["seven", "zero", "string", "bool", "null", "float"])
+    def test_unknown_schema_is_refused(self, schema, shown, twin, tmp_path, capsys):
+        def edit(log):
+            log["schema"] = schema
+
+        path = edited_kernel_log(twin, tmp_path, capsys, edit)
+        assert refused(capsys, twin, path) == (
+            3, ("", f"input error: removal log schema {shown} is not supported\n")
+        )
+
+    def test_one_full_check_per_certificate(self, tmp_path, capsys, monkeypatch):
+        # twin stars with 256 leaves a side: 508 removals in two batches,
+        # each certificate checked once by kernel and once by the replay
+        calls = []
+        for module in (drisk.kernel, drisk.cli):
+            real = module.check_certificate
+
+            def counted(g, a, cert, module=module, real=real):
+                calls.append(module.__name__)
+                return real(g, a, cert)
+
+            monkeypatch.setattr(module, "check_certificate", counted)
+        g_path, a_path = str(tmp_path / "t.gr"), str(tmp_path / "t.a")
+        write_edge_list(corpus.twin_stars(256, 9), g_path)
+        write_vertex_set(corpus.twin_star_leaves(256), a_path)
+        prefix = str(tmp_path / "t")
+        code, rep = run_json(
+            capsys, "kernel", "--input", g_path, "--a-file", a_path,
+            "--r", "2", "--k", "3", "--out-prefix", prefix,
+        )
+        assert code == 0 and len(rep["outputs"]["b"]) == 4
+        assert calls == ["drisk.kernel", "drisk.kernel"]
+        code, rep = run_json(
+            capsys, "verify-cert", "--input", g_path, "--a-file", a_path,
+            "--log", f"{prefix}.log.json",
+        )
+        assert code == 0 and rep["outputs"]["valid"] is True
+        assert rep["outputs"]["checked"] == 508
+        assert calls == ["drisk.kernel"] * 2 + ["drisk.cli"] * 2
 
 TRICKY_TEXT = st.sampled_from(['', '"', "\n", 'a "b"\nc\\', "é", "\u2028", "\U0001d11e", "\x00\x1f"])
 JSON_LEAVES = (

@@ -36,6 +36,8 @@ from drisk.wcol import greedy_ball_cover
 
 TWIN = corpus.twin_stars(5, 7)
 TWIN_LEAVES = corpus.twin_star_leaves(5)
+# one certificate, so one round, per star: 25 rounds at k = 3
+CHAIN, CHAIN_LEAVES = corpus.star_chain(24, 4, 9)
 
 
 # Star with one leaf pushed to distance two: boundary {0, 5} separates
@@ -64,6 +66,11 @@ SCATTERED_CASE = (
     (2, 4, 5, 6, 7),
     IrrelevanceCertificate((0, 1), (0, 1), (4, 5, 6, 7), 2, 1),
 )
+
+
+def victims(log):
+    """The removed members of a removal log, in removal order."""
+    return [victim for _, batch in log for victim in batch]
 
 
 def twin_cert(**overrides):
@@ -152,17 +159,25 @@ class TestRemoveIrrelevant:
     def test_twin_star_pipeline(self):
         survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2)
         assert survivors == (4, 5, 9, 10, 11)
-        assert [victim for victim, _ in log] == [1, 7, 2, 8, 3]
-        for victim, cert in log:
-            assert victim == min(cert.l_prime)
+        assert [batch for _, batch in log] == [(1, 2, 3), (7, 8)]
+        for cert, batch in log:
+            # the smallest ids, as many as leave |s| + 2 of the class
+            assert batch == cert.l_prime[:len(batch)]
+            assert len(cert.l_prime) - len(batch) == len(cert.s) + 1
 
     def test_log_replays_against_evolving_member_set(self):
         survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, 3, 2)
         members = list(TWIN_LEAVES)
-        for victim, cert in log:
+        for cert, batch in log:
             assert check_certificate(TWIN, members, cert) is None
-            assert victim in cert.l_prime
-            members.remove(victim)
+            for victim in batch:
+                # the batch argument: the certificate restricted to the
+                # class members left holds against the members left
+                left = tuple(v for v in cert.l_prime if v in members)
+                assert victim in left
+                restricted = IrrelevanceCertificate(cert.z, cert.s, left, cert.r, cert.d)
+                assert check_certificate(TWIN, members, restricted) is None
+                members.remove(victim)
         assert tuple(members) == survivors
 
     def test_every_removal_preserves_the_capped_optimum(self):
@@ -170,23 +185,25 @@ class TestRemoveIrrelevant:
         survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, k, 2)
         members = list(TWIN_LEAVES)
         before = bruteforce.alpha(TWIN, members, 2)
-        for victim, _ in log:
+        for victim in victims(log):
             members.remove(victim)
             after = bruteforce.alpha(TWIN, members, 2)
             assert min(after, k) == min(before, k)
             before = after
 
     def test_round_cap(self):
+        # the cap counts removals, so it cuts the first batch of three short
         survivors, log = remove_irrelevant(
             TWIN, TWIN_LEAVES, 3, 2, KernelPolicy(max_rounds=2)
         )
-        assert len(log) == 2
+        assert victims(log) == [1, 2]
+        assert len(log) == 1
         assert len(survivors) == len(TWIN_LEAVES) - 2
 
     def test_never_drops_below_threshold_minus_one(self):
         survivors, log = remove_irrelevant(TWIN, TWIN_LEAVES, 10, 2)
         assert len(survivors) >= 9
-        assert len(TWIN_LEAVES) - len(log) == len(survivors)
+        assert len(TWIN_LEAVES) - len(victims(log)) == len(survivors)
 
     def test_radius_one_never_finds_certificates(self):
         # at radius 1 the half-radius cover contains every member, so no
@@ -250,7 +267,8 @@ class TestKernelize:
         assert out.b == (4, 5, 9, 10, 11)
         assert out.y == (0, 4, 5, 6, 9, 10, 11)
         assert set(out.b) <= set(out.y)
-        assert len(out.removal_log) == 5
+        assert len(victims(out.removal_log)) == 5
+        assert len(out.removal_log) == 2
 
     def test_members_outside_y_are_refused(self, monkeypatch):
         monkeypatch.setattr(drisk.kernel, "path_closure", lambda g, b, r: ())
@@ -322,9 +340,9 @@ def certificate_seeds():
     ):
         for r in (2, 3):
             members = list(a)
-            for victim, cert in remove_irrelevant(g, a, 2, r)[1]:
+            for cert, batch in remove_irrelevant(g, a, 2, r)[1]:
                 seeds.append((g, tuple(members), cert))
-                members.remove(victim)
+                members = [v for v in members if v not in batch]
     return seeds
 
 
@@ -580,9 +598,10 @@ class TestMatchesRebuiltRounds:
         got = remove_irrelevant(g, a, k, r)
         return got, closures, rounds, tuple(stops)
 
-    def test_twin_stars_reuse_closures_and_profile_keys(self, monkeypatch):
-        g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
-        (_, log), closures, rounds, stops = self.record_reuse(monkeypatch, g, a, 3, 2)
+    def test_star_chains_reuse_closures_and_profile_keys(self, monkeypatch):
+        (_, log), closures, rounds, stops = self.record_reuse(
+            monkeypatch, CHAIN, CHAIN_LEAVES, 3, 2
+        )
         assert len(log) == len(rounds) - 1 > 20
         # one closure per distinct (cover, target), far fewer than rounds
         assert len(closures) == len(set(closures)) < len(rounds)
@@ -595,7 +614,7 @@ class TestMatchesRebuiltRounds:
     def widen_cover(monkeypatch):
         """Give both loops a cover that also holds the middle member.  It
         still dominates, and it changes as members go, which the true
-        cover does not on twin stars, so z changes too."""
+        cover does not on twin stars or star chains, so z changes too."""
         real_cover = drisk.kernel.greedy_ball_cover
 
         def cover(g, members, d, table=None):
@@ -607,16 +626,20 @@ class TestMatchesRebuiltRounds:
 
     def test_a_moving_closed_set_matches_rebuilt_rounds(self, monkeypatch):
         self.widen_cover(monkeypatch)
-        g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
+        g, a = corpus.star_chain(4, 8, 9)
         got, closures, rounds, stops = self.record_reuse(monkeypatch, g, a, 3, 2)
         assert got == bruteforce.remove_irrelevant_rounds(g, a, 3, 2)
         assert len({z for _, z in rounds}) > 2
-        assert len(closures) == len(set(closures)) < len(rounds)
+        # one closure per run of rounds with the same cover, fewer than rounds
+        covers = [frozenset(drisk.kernel.greedy_ball_cover(g, m, 1)) for m, _ in rounds]
+        runs = [x for i, x in enumerate(covers) if i == 0 or x != covers[i - 1]]
+        assert [x for x, _ in closures] == runs
+        assert len(closures) < len(rounds)
         assert not set(stops) & {z for _, z in rounds}
 
     def test_bulk_changes_between_rounds_on_drawn_inputs(self, monkeypatch):
         # Under the widened cover z moves, so a round's bulk class is not
-        # always the last one's minus its victim; the ladder rows carried
+        # always the last one's minus its batch; the ladder rows carried
         # from other bulks must still give the rungs of a rebuild.
         self.widen_cover(monkeypatch)
         bulks = []
@@ -634,26 +657,29 @@ class TestMatchesRebuiltRounds:
         def check(data):
             p = data.draw(st.integers(3, 10), label="p")
             bridge = data.draw(st.integers(3, 10), label="bridge")
-            g, a = corpus.twin_stars(p, bridge), corpus.twin_star_leaves(p)
+            if data.draw(st.booleans(), label="twins"):
+                g, a = corpus.twin_stars(p, bridge), corpus.twin_star_leaves(p)
+            else:
+                g, a = corpus.star_chain(data.draw(st.integers(2, 5), label="c"), p, bridge)
             r = data.draw(st.sampled_from((2, 3)), label="r")
             bulks.append([])
             got = remove_irrelevant(g, a, 3, r)
             assert got == bruteforce.remove_irrelevant_rounds(g, a, 3, r)
-            victims = [v for v, _ in got[1]]
             seen = bulks[-1]
             moved.append(any(
-                set(nxt) != set(prev) - {victim}
-                for prev, nxt, victim in zip(seen, seen[1:], victims)
+                set(nxt) != set(prev) - set(batch)
+                for prev, nxt, (_, batch) in zip(seen, seen[1:], got[1])
             ))
 
         check()
         assert any(moved)
 
-    def test_twin_stars_search_each_ball_trace_once(self, monkeypatch):
+    def test_star_chains_search_each_ball_trace_once(self, monkeypatch):
         # The cover's table is built once per call and fills one row per
         # initial member; the ladder fills each (member, deletion set)
-        # row at most once, where a rebuild searches every bulk member
-        # again on every rung.
+        # row at most once.  A star's leaves take one batch, so each
+        # leaf's row is filled once with no deletion set and once with
+        # its center deleted.
         built, rows, rung_rows = [], [], []
         filling = []
         real_init = drisk.graph.BallTraces.__init__
@@ -686,7 +712,7 @@ class TestMatchesRebuiltRounds:
         monkeypatch.setattr(drisk.graph.BallTraces, "bits", bits)
         monkeypatch.setattr(drisk.graph, "multi_source_distances", search)
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
-        g, a = corpus.twin_stars(16, 9), corpus.twin_star_leaves(16)
+        g, a = CHAIN, CHAIN_LEAVES
         _, log = remove_irrelevant(g, a, 3, 2)
         assert len(log) > 20
         assert built.count((1, frozenset())) == 1
@@ -694,4 +720,4 @@ class TestMatchesRebuiltRounds:
         ladder_rows = [row for row in rows if row[1] == 8]
         assert len(ladder_rows) == len(set(ladder_rows))
         assert len({row[2] for row in ladder_rows}) >= 2
-        assert len(ladder_rows) < sum(rung_rows) // 4
+        assert len(ladder_rows) == 2 * len(a) <= sum(rung_rows)
