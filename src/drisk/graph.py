@@ -146,14 +146,10 @@ def ball(g: Graph, center: int, r: int) -> Tuple[int, ...]:
 
 
 class BallTraces:
-    """The radius-r balls of g traced on a fixed member list, as bitmasks
-    filled one member at a time: bit i of masks[v] is set iff members[i]
-    is filled and within distance r of v.  With blocked, the balls are
-    taken in g minus those vertices.
-
-    A member's row reads only g, the member, r and blocked, so a caller
-    whose members come and go may keep one table and ask it again; each
-    row costs one BFS, the first time bits names its member."""
+    """The radius-r balls of g traced on a fixed member list, as bitmasks:
+    bit i of masks[v] is set iff members[i] is within distance r of v.
+    With blocked, the balls are taken in g minus those vertices.  Each
+    member's row costs one BFS, made when the table is built."""
 
     def __init__(
         self,
@@ -162,21 +158,17 @@ class BallTraces:
         r: int,
         blocked: Optional[Collection[int]] = None,
     ):
-        self.g, self.r, self.blocked = g, r, blocked
         self.bit = {u: 1 << i for i, u in enumerate(members)}
-        self.masks = [0] * g.n
-        self.filled = 0
+        self.masks = masks = [0] * g.n
+        for u, b in self.bit.items():
+            for v in multi_source_distances(g, (u,), r, blocked):
+                masks[v] |= b
 
     def bits(self, vs: Iterable[int]) -> int:
-        """The bits of the members vs, after filling their rows."""
+        """The bits of the members vs."""
         out = 0
         for u in vs:
-            b = self.bit[u]
-            out |= b
-            if not self.filled & b:
-                self.filled |= b
-                for v in multi_source_distances(self.g, (u,), self.r, self.blocked):
-                    self.masks[v] |= b
+            out |= self.bit[u]
         return out
 
 

@@ -45,7 +45,7 @@ from .projections import (
     path_closure,
     profile_classes,
 )
-from .uqw import LadderTables, scattered_ladder
+from .uqw import scattered_ladder
 from .wcol import _reach_scan, greedy_ball_cover, order_heuristic
 
 
@@ -148,15 +148,13 @@ def _find_removable_class(
     closed: ClosureResult,
     r: int,
     policy: KernelPolicy,
-    ladder: LadderTables,
 ) -> Optional[IrrelevanceCertificate]:
     """One round of the splitter: pick the largest profile class of
     A minus z, ladder up deletion sets at radius 4r, and return the
     first certificate whose far, profile and size conditions work out.
 
     z is closed's set, and its projections, made at radius 2r, key the
-    candidates; the ladder fills the rows of ladder, the radius-4r
-    traces of the call's initial members, that it reads.
+    candidates.
     """
     candidates = tuple(x for x in members if x in closed.projections)
     bulk = next(iter(_profile_groups(candidates, closed.projections)), ())
@@ -166,7 +164,7 @@ def _find_removable_class(
     s_max = min(policy.uqw_s_max, len(bulk) - 2)
     if s_max < 0:
         return None
-    for s, b in scattered_ladder(g, bulk, 4 * r, s_max, ladder):
+    for s, b in scattered_ladder(g, bulk, 4 * r, s_max):
         need = len(s) + 2
         far = _far_members(g, b, closed.closed_set, s, r)
         if len(far) < need:
@@ -199,14 +197,13 @@ def remove_irrelevant(
     without removing anything further; it can cost kernel size, never
     correctness.
 
-    Work whose inputs have not changed is carried to the next round
-    rather than redone, so each round finds what a rebuild would.
-    A member's ball trace reads only g, the member, the radius and the
-    deletion set, so the cover's radius-r//2 traces of the initial
-    members are found once per call, and the ladder's radius-4r traces
-    once per member and deletion set.  The closure, with the profile
-    keys it returns, reads only g, the set of the greedy cover, 2r and
-    the target, so the last one is kept while they repeat.
+    Two pieces of work are carried to the next round rather than
+    redone, so each round finds what a rebuild would.  A member's ball
+    trace reads only g, the member and the radius, so the cover's
+    radius-r//2 traces of the initial members are found once per call.
+    The closure, with the profile keys it returns, reads only g, the set
+    of the greedy cover, 2r and the target, so the last one is kept
+    while they repeat.
     """
     if r < 1:
         raise GraphError("radius must be >= 1")
@@ -218,7 +215,6 @@ def remove_irrelevant(
     removals = 0
     d = r // 2
     cover = BallTraces(g, members, d)
-    ladder = LadderTables(g, members, 4 * r)
     closed_on = functools.lru_cache(maxsize=1)(closure)
     while len(members) >= k:
         # the removals this round may make: down to k - 1 members, and
@@ -231,7 +227,7 @@ def remove_irrelevant(
         dom = greedy_ball_cover(g, members, d, cover)
         target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
         closed = closed_on(g, frozenset(dom), 2 * r, target)
-        cert = _find_removable_class(g, members, closed, r, policy, ladder)
+        cert = _find_removable_class(g, members, closed, r, policy)
         if cert is None:
             break
         name = check_certificate(g, members, cert)

@@ -50,9 +50,7 @@ def _member_traces(
             raise GraphError("limit must be nonnegative")
         if len(members) > limit:
             raise OracleLimitError(refusal.format(limit=limit, n=len(members)))
-    table = BallTraces(g, members, r)
-    table.bits(members)
-    return members, table.masks
+    return members, BallTraces(g, members, r).masks
 
 
 def _walk(root, children):

@@ -13,7 +13,7 @@ invalid result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .graph import BallTraces, Graph, GraphError, is_distance_independent, vset
 
@@ -37,13 +37,11 @@ class UqwResult:
             raise GraphError("set is not scattered after the deletion")
 
 
-def _greedy_scattered(
-    members: Tuple[int, ...], table: BallTraces, alive: int
-) -> Tuple[int, ...]:
-    """Ascending-id greedy packing on a ball-trace table whose bits alive
-    are those of members: take a live member, drop every member its
-    trace holds."""
+def _greedy_scattered(members: Tuple[int, ...], table: BallTraces) -> Tuple[int, ...]:
+    """Ascending-id greedy packing on the ball-trace table of members:
+    take a live member, drop every member its trace holds."""
     picked: List[int] = []
+    alive = table.bits(members)
     for v in members:
         if alive & table.bit[v]:
             picked.append(v)
@@ -51,57 +49,35 @@ def _greedy_scattered(
     return tuple(picked)
 
 
-class LadderTables(dict):
-    """Radius-r ball traces of one member list, one BallTraces per
-    deletion set (a frozenset), made the first time a rung asks for it.
-    A member's row for s is its ball in g minus s, which does not depend
-    on which of the members are laddered, so a caller that ladders over
-    subsets of the list may carry the tables from call to call."""
-
-    def __init__(self, g: Graph, members: Sequence[int], r: int):
-        super().__init__()
-        self._args = (g, tuple(members), r)
-
-    def __missing__(self, s: FrozenSet[int]) -> BallTraces:
-        g, members, r = self._args
-        table = self[s] = BallTraces(g, members, r, s)
-        return table
-
-
 def scattered_ladder(
-    g: Graph, a: Iterable[int], r: int, s_max: int, tables: Optional[LadderTables] = None
+    g: Graph, a: Iterable[int], r: int, s_max: int
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Yield (s, b) rungs with |s| = 0, 1, ... up to s_max, where b is
     the greedy scattered subset of a in g minus s.
 
     s grows by the non-member whose radius-r ball in the current
     deleted graph covers the most members (smallest id on ties); the
-    ladder stops early when no non-member covers anything.  tables
-    carries the radius-r traces of a member list that holds a; a rung
-    reads only the bits of a, so the rungs are those of fresh tables.
-    Without it the ladder makes its own.
+    ladder stops early when no non-member covers anything.  Each rung
+    reads one radius-r ball-trace table of a in g minus s.
     """
     if s_max < 0:
         raise GraphError("deletion budget must be nonnegative")
     if r < 0:
         raise GraphError("radius must be >= 0")
     members = vset(a, g)
-    if tables is None:
-        tables = LadderTables(g, members, r)
     mem = set(members)
     outside = [v for v in range(g.n) if v not in mem]
     deleted: List[int] = []
     while True:
         # Members are never deleted, so each trace is the member set of
         # a ball in g minus s; a deleted vertex's trace is empty.
-        table = tables[frozenset(deleted)]
-        bulk = table.bits(members)
-        masks = table.masks
-        yield tuple(deleted), _greedy_scattered(members, table, bulk)
+        table = BallTraces(g, members, r, deleted)
+        yield tuple(deleted), _greedy_scattered(members, table)
         if len(deleted) >= s_max:
             return
-        best = max(outside, key=lambda v: (masks[v] & bulk).bit_count(), default=None)
-        if best is None or not masks[best] & bulk:
+        masks = table.masks
+        best = max(outside, key=lambda v: masks[v].bit_count(), default=None)
+        if best is None or not masks[best]:
             return
         deleted.append(best)
 

@@ -318,7 +318,7 @@ def duality_report(
     |witness| <= lp <= |cover| <= H_|a| * lp before returning."""
     members = vset(a, g)
     order = order_heuristic(g)
-    # one table for the cover and the LP; the cover fills every row
+    # one table for the cover and the LP
     table = BallTraces(g, members, r)
     dominating = greedy_ball_cover(g, members, r, table)
     wide = max(map(len, weak_reach_sets(g, order, 2 * r + 1)), default=0)

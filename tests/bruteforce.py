@@ -69,12 +69,10 @@ INF = math.inf
 def ball_masks(
     g: Graph, members: Sequence[int], r: int, blocked: Optional[set] = None
 ) -> List[int]:
-    """A BallTraces table on members at radius r with every row filled:
-    bit i of masks[v] is set iff members[i] is within r of v (in g minus
+    """The masks of a BallTraces table on members at radius r: bit i of
+    masks[v] is set iff members[i] is within r of v (in g minus
     blocked, when given).  The pins below read their tables through it."""
-    table = BallTraces(g, members, r, blocked)
-    table.bits(members)
-    return table.masks
+    return BallTraces(g, members, r, blocked).masks
 
 
 def simple_adj(g) -> List[set]:

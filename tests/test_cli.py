@@ -649,10 +649,9 @@ class TestSolve:
     ):
         # a ball table in which vertex 0 covers every member
         class OneCenter(drisk.graph.BallTraces):
-            def bits(self, vs):
-                out = super().bits(vs)
-                self.masks = [out] + [0] * (self.g.n - 1)
-                return out
+            def __init__(self, g, members, r, blocked=None):
+                super().__init__(g, members, r, blocked)
+                self.masks = [self.bits(members)] + [0] * (g.n - 1)
 
         monkeypatch.setattr(drisk.wcol, "BallTraces", OneCenter)
         assert internal_error(capsys, "solve", "duality", "--input", path10, "--r", "1") \
@@ -778,7 +777,7 @@ class TestKernel:
         # is enough to apply it
         bad = IrrelevanceCertificate((0, 6), (), (1, 2, 3, 4, 5), 2, 1)
         monkeypatch.setattr(
-            drisk.kernel, "_find_removable_class", lambda g, members, closed, r, policy, ladder: bad
+            drisk.kernel, "_find_removable_class", lambda g, members, closed, r, policy: bad
         )
         graph_path, a_path = twin
         assert internal_error(

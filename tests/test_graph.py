@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import bruteforce
 import corpus
+import drisk.graph
 from drisk.graph import (
+    BallTraces,
     Graph,
     GraphError,
     _descend,
@@ -335,7 +337,7 @@ class TestSharedSearches:
 
 class TestBallMasks:
     """BallTraces, the one table of radius-r balls traced on a member
-    list, with every row filled (through bruteforce.ball_masks)."""
+    list (mostly through bruteforce.ball_masks)."""
 
     @settings(max_examples=200)
     @given(st.data())
@@ -373,3 +375,18 @@ class TestBallMasks:
         assert masks[0] == masks[2] == 0
         assert not any(m & 0b11 for m in masks)
         assert masks[5] & 0b100
+
+    def test_rows_are_searched_when_built(self, monkeypatch):
+        # one search per member when the table is built; bits only reads
+        searched = []
+        real = drisk.graph.multi_source_distances
+
+        def counted(g, sources, *args, **kwargs):
+            searched.append(tuple(sources))
+            return real(g, sources, *args, **kwargs)
+
+        monkeypatch.setattr(drisk.graph, "multi_source_distances", counted)
+        table = BallTraces(corpus.twin_stars(3, 2), (0, 2, 5), 2)
+        assert searched == [(0,), (2,), (5,)]
+        assert table.bits((5, 0)) == 0b101 and table.bits(()) == 0
+        assert len(searched) == 3

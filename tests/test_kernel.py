@@ -14,6 +14,7 @@ import drisk.kernel
 import drisk.projections
 import drisk.uqw
 import drisk.wcol
+from drisk import oracle
 from drisk.generators import gnm_random, grid_graph, path_graph, star_graph
 from drisk.graph import (
     Graph,
@@ -323,6 +324,44 @@ class TestKernelize:
         assert out.y == () and out.b == () and out.witness is None
 
 
+def reversed_ids(g, a):
+    """g and a under the relabelling v -> n - 1 - v."""
+    flip = g.n - 1
+    return Graph(g.n, [(flip - u, flip - v) for u, v in g.edges]), [flip - v for v in a]
+
+
+class TestRelabelledKernels:
+    """kernelize answers star chains and twin stars in original and
+    reversed ids soundly: the order of its searches and tie-breaks
+    follows the ids, and the answer may not."""
+
+    def test_star_chains_and_twin_stars(self):
+        inputs = [
+            (c, *corpus.star_chain(c, p, 9)) for c in (2, 3, 4) for p in (4, 8)
+        ] + [
+            (2, corpus.twin_stars(p, 9), corpus.twin_star_leaves(p)) for p in (4, 8)
+        ]
+        tags = set()
+        for c, g0, a0 in inputs:
+            for g, a in ((g0, a0), reversed_ids(g0, a0)):
+                alpha = oracle.independence_number(g, a, 2)[0]
+                for k in (c, c + 1):
+                    out = kernelize(g, a, 2, k)
+                    tags.add(out.tag)
+                    case = (g.n, a[0], k, out.tag)
+                    if out.tag == "YES":
+                        assert alpha >= k, case
+                    elif out.tag == "NO":
+                        assert alpha < k, case
+                    else:
+                        sub, idmap = induced_subgraph(g, out.y)
+                        inner = oracle.independence_number(
+                            sub, [idmap[v] for v in out.b], 2
+                        )[0]
+                        assert min(inner, k) == min(alpha, k), case
+        assert {"YES", "KERNEL"} <= tags
+
+
 def certificate_seeds():
     """Certificates whose first failing condition is known, plus every
     certificate the pipeline logs on a twin star and a random graph,
@@ -355,7 +394,7 @@ def reference_pipeline():
         mp.setattr(
             drisk.kernel,
             "_find_removable_class",
-            lambda g, members, closed, r, policy, ladder: (
+            lambda g, members, closed, r, policy: (
                 bruteforce.find_removable_class_uncapped(
                     g, members, closed.closed_set, r, policy
                 )
@@ -444,9 +483,9 @@ class TestWorkGuards:
         entered = []
         real_ladder = drisk.kernel.scattered_ladder
 
-        def ladder(g, a, r, s_max, tables=None):
+        def ladder(g, a, r, s_max):
             entered.append((len(a), s_max))
-            return real_ladder(g, a, r, s_max, tables)
+            return real_ladder(g, a, r, s_max)
 
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
         g = grid_graph(7, 7)
@@ -585,9 +624,9 @@ class TestMatchesRebuiltRounds:
 
             return search
 
-        def recorded_find(g, members, closed, r, policy, ladder):
+        def recorded_find(g, members, closed, r, policy):
             rounds.append((members, closed.closed_set))
-            return real_find(g, members, closed, r, policy, ladder)
+            return real_find(g, members, closed, r, policy)
 
         monkeypatch.setattr(drisk.kernel, "closure", counted_closure)
         for module in (drisk.kernel, drisk.projections):
@@ -639,15 +678,15 @@ class TestMatchesRebuiltRounds:
 
     def test_bulk_changes_between_rounds_on_drawn_inputs(self, monkeypatch):
         # Under the widened cover z moves, so a round's bulk class is not
-        # always the last one's minus its batch; the ladder rows carried
-        # from other bulks must still give the rungs of a rebuild.
+        # always the last one's minus its batch; each round's ladder on
+        # its own bulk must still give the rungs of a rebuild.
         self.widen_cover(monkeypatch)
         bulks = []
         real_ladder = drisk.kernel.scattered_ladder
 
-        def ladder(g, a, r, s_max, tables=None):
+        def ladder(g, a, r, s_max):
             bulks[-1].append(tuple(a))
-            return real_ladder(g, a, r, s_max, tables)
+            return real_ladder(g, a, r, s_max)
 
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
         moved = []
@@ -675,49 +714,49 @@ class TestMatchesRebuiltRounds:
         assert any(moved)
 
     def test_star_chains_search_each_ball_trace_once(self, monkeypatch):
-        # The cover's table is built once per call and fills one row per
-        # initial member; the ladder fills each (member, deletion set)
-        # row at most once.  A star's leaves take one batch, so each
-        # leaf's row is filled once with no deletion set and once with
-        # its center deleted.
-        built, rows, rung_rows = [], [], []
-        filling = []
+        # The cover's table is built once per call with one row per
+        # initial member; each scattered_ladder call searches each
+        # (member, deletion set) row at most once.  A star's leaves take
+        # one batch, so each star's leaves are laddered once, with no
+        # deletion set and with their center deleted; the last ladder
+        # searches the two leaves its star's batch left behind again.
+        built, cover_rows, ladders = [], [], []
+        building = []
         real_init = drisk.graph.BallTraces.__init__
-        real_bits = drisk.graph.BallTraces.bits
         real_search = drisk.graph.multi_source_distances
         real_ladder = drisk.kernel.scattered_ladder
 
         def init(self, g, members, r, blocked=None):
             built.append((r, frozenset(blocked or ())))
-            real_init(self, g, members, r, blocked)
-
-        def bits(self, vs):
-            filling.append(self)
+            building.append(self)
             try:
-                return real_bits(self, vs)
+                real_init(self, g, members, r, blocked)
             finally:
-                filling.pop()
+                building.pop()
 
         def search(g, sources, cutoff=None, blocked=None, stop=()):
-            if filling:
-                rows.append((*sources, cutoff, frozenset(blocked or ())))
+            if building:
+                row = (*sources, cutoff, frozenset(blocked or ()))
+                (ladders[-1] if cutoff == 8 else cover_rows).append(row)
             return real_search(g, sources, cutoff, blocked, stop)
 
-        def ladder(g, a, r, s_max, tables=None):
-            for rung in real_ladder(g, a, r, s_max, tables):
-                rung_rows.append(len(a))
-                yield rung
+        def ladder(g, a, r, s_max):
+            ladders.append([])
+            return real_ladder(g, a, r, s_max)
 
         monkeypatch.setattr(drisk.graph.BallTraces, "__init__", init)
-        monkeypatch.setattr(drisk.graph.BallTraces, "bits", bits)
         monkeypatch.setattr(drisk.graph, "multi_source_distances", search)
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
         g, a = CHAIN, CHAIN_LEAVES
         _, log = remove_irrelevant(g, a, 3, 2)
         assert len(log) > 20
         assert built.count((1, frozenset())) == 1
-        assert sorted(row for row in rows if row[1] == 1) == [(u, 1, frozenset()) for u in a]
-        ladder_rows = [row for row in rows if row[1] == 8]
-        assert len(ladder_rows) == len(set(ladder_rows))
+        assert sorted(cover_rows) == [(u, 1, frozenset()) for u in a]
+        assert len(ladders) > 20
+        assert all(len(rung_rows) == len(set(rung_rows)) for rung_rows in ladders)
+        ladder_rows = [row for rung_rows in ladders for row in rung_rows]
+        # a center has the smallest id in its star, p + 1 = 5 ids wide
+        assert {(u, 8, frozenset()) for u in a} <= set(ladder_rows)
+        assert {(u, 8, frozenset({u - u % 5})) for u in a} <= set(ladder_rows)
         assert len({row[2] for row in ladder_rows}) >= 2
-        assert len(ladder_rows) == 2 * len(a) <= sum(rung_rows)
+        assert 2 * len(a) <= len(ladder_rows) <= 194
