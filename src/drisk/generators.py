@@ -12,6 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Tuple, Union
 
 from .graph import INF, Graph, GraphError, _CycleSearch, distances_from, girth
@@ -177,12 +178,12 @@ class BucketModelSample:
     def __post_init__(self):
         if len(self.g0) != self.d * self.n // 2:
             raise GraphError("bucket sample: wrong edge count in g0")
-        ends = Counter(v for pair in self.g0 for v in pair)  # a loop adds 2
-        if any(ends[v] != self.d for v in range(self.n)):
+        ends = Counter(chain.from_iterable(self.g0))  # a loop adds 2
+        if {ends[v] for v in range(self.n)} - {self.d}:
             raise GraphError("bucket sample: g0 is not d-regular")
         if girth(self.g, cap=self.d) != INF:
             raise GraphError("bucket sample: short cycle survived trimming")
-        if any(self.g.degree(v) > self.d for v in range(self.n)):
+        if max(map(len, self.g.adjacency), default=0) > self.d:
             raise GraphError("bucket sample: degree bound violated")
 
 
@@ -199,6 +200,19 @@ def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple
     cycles, so a single pass over root vertices with a local fixpoint at
     each reaches the global fixpoint.  The search visits neighbours in the
     order the pairs first list them.
+
+    A root's fixpoint loop searches the whole graph around it, but whether
+    it removes anything is decided more cheaply.  A search from r finds a
+    cycle exactly when some closed walk of length <= d from r holds one.
+    When the pass reaches r, every lower root is at its fixpoint, and
+    removals keep it there, so no such walk passes a lower vertex: every
+    one runs among r and the vertices above it.  So the search confined
+    to those vertices finds a cycle exactly when the whole search does,
+    and only then does the loop run.  Such a walk leaves r and returns
+    over neighbours above r.  When d <= 4 it is itself a cycle through r
+    and needs two of them; when d >= 5 it may go out to one neighbour,
+    round a cycle of length <= d - 2 through that neighbour, and back.
+    A root with fewer neighbours above it than that is not searched.
     """
     if d < 1:
         raise GraphError("trim threshold must be >= 1")
@@ -210,12 +224,17 @@ def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple
     simple = [(u, v) for u, v in dict.fromkeys(norm) if u != v]
     removed = len(norm) - len(simple)
     adj: List[List[int]] = [[] for _ in range(n)]
+    above = [0] * n  # neighbours above each vertex, kept through removals
     for u, v in simple:
         adj[u].append(v)
         adj[v].append(u)
+        above[u] += 1
     if d >= 3:
+        need = 2 if d <= 4 else 1
         search = _CycleSearch(adj)
         for root in range(n):
+            if above[root] < need or search.at(root, d, low=root) is None:
+                continue
             while True:
                 found = search.at(root, d)
                 if found is None:
@@ -224,6 +243,7 @@ def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple
                              for a, b in search.cycle_edges(found[1], found[2]))
                 adj[eu].remove(ev)
                 adj[ev].remove(eu)
+                above[eu] -= 1
                 removed += 1
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
     return Graph(n, edges), removed
@@ -234,16 +254,27 @@ def bucket_model(n: int, d: int, seed: int) -> BucketModelSample:
     perfect matching on the points (Fisher-Yates shuffle, consecutive
     pairing), buckets collapsed to single vertices, then every cycle of
     length <= d trimmed.
+
+    The shuffle is random.Random(seed).shuffle's, drawn from getrandbits
+    as it draws (for i from d*n - 1 down to 1, k-bit values with
+    k = (i + 1).bit_length() until one is <= i, then swap), so the sample
+    depends only on the seeded Mersenne Twister stream.  It permutes the
+    points' buckets directly, which moves the same positions as permuting
+    the points and collapsing afterwards.
     """
     if n < 2 or n % 2:
         raise GraphError("bucket model needs an even n >= 2")
     if d < 1:
         raise GraphError("bucket model needs d >= 1")
-    rng = random.Random(seed)
-    points = list(range(d * n))
-    rng.shuffle(points)
-    ends = [p // d for p in points]
-    g0 = tuple(sorted((min(u, v), max(u, v)) for u, v in zip(ends[::2], ends[1::2])))
+    getrandbits = random.Random(seed).getrandbits
+    ends = [p // d for p in range(d * n)]
+    for i in reversed(range(1, d * n)):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        ends[i], ends[j] = ends[j], ends[i]
+    g0 = tuple(sorted([(u, v) if u <= v else (v, u) for u, v in zip(ends[::2], ends[1::2])]))
     g, removed = trim_short_cycles(n, g0, d)
     return BucketModelSample(g0, g, n, d, seed, removed)
 

@@ -12,7 +12,8 @@ refused before anything is allocated for it.
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Tuple
+import re
+from typing import Iterable, List, Optional, Tuple
 
 from .graph import Graph, GraphError
 
@@ -27,7 +28,61 @@ def write_edge_list(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the header and edge lines as write_edge_list writes them
+_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+_EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
+# characters of edge lines matched and split at a time: the match keeps
+# state per line and the split a string per field, so memory stays bounded
+_BLOCK = 4096
+
+
 def read_edge_list(path: str) -> Graph:
+    """Read an edge list into a Graph.
+
+    A file laid out as write_edge_list writes it (`c` lines, a
+    `p <n> <m>` line, then only `e <u> <v>` lines, one space between
+    fields and a line break after each) is read in bulk.  Every other
+    file is read line by line, which names the line of each fault; both
+    ways give the same Graph or raise the same error.
+    """
+    g = _read_canonical(path)
+    return _read_edge_lines(path) if g is None else g
+
+
+def _read_canonical(path: str) -> Optional[Graph]:
+    """The Graph of a file laid out as write_edge_list writes it; None
+    for any other file, and for one whose n exceeds MAX_VERTICES or whose
+    edge count is not m, so that the line reader raises its errors."""
+    try:
+        with open(path) as fh:
+            raw = ""
+            for raw in fh:
+                if raw[:1] != "c":
+                    break
+            header = _HEADER.fullmatch(raw)
+            if header is None or int(header[1]) > MAX_VERTICES:
+                return None
+            body = fh.read()
+    except UnicodeDecodeError:
+        return None  # the line reader raises it where it did before
+    ends: List[int] = []
+    start = 0
+    while start < len(body):
+        stop = body.find("\n", start + _BLOCK) + 1 or len(body)  # whole lines
+        if _EDGES.fullmatch(body, start, stop) is None:
+            return None
+        tokens = body[start:stop].split()
+        del tokens[::3]  # the "e"s
+        ends += map(int, tokens)
+        start = stop
+    if len(ends) != 2 * int(header[2]):
+        return None
+    pairs = iter(ends)
+    return Graph(int(header[1]), zip(pairs, pairs))
+
+
+def _read_edge_lines(path: str) -> Graph:
+    """read_edge_list's line-by-line reader, for files of any layout."""
     n = None
     m = None
     edges: List[Tuple[int, int]] = []

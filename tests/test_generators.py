@@ -4,6 +4,7 @@ dichotomy gadget."""
 
 import hashlib
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -217,8 +218,6 @@ class TestTrimShortCycles:
         assert removed == 0 and g.edges == tuple(pairs)
 
     def test_girth_exceeds_threshold_on_random_multigraphs(self):
-        import random
-
         rng = random.Random(11)
         for trial in range(20):
             n = rng.randint(4, 10)
@@ -292,6 +291,52 @@ class TestTrimShortCycles:
                 ring = zip(want, want[1:] + want[:1])
                 assert got == {tuple(sorted(e)) for e in ring}, (root, d)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_root_is_decided_as_the_whole_search_decides_it(self, seed):
+        # replay the root loop with the whole search deciding every root,
+        # and check at each root's turn the two cheaper tests the trim
+        # decides with: the search confined to the root and the vertices
+        # above it finds a cycle exactly when the whole search does, and
+        # a root with fewer neighbours above it than a short closed walk
+        # needs (two when d <= 4, one when d >= 5) has none to find
+        rng = random.Random(seed)
+        with_cycle = skipped = 0
+        for _ in range(150):
+            n = rng.randint(1, 30)
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 2 * n))]
+            if rng.random() < 0.5:  # sorted and normalised, as bucket_model hands them over
+                pairs = sorted((min(p), max(p)) for p in pairs)
+            norm = [(u, v) if u <= v else (v, u) for u, v in pairs]
+            for d in range(3, 9):
+                adj = [[] for _ in range(n)]
+                for u, v in dict.fromkeys(norm):
+                    if u != v:
+                        adj[u].append(v)
+                        adj[v].append(u)
+                search = _CycleSearch(adj)
+                for root in range(n):
+                    above = sum(w > root for w in adj[root])
+                    confined = search.at(root, d, low=root) is not None
+                    whole = search.at(root, d) is not None
+                    assert confined == whole, (seed, n, pairs, d, root)
+                    if above < (2 if d <= 4 else 1):
+                        assert not whole, (seed, n, pairs, d, root)
+                        skipped += 1
+                    with_cycle += whole
+                    while True:
+                        found = search.at(root, d)
+                        if found is None:
+                            break
+                        eu, ev = min((min(a, b), max(a, b))
+                                     for a, b in search.cycle_edges(found[1], found[2]))
+                        adj[eu].remove(ev)
+                        adj[ev].remove(eu)
+                kept = sorted((u, v) for u in range(n) for v in adj[u] if u < v)
+                assert trim_short_cycles(n, pairs, d)[0].edges == tuple(kept)
+        # the draws reach both the searches that find a cycle and the skip
+        assert with_cycle > 100 and skipped > 100, (with_cycle, skipped)
+
 
 class TestBucketModel:
     @settings(max_examples=40)
@@ -305,6 +350,24 @@ class TestBucketModel:
         want_g, want_removed = bruteforce.trim_short_cycles(n, got.g0, d)
         assert got.g.edges == want_g.edges
         assert got.removed_edges == want_removed
+
+    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_larger_samples_match_the_reference_cycle_search(self, n, d):
+        for seed in range(3):
+            got = bucket_model(n, d, seed)
+            want_g, want_removed = bruteforce.trim_short_cycles(n, got.g0, d)
+            assert got.g.edges == want_g.edges, seed
+            assert got.removed_edges == want_removed, seed
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (4, 3), (10, 3), (50, 4), (200, 5), (64, 12), (1000, 3)])
+    def test_g0_is_the_matching_random_shuffle_draws(self, n, d):
+        for seed in (0, 1, 7, 2**32 + 5):
+            points = list(range(d * n))
+            random.Random(seed).shuffle(points)
+            ends = [p // d for p in points]
+            pairs = sorted(tuple(sorted(e)) for e in zip(ends[::2], ends[1::2]))
+            assert bucket_model(n, d, seed).g0 == tuple(pairs), seed
 
     def test_seeded_determinism(self):
         a = bucket_model(20, 3, 4)
@@ -343,16 +406,22 @@ class TestBucketModel:
         # a trim to girth > 2 only keeps a triangle here
         kept, removed = trim_short_cycles(s.n, s.g0, 2)
         assert girth(kept) == 3
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="short cycle survived trimming"):
             BucketModelSample(s.g0, kept, s.n, s.d, s.seed, removed)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="wrong edge count in g0"):
             BucketModelSample(s.g0[1:], s.g, s.n, s.d, s.seed, s.removed_edges)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="g0 is not d-regular"):
             shifted = ((0, 0),) + s.g0[1:]  # one end moved: not 3-regular
             BucketModelSample(shifted, s.g, s.n, s.d, s.seed, s.removed_edges)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="g0 is not d-regular"):
+            # the count is right, but one vertex lies outside range(n)
+            moved = tuple((u, 10 if v == 9 else v) for u, v in s.g0)
+            BucketModelSample(moved, s.g, s.n, s.d, s.seed, s.removed_edges)
+        with pytest.raises(GraphError, match="degree bound violated"):
             star = Graph(s.n, [(0, v) for v in range(1, 5)])  # degree 4 > 3
             BucketModelSample(s.g0, star, s.n, s.d, s.seed, 0)
+        # the sample itself passes every check
+        BucketModelSample(s.g0, s.g, s.n, s.d, s.seed, s.removed_edges)
 
 
 class TestHardnessReduction:
