@@ -201,18 +201,13 @@ def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple
     each reaches the global fixpoint.  The search visits neighbours in the
     order the pairs first list them.
 
-    A root's fixpoint loop searches the whole graph around it, but whether
-    it removes anything is decided more cheaply.  A search from r finds a
-    cycle exactly when some closed walk of length <= d from r holds one.
-    When the pass reaches r, every lower root is at its fixpoint, and
-    removals keep it there, so no such walk passes a lower vertex: every
-    one runs among r and the vertices above it.  So the search confined
-    to those vertices finds a cycle exactly when the whole search does,
-    and only then does the loop run.  Such a walk leaves r and returns
-    over neighbours above r.  When d <= 4 it is itself a cycle through r
-    and needs two of them; when d >= 5 it may go out to one neighbour,
-    round a cycle of length <= d - 2 through that neighbour, and back.
-    A root with fewer neighbours above it than that is not searched.
+    Each root's loop searches only the root and the vertices above it, and
+    removes what a whole-graph search would (graph._CycleSearch).  A
+    closed walk of length <= d from r there that holds a cycle leaves r
+    and returns over neighbours above r: two when d <= 4, where it is a
+    cycle through r, and one when d >= 5, where it may go out, round a
+    cycle of length <= d - 2 through that neighbour, and back.  A root
+    with fewer neighbours above it is not searched.
     """
     if d < 1:
         raise GraphError("trim threshold must be >= 1")
@@ -233,12 +228,9 @@ def trim_short_cycles(n: int, pairs: Iterable[Tuple[int, int]], d: int) -> Tuple
         need = 2 if d <= 4 else 1
         search = _CycleSearch(adj)
         for root in range(n):
-            if above[root] < need or search.at(root, d, low=root) is None:
+            if above[root] < need:
                 continue
-            while True:
-                found = search.at(root, d)
-                if found is None:
-                    break
+            while (found := search.at(root, d)) is not None:
                 eu, ev = min((min(a, b), max(a, b))
                              for a, b in search.cycle_edges(found[1], found[2]))
                 adj[eu].remove(ev)

@@ -208,7 +208,8 @@ def girth(g: Graph, cap: Optional[int] = None):
     """Length of a shortest cycle, or math.inf if there is none.
 
     With cap set, the search is truncated: the exact girth is returned when
-    it is <= cap, math.inf otherwise.
+    it is <= cap, math.inf otherwise.  Each root searches only the
+    vertices above it (_CycleSearch).
     """
     best = INF
     limit = cap if cap is not None else g.n  # no simple cycle exceeds n
@@ -217,39 +218,45 @@ def girth(g: Graph, cap: Optional[int] = None):
         bound = limit if best == INF else min(best - 1, limit)
         if bound < 3:  # a simple graph has no shorter cycle
             break
-        # A shortest cycle is found from its smallest vertex, searching
-        # only the vertices above it, and its two cycle neighbours are
-        # larger (adjacency lists are sorted).
+        # a cycle's smallest vertex has two larger cycle neighbours
+        # (adjacency lists are sorted)
         if len(nbrs) < 2 or nbrs[-2] < root:
             continue
-        found = search.at(root, bound, low=root)
-        if found is not None:
+        if (found := search.at(root, bound)) is not None:
             best = found[0]
     return best
 
 
 class _CycleSearch:
-    """Itai and Rodeh's per-root BFS for short cycles, on mark and parent
-    arrays that are allocated once and reused across roots.  A search
-    stamps the vertices it reaches with base + depth, above every stamp of
-    the searches before it, so nothing is cleared between roots.  adj is
-    any per-vertex neighbour view of a simple graph on len(adj) vertices;
-    it may change between searches, and each BFS tree follows its
-    iteration order."""
+    """Itai and Rodeh's per-root BFS for short cycles, confined to the root
+    and the vertices above it, on mark and parent arrays allocated once: a
+    search stamps what it reaches with base + depth, above every earlier
+    stamp, so nothing is cleared between roots.  adj is any per-vertex
+    neighbour view of a simple graph on len(adj) vertices; it may change
+    between searches, and each BFS tree follows its iteration order.
+
+    A BFS finds a cycle exactly when a closed walk of length <= bound from
+    its root holds one.  girth needs no more, as a shortest cycle is found
+    from its smallest vertex, nor does trim_short_cycles, which takes the
+    roots upwards, each to its fixpoint: at r, removals keep every lower
+    root there, so no such walk from r passes a lower vertex x (rotated, it
+    would be one from x).  Two paths of length <= bound // 2 from r to one
+    vertex make such a walk, as does a candidate; so a whole-graph BFS from
+    r reaches these vertices over the same levels and parents, and returns
+    the same (length, u, w) and cycle_edges."""
 
     __slots__ = ("adj", "mark", "parent", "top")
 
     def __init__(self, adj):
-        n = len(adj)
         self.adj = adj
-        self.mark = [-1] * n
-        self.parent = [0] * n
+        self.mark = [-1] * len(adj)
+        self.parent = [0] * len(adj)
         self.top = -1  # the highest stamp written so far
 
-    def at(self, root: int, bound: int, low: int = 0):
-        """Smallest (length, u, w) over the non-tree edges u < w seen by a
-        BFS from root to depth bound // 2 among the vertices >= low, where
-        length = dist[u] + dist[w] + 1 <= bound; None if there is none.
+    def at(self, root: int, bound: int):
+        """Smallest (length, u, w) over the non-tree edges u < w seen by
+        the BFS from root to depth bound // 2, where length = dist[u] +
+        dist[w] + 1 <= bound; None if there is none.
 
         Non-tree edges are recorded while a level is expanded, and the
         lengths they give grow with the level.  So the search stops after
@@ -276,7 +283,7 @@ class _CycleSearch:
                 for w in adj[u]:
                     mw = mark[w]
                     if mw < base:
-                        if w >= low:
+                        if w > root:
                             mark[w] = stamp
                             parent[w] = u
                             if listing:

@@ -168,7 +168,9 @@ class TestGen:
         (500, 3, 1): "403dea3c0203729e7f02355a121809b578450d3891713ed95774e7d8d8611c30",
         (500, 5, 1): "facfc9c71ed868c6eef099e2be039d9230c1de40f2c4265837ba84284769475d",
         (500, 6, 1): "455d8a398b82309ffcb75f82a14cce3b480468c4ca359541b14ba5ade50526a6",
+        (600, 8, 1): "4d134d60cf74c48d70b38efc3100a648e630b69c9112acc47be6194b871d9443",
         (850, 6, 1): "4d10a19bb06717dc2d57b233e57c32ad63f4950c6a3f2684754532515a05a9b3",
+        (1000, 7, 1): "9ee603ee2efa8234376b63189d6ecdfcb946405c7ff48c625a411f9dd4d285ae",
         (2000, 3, 1): "1174724d3465816ad0ffb7ccdc2dbad5e04122469c697ed386c567edfaa561ad",
     }
 

@@ -279,8 +279,12 @@ class TestTrimShortCycles:
             ref_adj[u][v] = ref_adj[v][u] = 1
         search = _CycleSearch(adj)
         for root in range(n):
+            # the search is confined to root and the vertices above it,
+            # so the reference searches that part of the graph
+            upper = [{w: 1 for w in nbrs if w >= root} if v >= root else {}
+                     for v, nbrs in enumerate(ref_adj)]
             for d in range(1, 8):
-                want = bruteforce.bfs_short_cycle(ref_adj, root, d)
+                want = bruteforce.bfs_short_cycle(upper, root, d)
                 found = search.at(root, d)
                 if want is None:
                     assert found is None, (root, d)
@@ -293,14 +297,13 @@ class TestTrimShortCycles:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_root_is_decided_as_the_whole_search_decides_it(self, seed):
-        # replay the root loop with the whole search deciding every root,
-        # and check at each root's turn the two cheaper tests the trim
-        # decides with: the search confined to the root and the vertices
-        # above it finds a cycle exactly when the whole search does, and
-        # a root with fewer neighbours above it than a short closed walk
+        # replay the trim's root loop with the reference search of the
+        # whole graph beside the confined one, and check that the two
+        # find the same cycle at every search of the loop, and that a
+        # root with fewer neighbours above it than a short closed walk
         # needs (two when d <= 4, one when d >= 5) has none to find
         rng = random.Random(seed)
-        with_cycle = skipped = 0
+        searches = skipped = 0
         for _ in range(150):
             n = rng.randint(1, 30)
             pairs = [(rng.randrange(n), rng.randrange(n))
@@ -310,32 +313,74 @@ class TestTrimShortCycles:
             norm = [(u, v) if u <= v else (v, u) for u, v in pairs]
             for d in range(3, 9):
                 adj = [[] for _ in range(n)]
+                ref_adj = [dict() for _ in range(n)]
                 for u, v in dict.fromkeys(norm):
                     if u != v:
                         adj[u].append(v)
                         adj[v].append(u)
+                        ref_adj[u][v] = ref_adj[v][u] = 1
                 search = _CycleSearch(adj)
                 for root in range(n):
-                    above = sum(w > root for w in adj[root])
-                    confined = search.at(root, d, low=root) is not None
-                    whole = search.at(root, d) is not None
-                    assert confined == whole, (seed, n, pairs, d, root)
-                    if above < (2 if d <= 4 else 1):
-                        assert not whole, (seed, n, pairs, d, root)
+                    if sum(w > root for w in adj[root]) < (2 if d <= 4 else 1):
+                        assert bruteforce.bfs_short_cycle(ref_adj, root, d) is None
                         skipped += 1
-                    with_cycle += whole
+                        continue
                     while True:
+                        want = bruteforce.bfs_short_cycle(ref_adj, root, d)
                         found = search.at(root, d)
-                        if found is None:
+                        if want is None:
+                            assert found is None, (seed, n, pairs, d, root)
                             break
-                        eu, ev = min((min(a, b), max(a, b))
-                                     for a, b in search.cycle_edges(found[1], found[2]))
+                        searches += 1
+                        assert found is not None and found[1:] == (want[0], want[-1]), (
+                            seed, n, pairs, d, root)
+                        cycle = [tuple(sorted(e)) for e in search.cycle_edges(found[1], found[2])]
+                        ring = zip(want, want[1:] + want[:1])
+                        assert set(cycle) == {tuple(sorted(e)) for e in ring}
+                        eu, ev = min(cycle)
                         adj[eu].remove(ev)
                         adj[ev].remove(eu)
+                        del ref_adj[eu][ev], ref_adj[ev][eu]
                 kept = sorted((u, v) for u in range(n) for v in adj[u] if u < v)
                 assert trim_short_cycles(n, pairs, d)[0].edges == tuple(kept)
-        # the draws reach both the searches that find a cycle and the skip
-        assert with_cycle > 100 and skipped > 100, (with_cycle, skipped)
+        # the draws reach both searches that find a cycle and the skip
+        assert searches > 100 and skipped > 100, (searches, skipped)
+
+    def test_a_search_marks_nothing_below_its_root(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(2, 25)
+            adj = [[] for _ in range(n)]
+            for u, v in {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)}:
+                adj[u].append(v)
+                adj[v].append(u)
+            search = _CycleSearch(adj)
+            for root in range(n):
+                for d in (3, 6, 9):
+                    base = search.top + 1
+                    search.at(root, d)
+                    assert search.mark[root] == base
+                    assert all(m < base for m in search.mark[:root]), (n, adj, root, d)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drawn_multigraphs_match_the_reference_trim(self, seed):
+        # multigraphs up to 300 vertices, against the trim from before the
+        # stamped search, at every threshold where a cycle search runs
+        rng = random.Random(seed)
+        cut = 0  # edges removed from cycles of length >= 3
+        for _ in range(20):
+            n = rng.randint(2, 300)
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(n // 2, 2 * n))]
+            if rng.random() < 0.5:
+                pairs = sorted((min(p), max(p)) for p in pairs)
+            links = {(min(p), max(p)) for p in pairs if p[0] != p[1]}
+            for d in range(3, 11):
+                g, removed = trim_short_cycles(n, pairs, d)
+                want_g, want_removed = bruteforce.trim_short_cycles(n, pairs, d)
+                assert (g.edges, removed) == (want_g.edges, want_removed), (seed, n, d)
+                cut += len(links) - g.m
+        assert cut > 2000, cut
 
 
 class TestBucketModel:
