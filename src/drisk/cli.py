@@ -219,7 +219,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--r", type=int, default=1)
     solve.add_argument("--t", type=int, help="clique size for minor search")
     solve.add_argument("--m", type=int, help="target size for uqw")
-    solve.add_argument("--s-max", type=int, help="deletion budget for uqw (default 3)")
+    solve.add_argument("--s-max", type=int,
+                       help=f"deletion budget for uqw (default {KernelPolicy.uqw_s_max})")
     solve.add_argument("--limit", type=int, help="oracle size cutoff")
     solve.add_argument("--no-lp", action="store_true", default=None,
                        help="skip the exact LP inside duality reports")
@@ -232,7 +233,7 @@ def _build_parser() -> _Parser:
     kern.add_argument("--r", type=int, required=True)
     kern.add_argument("--k", type=int, required=True)
     kern.add_argument("--target", type=int, help="closure projection target")
-    kern.add_argument("--s-max", type=int, default=3)
+    kern.add_argument("--s-max", type=int, default=KernelPolicy.uqw_s_max)
     kern.add_argument("--max-rounds", type=int, help="cap on removals")
     kern.add_argument("--out-prefix", help="write Y/B files and removal log")
     kern.add_argument("--timing", action="store_true")
@@ -315,7 +316,7 @@ _SOLVE_OPTIONS = {
 
 
 def _uqw_s_max(args) -> int:
-    return 3 if args.s_max is None else args.s_max
+    return KernelPolicy.uqw_s_max if args.s_max is None else args.s_max
 
 
 def _solve_outputs(args, g: Graph, members: Tuple[int, ...]) -> dict:

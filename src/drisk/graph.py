@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Collection, Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 INF = math.inf
 
@@ -145,31 +145,16 @@ def ball(g: Graph, center: int, r: int) -> Tuple[int, ...]:
     return tuple(sorted(multi_source_distances(g, (center,), r)))
 
 
-class BallTraces:
+def ball_traces(g: Graph, members: Sequence[int], r: int) -> List[int]:
     """The radius-r balls of g traced on a fixed member list, as bitmasks:
     bit i of masks[v] is set iff members[i] is within distance r of v.
-    With blocked, the balls are taken in g minus those vertices.  Each
-    member's row costs one BFS, made when the table is built."""
-
-    def __init__(
-        self,
-        g: Graph,
-        members: Sequence[int],
-        r: int,
-        blocked: Optional[Collection[int]] = None,
-    ):
-        self.bit = {u: 1 << i for i, u in enumerate(members)}
-        self.masks = masks = [0] * g.n
-        for u, b in self.bit.items():
-            for v in multi_source_distances(g, (u,), r, blocked):
-                masks[v] |= b
-
-    def bits(self, vs: Iterable[int]) -> int:
-        """The bits of the members vs."""
-        out = 0
-        for u in vs:
-            out |= self.bit[u]
-        return out
+    One BFS per member."""
+    masks = [0] * g.n
+    for i, u in enumerate(members):
+        bit = 1 << i
+        for v in multi_source_distances(g, (u,), r):
+            masks[v] |= bit
+    return masks
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .graph import (
-    BallTraces,
     Graph,
     GraphError,
     is_distance_dominating,
@@ -153,8 +152,8 @@ def _find_removable_class(
     A minus z, ladder up deletion sets at radius 4r, and return the
     first certificate whose far, profile and size conditions work out.
 
-    z is closed's set, and its projections, made at radius 2r, key the
-    candidates.
+    z is closed's set: its projections, made at radius 2r, key the
+    class, and its vertices are the ladder's deletion candidates.
     """
     candidates = tuple(x for x in members if x in closed.projections)
     bulk = next(iter(_profile_groups(candidates, closed.projections)), ())
@@ -164,7 +163,7 @@ def _find_removable_class(
     s_max = min(policy.uqw_s_max, len(bulk) - 2)
     if s_max < 0:
         return None
-    for s, b in scattered_ladder(g, bulk, 4 * r, s_max):
+    for s, b in scattered_ladder(g, bulk, 4 * r, s_max, closed.closed_set):
         need = len(s) + 2
         far = _far_members(g, b, closed.closed_set, s, r)
         if len(far) < need:
@@ -197,13 +196,9 @@ def remove_irrelevant(
     without removing anything further; it can cost kernel size, never
     correctness.
 
-    Two pieces of work are carried to the next round rather than
-    redone, so each round finds what a rebuild would.  A member's ball
-    trace reads only g, the member and the radius, so the cover's
-    radius-r//2 traces of the initial members are found once per call.
     The closure, with the profile keys it returns, reads only g, the set
     of the greedy cover, 2r and the target, so the last one is kept
-    while they repeat.
+    while they repeat, and each round finds what a rebuild would.
     """
     if r < 1:
         raise GraphError("radius must be >= 1")
@@ -214,7 +209,6 @@ def remove_irrelevant(
     log: List[Tuple[IrrelevanceCertificate, Tuple[int, ...]]] = []
     removals = 0
     d = r // 2
-    cover = BallTraces(g, members, d)
     closed_on = functools.lru_cache(maxsize=1)(closure)
     while len(members) >= k:
         # the removals this round may make: down to k - 1 members, and
@@ -224,7 +218,7 @@ def remove_irrelevant(
             room = min(room, policy.max_rounds - removals)
         if room <= 0:
             break
-        dom = greedy_ball_cover(g, members, d, cover)
+        dom = greedy_ball_cover(g, members, d)
         target = policy.closure_target or max(1, math.ceil(len(dom) ** 0.2))
         closed = closed_on(g, frozenset(dom), 2 * r, target)
         cert = _find_removable_class(g, members, closed, r, policy)

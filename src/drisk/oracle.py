@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graph import (
-    BallTraces,
     Graph,
     GraphError,
+    ball_traces,
     is_distance_dominating,
     is_distance_independent,
     multi_source_distances,
@@ -50,7 +50,7 @@ def _member_traces(
             raise GraphError("limit must be nonnegative")
         if len(members) > limit:
             raise OracleLimitError(refusal.format(limit=limit, n=len(members)))
-    return members, BallTraces(g, members, r).masks
+    return members, ball_traces(g, members, r)
 
 
 def _walk(root, children):

@@ -2,12 +2,13 @@
 subset of A that is pairwise far apart once S is gone.
 
 The search is a ladder: at each rung a scattered subset is extracted
-greedily from A in G-S; if it is still too small, S gains the one
-outside vertex whose ball (in G-S) meets the most members of A, and
-the next rung is tried.  Both reads of a rung come from one ball-trace
-table of A in G-S.  Success is certified by re-checking the
-scatteredness brute-force; failure is an explicit outcome, never an
-invalid result.
+greedily from A in G-S, by one search from each member it takes; if it
+is still too small, S gains the candidate outside A whose ball (in
+G-S) meets the most members of A, and the next rung is tried.  Only
+the candidates are scored, by one search each: the kernel passes its
+closed set z, and by default they are the vertices near A.  Success
+is certified by re-checking the scatteredness brute-force; failure is
+an explicit outcome, never an invalid result.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .graph import BallTraces, Graph, GraphError, is_distance_independent, vset
+from .graph import Graph, GraphError, is_distance_independent, multi_source_distances, vset
 
 
 @dataclass(frozen=True)
@@ -37,28 +38,22 @@ class UqwResult:
             raise GraphError("set is not scattered after the deletion")
 
 
-def _greedy_scattered(members: Tuple[int, ...], table: BallTraces) -> Tuple[int, ...]:
-    """Ascending-id greedy packing on the ball-trace table of members:
-    take a live member, drop every member its trace holds."""
-    picked: List[int] = []
-    alive = table.bits(members)
-    for v in members:
-        if alive & table.bit[v]:
-            picked.append(v)
-            alive &= ~table.masks[v]
-    return tuple(picked)
-
-
 def scattered_ladder(
-    g: Graph, a: Iterable[int], r: int, s_max: int
+    g: Graph,
+    a: Iterable[int],
+    r: int,
+    s_max: int,
+    candidates: Optional[Iterable[int]] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Yield (s, b) rungs with |s| = 0, 1, ... up to s_max, where b is
-    the greedy scattered subset of a in g minus s.
+    the greedy scattered subset of a in g minus s: ascending ids, each
+    member taken drops the members its one search finds within r.
 
-    s grows by the non-member whose radius-r ball in the current
-    deleted graph covers the most members (smallest id on ties); the
-    ladder stops early when no non-member covers anything.  Each rung
-    reads one radius-r ball-trace table of a in g minus s.
+    s grows by the candidate outside a whose radius-r ball in the current
+    deleted graph meets the most members (smallest id on ties), scored
+    by one search from each candidate; the ladder stops early when no
+    candidate meets any.  By default the candidates are the vertices
+    within r of a member, the only ones that can meet any.
     """
     if s_max < 0:
         raise GraphError("deletion budget must be nonnegative")
@@ -66,18 +61,27 @@ def scattered_ladder(
         raise GraphError("radius must be >= 0")
     members = vset(a, g)
     mem = set(members)
-    outside = [v for v in range(g.n) if v not in mem]
+    if candidates is None:
+        candidates = multi_source_distances(g, members, r)
+    outside = [v for v in vset(candidates, g) if v not in mem]
     deleted: List[int] = []
     while True:
-        # Members are never deleted, so each trace is the member set of
-        # a ball in g minus s; a deleted vertex's trace is empty.
-        table = BallTraces(g, members, r, deleted)
-        yield tuple(deleted), _greedy_scattered(members, table)
+        alive = set(members)
+        picked: List[int] = []
+        for v in members:
+            if v in alive:
+                picked.append(v)
+                alive.difference_update(multi_source_distances(g, (v,), r, deleted))
+        yield tuple(deleted), tuple(picked)
         if len(deleted) >= s_max:
             return
-        masks = table.masks
-        best = max(outside, key=lambda v: masks[v].bit_count(), default=None)
-        if best is None or not masks[best]:
+        best, most = None, 0
+        for v in outside:
+            if v not in deleted:
+                met = len(mem.intersection(multi_source_distances(g, (v,), r, deleted)))
+                if met > most:
+                    best, most = v, met
+        if best is None:
             return
         deleted.append(best)
 

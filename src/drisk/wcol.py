@@ -24,9 +24,9 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .graph import (
-    BallTraces,
     Graph,
     GraphError,
+    ball_traces,
     is_distance_dominating,
     is_distance_independent,
     vset,
@@ -147,25 +147,21 @@ def order_heuristic(g: Graph) -> VertexOrder:
     return VertexOrder(tuple(reversed(peel)))
 
 
-def greedy_ball_cover(
-    g: Graph, a: Iterable[int], r: int, table: Optional[BallTraces] = None
-) -> Tuple[int, ...]:
+def greedy_ball_cover(g: Graph, a: Iterable[int], r: int) -> Tuple[int, ...]:
     """Greedy set cover of a by radius-r balls centered anywhere:
     repeatedly take the center covering the most still-uncovered
-    members (smallest id on ties).  Returned in pick order.
-
-    table carries the radius-r ball traces of a member list that holds
-    a; the greedy reads only the bits of a, so its picks are those of a
-    fresh table on a alone.  Without it the cover makes its own."""
+    members (smallest id on ties).  Returned in pick order."""
     if r < 0:
         raise GraphError("radius must be >= 0")
     members = vset(a, g)
-    if not members:
-        return ()
-    if table is None:
-        table = BallTraces(g, members, r)
-    uncovered = table.bits(members)
-    covers = table.masks
+    return _greedy_cover(g, members, r, ball_traces(g, members, r))
+
+
+def _greedy_cover(
+    g: Graph, members: Tuple[int, ...], r: int, covers: List[int]
+) -> Tuple[int, ...]:
+    """greedy_ball_cover on the ball traces of members, already filled."""
+    uncovered = (1 << len(members)) - 1
     # Lazy-deletion heap; stale gains are recomputed on pop.  Every
     # member covers itself, so the heap outlasts the uncovered set, and
     # an entry of gain 0 is never reached.
@@ -318,9 +314,9 @@ def duality_report(
     |witness| <= lp <= |cover| <= H_|a| * lp before returning."""
     members = vset(a, g)
     order = order_heuristic(g)
-    # one table for the cover and the LP
-    table = BallTraces(g, members, r)
-    dominating = greedy_ball_cover(g, members, r, table)
+    # one table for the cover and the LP; weak_reach_sets refuses r < 0
+    masks = ball_traces(g, members, r)
+    dominating = _greedy_cover(g, members, r, masks)
     wide = max(map(len, weak_reach_sets(g, order, 2 * r + 1)), default=0)
     witness, _ = _reach_scan(g, members, r, order)
     if not is_distance_independent(g, witness, 2 * r + 1):
@@ -328,7 +324,7 @@ def duality_report(
     bound = harmonic(len(members))
     lp_value: Optional[Fraction] = None
     if include_lp:
-        lp_value = _lp_domination_on(members, table.masks).value
+        lp_value = _lp_domination_on(members, masks).value
     if len(witness) > len(dominating):
         raise RuntimeError("internal: witness larger than cover")
     if lp_value is not None:

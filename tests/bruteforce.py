@@ -7,7 +7,7 @@ different routes.  The exceptions are the pins: earlier versions of
 library functions kept verbatim, so tests can hold a rewrite to the
 answers it replaced, and lp_packing, the packing solve that moved here
 from drisk.oracle.  Those call the library helpers they always called
-(among them BallTraces, through ball_masks, ball, distances_from,
+(among them ball_traces, through ball_masks, ball, distances_from,
 multi_source_distances, _descend, induced_subgraph, the distance
 validators, oracle._audit_packing, oracle._bits, oracle._member_traces,
 oracle._max_clique, oracle._walk, validate_minor_model, solve_max, greedy_ball_cover, profile_classes,
@@ -28,11 +28,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from drisk.ballvc import TwoShatterWitness
 from drisk.graph import (
-    BallTraces,
     Graph,
     GraphError,
     _descend,
     ball,
+    ball_traces,
     distances_from,
     induced_subgraph,
     is_distance_dominating,
@@ -66,13 +66,11 @@ from drisk.wcol import greedy_ball_cover
 INF = math.inf
 
 
-def ball_masks(
-    g: Graph, members: Sequence[int], r: int, blocked: Optional[set] = None
-) -> List[int]:
-    """The masks of a BallTraces table on members at radius r: bit i of
-    masks[v] is set iff members[i] is within r of v (in g minus
-    blocked, when given).  The pins below read their tables through it."""
-    return BallTraces(g, members, r, blocked).masks
+def ball_masks(g: Graph, members: Sequence[int], r: int) -> List[int]:
+    """The ball traces of members at radius r: bit i of masks[v] is set
+    iff members[i] is within r of v.  The pins below read their tables
+    through it."""
+    return ball_traces(g, members, r)
 
 
 def simple_adj(g) -> List[set]:
@@ -767,8 +765,9 @@ def find_removable_class_uncapped(g, members: Tuple[int, ...], z: Tuple[int, ...
 # from round to round, the closure picked from a heap, and the path
 # closure found partners in each member's ball and stopped its walks at
 # vertices walked before.  They are kept verbatim apart from their names
-# (and the names of each other they call), so tests can pin the new ones
-# to them.
+# (and the names of each other they call) and from the splitter's ladder
+# candidates: every vertex, as before the kernel's ladder scored only z.
+# So tests can pin the new ones to them.
 
 
 def find_removable_class_fresh(
@@ -781,6 +780,7 @@ def find_removable_class_fresh(
     """One round of the splitter: pick the largest profile class of
     A minus z, ladder up deletion sets at radius 4r, and return the
     first certificate whose far, profile and size conditions work out.
+    Every vertex is a deletion candidate.
     """
     zset = set(z)
     candidates = tuple(x for x in members if x not in zset)
@@ -794,7 +794,7 @@ def find_removable_class_fresh(
     s_max = min(policy.uqw_s_max, len(bulk) - 2)
     if s_max < 0:
         return None
-    for s, b in scattered_ladder(g, bulk, 4 * r, s_max):
+    for s, b in scattered_ladder(g, bulk, 4 * r, s_max, range(g.n)):
         need = len(s) + 2
         far = _far_members(g, b, z, s, r)
         if len(far) < need:
@@ -916,12 +916,11 @@ def path_closure_pairs(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:
     return closed
 
 
-# uqw.scattered_ladder and its greedy packing as they were before both
-# read one ball-trace table per rung (a BallTraces on the members,
-# blocked at the deleted set) instead of one search per picked member and
-# one per non-member.  They are kept verbatim apart from their names (and
-# the name of each other they call), so tests can pin the table-based
-# ladder to them.
+# uqw.scattered_ladder and its greedy packing with every non-member as a
+# deletion candidate, as they were before a rung read a ball-trace table
+# of the members.  They are kept verbatim apart from their names (and the
+# name of each other they call), so tests can pin the ladder's default
+# candidates, the vertices near a member, to them.
 
 
 def greedy_scattered_bfs(g: Graph, members: Tuple[int, ...], removed: set, r: int) -> Tuple[int, ...]:

@@ -650,12 +650,10 @@ class TestSolve:
         self, path10, capsys, monkeypatch
     ):
         # a ball table in which vertex 0 covers every member
-        class OneCenter(drisk.graph.BallTraces):
-            def __init__(self, g, members, r, blocked=None):
-                super().__init__(g, members, r, blocked)
-                self.masks = [self.bits(members)] + [0] * (g.n - 1)
-
-        monkeypatch.setattr(drisk.wcol, "BallTraces", OneCenter)
+        monkeypatch.setattr(
+            drisk.wcol, "ball_traces",
+            lambda g, members, r: [(1 << len(members)) - 1] + [0] * (g.n - 1),
+        )
         assert internal_error(capsys, "solve", "duality", "--input", path10, "--r", "1") \
             == "greedy cover failed to dominate"
 

@@ -10,11 +10,11 @@ import bruteforce
 import corpus
 import drisk.graph
 from drisk.graph import (
-    BallTraces,
     Graph,
     GraphError,
     _descend,
     ball,
+    ball_traces,
     distances_from,
     girth,
     induced_subgraph,
@@ -336,7 +336,7 @@ class TestSharedSearches:
 
 
 class TestBallMasks:
-    """BallTraces, the one table of radius-r balls traced on a member
+    """ball_traces, the one table of radius-r balls traced on a member
     list (mostly through bruteforce.ball_masks)."""
 
     @settings(max_examples=200)
@@ -348,14 +348,8 @@ class TestBallMasks:
             label="members",
         )
         r = data.draw(st.integers(0, 4), label="r")
-        blocked = data.draw(
-            st.none() | st.sets(st.integers(0, g.n - 1), max_size=4), label="blocked"
-        )
-        if blocked is None:
-            dm = bruteforce.dist_matrix(g)
-        else:
-            dm = [multi_source_distances(g, (u,), r, blocked) for u in range(g.n)]
-        masks = bruteforce.ball_masks(g, members, r, blocked)
+        dm = bruteforce.dist_matrix(g)
+        masks = bruteforce.ball_masks(g, members, r)
         assert len(masks) == g.n
         for v in range(g.n):
             for i, u in enumerate(members):
@@ -370,14 +364,9 @@ class TestBallMasks:
         members = (0, 2, 5)
         masks = bruteforce.ball_masks(g, members, 0)
         assert masks == [1 << members.index(v) if v in members else 0 for v in range(g.n)]
-        # a blocked member's bit is set nowhere, and a blocked vertex's mask is 0
-        masks = bruteforce.ball_masks(g, members, 2, blocked={0, 2})
-        assert masks[0] == masks[2] == 0
-        assert not any(m & 0b11 for m in masks)
-        assert masks[5] & 0b100
 
     def test_rows_are_searched_when_built(self, monkeypatch):
-        # one search per member when the table is built; bits only reads
+        # one search per member, in member order
         searched = []
         real = drisk.graph.multi_source_distances
 
@@ -386,7 +375,7 @@ class TestBallMasks:
             return real(g, sources, *args, **kwargs)
 
         monkeypatch.setattr(drisk.graph, "multi_source_distances", counted)
-        table = BallTraces(corpus.twin_stars(3, 2), (0, 2, 5), 2)
+        masks = ball_traces(corpus.twin_stars(3, 2), (0, 2, 5), 2)
         assert searched == [(0,), (2,), (5,)]
-        assert table.bits((5, 0)) == 0b101 and table.bits(()) == 0
-        assert len(searched) == 3
+        # the bridge vertex 8 is within 2 of all three, 0 of 0 and 2
+        assert (masks[8], masks[0], masks[5]) == (0b111, 0b011, 0b100)

@@ -361,6 +361,16 @@ class TestRelabelledKernels:
                         assert min(inner, k) == min(alpha, k), case
         assert {"YES", "KERNEL"} <= tags
 
+    def test_kernel_sizes_agree_in_both_id_orders(self):
+        # each star keeps |s| + 1 = 2 leaves, whichever ids its hub has
+        for g0, a0, k in (
+            (*corpus.star_chain(16, 32, 9), 17),
+            (*corpus.star_chain(4, 8, 9), 5),
+            (corpus.twin_stars(64, 9), corpus.twin_star_leaves(64), 3),
+        ):
+            sizes = [len(kernelize(g, a, 2, k).b) for g, a in ((g0, a0), reversed_ids(g0, a0))]
+            assert sizes == [2 * (k - 1)] * 2, (g0.n, k)
+
 
 def certificate_seeds():
     """Certificates whose first failing condition is known, plus every
@@ -483,9 +493,9 @@ class TestWorkGuards:
         entered = []
         real_ladder = drisk.kernel.scattered_ladder
 
-        def ladder(g, a, r, s_max):
+        def ladder(g, a, r, s_max, candidates=None):
             entered.append((len(a), s_max))
-            return real_ladder(g, a, r, s_max)
+            return real_ladder(g, a, r, s_max, candidates)
 
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
         g = grid_graph(7, 7)
@@ -537,6 +547,26 @@ class TestWorkGuards:
         assert kernelize(grid_graph(12, 12), tuple(range(144)), 2, 5).tag == "YES"
         assert kernelize(TWIN, TWIN_LEAVES, 2, 3).tag == "KERNEL"
         assert kernelize(star_graph(8), range(1, 9), 2, 3).tag == "NO"
+
+    def test_twin_star_ladder_work_grows_linearly(self, monkeypatch):
+        # the vertices the radius-4r searches visit while twin stars are
+        # kernelized: the ladders' and the certificate checks'
+        visited = []
+        for module in (drisk.graph, drisk.kernel, drisk.uqw):
+            real = module.multi_source_distances
+
+            def counted(g, sources, cutoff=None, *args, real=real, **kwargs):
+                dist = real(g, sources, cutoff, *args, **kwargs)
+                if cutoff == 8:
+                    visited[-1] += len(dist)
+                return dist
+
+            monkeypatch.setattr(module, "multi_source_distances", counted)
+        for p in (128, 512):
+            visited.append(0)
+            out = kernelize(corpus.twin_stars(p, 9), corpus.twin_star_leaves(p), 2, 3)
+            assert out.tag == "KERNEL" and len(out.b) == 4
+        assert visited[1] <= 5 * visited[0], visited
 
     def test_closure_rescans_only_touched_vertices(self, monkeypatch):
         calls = []
@@ -656,8 +686,8 @@ class TestMatchesRebuiltRounds:
         cover does not on twin stars or star chains, so z changes too."""
         real_cover = drisk.kernel.greedy_ball_cover
 
-        def cover(g, members, d, table=None):
-            picks = real_cover(g, members, d, table)
+        def cover(g, members, d):
+            picks = real_cover(g, members, d)
             return tuple(sorted({*picks, members[len(members) // 2]}))
 
         monkeypatch.setattr(drisk.kernel, "greedy_ball_cover", cover)
@@ -684,9 +714,9 @@ class TestMatchesRebuiltRounds:
         bulks = []
         real_ladder = drisk.kernel.scattered_ladder
 
-        def ladder(g, a, r, s_max):
+        def ladder(g, a, r, s_max, candidates=None):
             bulks[-1].append(tuple(a))
-            return real_ladder(g, a, r, s_max)
+            return real_ladder(g, a, r, s_max, candidates)
 
         monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
         moved = []
@@ -714,49 +744,36 @@ class TestMatchesRebuiltRounds:
         assert any(moved)
 
     def test_star_chains_search_each_ball_trace_once(self, monkeypatch):
-        # The cover's table is built once per call with one row per
-        # initial member; each scattered_ladder call searches each
-        # (member, deletion set) row at most once.  A star's leaves take
-        # one batch, so each star's leaves are laddered once, with no
-        # deletion set and with their center deleted; the last ladder
-        # searches the two leaves its star's batch left behind again.
-        built, cover_rows, ladders = [], [], []
-        building = []
-        real_init = drisk.graph.BallTraces.__init__
-        real_search = drisk.graph.multi_source_distances
-        real_ladder = drisk.kernel.scattered_ladder
+        # Each ladder searches from the members it packs and from the
+        # deletion candidates it scores, and it scores only the vertices
+        # of its round's z, each at most once per deletion set.  A star's
+        # leaves take one batch, so each star's leaves are laddered once,
+        # with no deletion set and with their center deleted.
+        ladders = []
+        real_find = drisk.kernel._find_removable_class
+        real_search = drisk.uqw.multi_source_distances
 
-        def init(self, g, members, r, blocked=None):
-            built.append((r, frozenset(blocked or ())))
-            building.append(self)
-            try:
-                real_init(self, g, members, r, blocked)
-            finally:
-                building.pop()
+        def find(g, members, closed, r, policy):
+            ladders.append((set(members), set(closed.closed_set), []))
+            return real_find(g, members, closed, r, policy)
 
         def search(g, sources, cutoff=None, blocked=None, stop=()):
-            if building:
-                row = (*sources, cutoff, frozenset(blocked or ()))
-                (ladders[-1] if cutoff == 8 else cover_rows).append(row)
+            ladders[-1][2].append((*sources, cutoff, frozenset(blocked or ())))
             return real_search(g, sources, cutoff, blocked, stop)
 
-        def ladder(g, a, r, s_max):
-            ladders.append([])
-            return real_ladder(g, a, r, s_max)
-
-        monkeypatch.setattr(drisk.graph.BallTraces, "__init__", init)
-        monkeypatch.setattr(drisk.graph, "multi_source_distances", search)
-        monkeypatch.setattr(drisk.kernel, "scattered_ladder", ladder)
-        g, a = CHAIN, CHAIN_LEAVES
-        _, log = remove_irrelevant(g, a, 3, 2)
+        monkeypatch.setattr(drisk.kernel, "_find_removable_class", find)
+        monkeypatch.setattr(drisk.uqw, "multi_source_distances", search)
+        _, log = remove_irrelevant(CHAIN, CHAIN_LEAVES, 3, 2)
         assert len(log) > 20
-        assert built.count((1, frozenset())) == 1
-        assert sorted(cover_rows) == [(u, 1, frozenset()) for u in a]
         assert len(ladders) > 20
-        assert all(len(rung_rows) == len(set(rung_rows)) for rung_rows in ladders)
-        ladder_rows = [row for rung_rows in ladders for row in rung_rows]
-        # a center has the smallest id in its star, p + 1 = 5 ids wide
-        assert {(u, 8, frozenset()) for u in a} <= set(ladder_rows)
-        assert {(u, 8, frozenset({u - u % 5})) for u in a} <= set(ladder_rows)
-        assert len({row[2] for row in ladder_rows}) >= 2
-        assert 2 * len(a) <= len(ladder_rows) <= 194
+        scored = []
+        for members, z, rows in ladders:
+            assert len(rows) == len(set(rows))
+            assert all(len(row) == 3 and row[1] == 8 for row in rows)
+            scored += [row for row in rows if row[0] not in members]
+            assert {row[0] for row in rows} <= members | z
+        # a center has the smallest id in its star, p + 1 = 5 ids wide, and
+        # is scored once with nothing deleted
+        centers = {u - u % 5 for u in CHAIN_LEAVES}
+        assert {(c, 8, frozenset()) for c in centers} <= set(scored)
+        assert all(row[0] in centers for row in scored)

@@ -78,8 +78,8 @@ class TestScatteredLadder:
 
 
 class TestMatchesPerVertexSearches:
-    """The ladder on one ball-trace table per rung against the per-vertex
-    searches it replaced, kept verbatim in bruteforce."""
+    """The ladder, scoring its default candidates, against the per-vertex
+    searches from every non-member, kept verbatim in bruteforce."""
 
     @staticmethod
     def same_rungs(g, a, r, s_max):

@@ -396,7 +396,8 @@ class TestDualityReport:
 
     def test_one_ball_table_for_the_cover_and_the_lp(self, monkeypatch):
         # a member's radius-1 row is one BFS from it alone, and the LP
-        # reads the cover's table instead of filling its own: 36 rows, not 72
+        # reads the cover's table instead of filling its own: 36 rows, not
+        # 72 (the cover's domination check searches from all its picks)
         g = grid_graph(6, 6)
         want = lp_domination(g, range(36), 1).value
         searches = []
@@ -408,5 +409,5 @@ class TestDualityReport:
 
         monkeypatch.setattr(drisk.graph, "multi_source_distances", counted)
         assert duality_report(g, range(36), 1).lp_value == want
-        rows = [s for s in searches if s[1:] == (1, None)]
-        assert rows == [((u,), 1, None) for u in range(36)]
+        rows = [s for s in searches if s[1:] == (1,) and len(s[0]) == 1]
+        assert rows == [((u,), 1) for u in range(36)]
