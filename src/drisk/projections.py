@@ -12,6 +12,7 @@ pairs, so two keys are equal exactly when the profiles are.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
@@ -21,34 +22,105 @@ from .graph import (
     _descend,
     distances_from,
     induced_subgraph,
-    multi_source_distances,
     vset,
 )
 
 
 ProfileKey = Tuple[Tuple[int, int], ...]
+Adjacency = Tuple[Tuple[int, ...], ...]
+
+
+def _stop_search(
+    adj: Adjacency, src: int, r: int, inside: List[bool], mark: List[int], stamp: int
+) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
+    """The stop search from src at radius r, as (levels, hits): levels[0]
+    is [src], levels[d] lists the unflagged vertices first reached after
+    d steps, and hits holds (v, d) for each vertex v flagged in inside
+    that is first reached after d steps.  Flagged vertices are never
+    expanded; src always is.
+
+    The mark list, stamped with stamp on every vertex reached, stands in
+    for a per-search seen set, so one list serves all of a caller's
+    searches as long as each search has its own stamp.
+    """
+    mark[src] = stamp
+    frontier = [src]
+    levels = [frontier]
+    hits = []
+    for d in range(1, r + 1):
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if mark[w] != stamp:
+                    mark[w] = stamp
+                    if inside[w]:
+                        hits.append((w, d))
+                    else:
+                        nxt.append(w)
+        if not nxt:
+            break
+        levels.append(nxt)
+        frontier = nxt
+    return levels, hits
+
+
+def _count_inside(
+    adj: Adjacency, src: int, r: int, inside: List[bool], mark: List[int], stamp: int
+) -> int:
+    """len(_stop_search(...)[1]), with nothing listed: the size of src's
+    projection onto the flagged vertices.  Most of the closure's searches
+    are recounts that need only this number."""
+    mark[src] = stamp
+    frontier = [src]
+    hits = 0
+    for _ in range(r):
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if mark[w] != stamp:
+                    mark[w] = stamp
+                    if inside[w]:
+                        hits += 1
+                    else:
+                        nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return hits
 
 
 def _boundary_keys(
-    g: Graph, cands: Iterable[int], bound: Sequence[int], r: int
+    g: Graph, cands: Iterable[int], bound: Sequence[int], r: int,
+    inside: List[bool], mark: List[int],
 ) -> Dict[int, ProfileKey]:
-    """The profile key on the sorted boundary bound of each candidate.
+    """The profile key on the sorted boundary bound, flagged in inside,
+    of each candidate.
 
     A path whose interior avoids the boundary reads the same from either
     end, so a key entry is the candidate's distance in the stop search
     from that boundary vertex: one search per boundary vertex, however
-    many candidates there are.  Read in boundary order, the entries are
-    the sorted pairs of _profile_key.
+    many candidates there are, each stamped on mark with its own id.
+    Read in boundary order, the entries are sorted.
     """
     if r < 0:
         raise GraphError("radius must be >= 0")
-    bset = set(bound)
+    adj = g.adjacency
     pairs: Dict[int, List[Tuple[int, int]]] = {u: [] for u in cands}
     for b in bound:
-        for u, d in multi_source_distances(g, (b,), r, stop=bset).items():
-            if u in pairs:
-                pairs[u].append((b, d))
+        # level 0 holds only b, which is no candidate
+        for d, level in enumerate(_stop_search(adj, b, r, inside, mark, b)[0]):
+            for u in level:
+                if u in pairs:
+                    pairs[u].append((b, d))
     return {u: tuple(p) for u, p in pairs.items()}
+
+
+def _flags(n: int, vs: Iterable[int]) -> List[bool]:
+    """inside[v] is True exactly for the v in vs."""
+    inside = [False] * n
+    for v in vs:
+        inside[v] = True
+    return inside
 
 
 def profile_classes(
@@ -60,13 +132,8 @@ def profile_classes(
     bound = vset(boundary, g)
     if set(cands) & set(bound):
         raise GraphError("candidates may not meet the boundary")
-    return _profile_groups(cands, _boundary_keys(g, cands, bound, r))
-
-
-def _profile_key(dist: Mapping[int, int], bset: Set[int]) -> ProfileKey:
-    """The profile key on bset of a vertex whose stop search at bset
-    found dist: the sorted (vertex, length) pairs of dist on bset."""
-    return tuple([(v, dist[v]) for v in sorted(bset.intersection(dist))])
+    keys = _boundary_keys(g, cands, bound, r, _flags(g.n, bound), [-1] * g.n)
+    return _profile_groups(cands, keys)
 
 
 def _profile_groups(
@@ -104,43 +171,59 @@ def closure(g: Graph, x: Iterable[int], r: int, target: int) -> ClosureResult:
     entries go stale when a size changes or the vertex is absorbed;
     stale ones are skipped, so the pick is the same as a scan's.
 
+    Every search runs on one mark list and one list of closed flags,
+    allocated once per call; each search stamps what it reaches with a
+    stamp of its own, so nothing is cleared between searches and none
+    builds a dict.  The first keys come from one search per vertex of x.
+    Absorbing best runs one search that lists the outside vertices it
+    reaches.  By symmetry, only those can gain best or lose a member
+    reached through it, so each of them is recounted by a search that
+    counts the closed vertices it reaches, and every size stays exact.
+
     projections maps each outside vertex to its profile key on the grown
-    set.  A key changes only when its vertex is touched, and no vertex its
-    last search reached is absorbed later (that would touch it), so keys
-    are read off the last searches, or the first: one per closed vertex.
+    set.  A key changes only when its vertex is touched, so an untouched
+    vertex keeps its first key, and each touched one is searched once
+    more, on the final closed set.
     """
     if target < 1:
         raise GraphError("projection target must be >= 1")
-    closed = set(vset(x, g))
-    keys = _boundary_keys(g, [u for u in range(g.n) if u not in closed], sorted(closed), r)
-    sizes = {u: len(key) for u, key in keys.items()}
-    heap = [(-s, u) for u, s in sizes.items()]
+    members = vset(x, g)
+    adj = g.adjacency
+    inside = _flags(g.n, members)
+    mark = [-1] * g.n
+    keys = _boundary_keys(g, [u for u in range(g.n) if not inside[u]], members, r, inside, mark)
+    sizes = [-1] * g.n  # -1 on closed vertices, which no heap entry matches
+    for u, key in keys.items():
+        sizes[u] = len(key)
+    heap = [(-s, u) for u, s in enumerate(sizes) if s >= 0]
     heapq.heapify(heap)
-    searched: Dict[int, Dict[int, int]] = {}
+    stamps = itertools.count(g.n)  # the first searches took the ids of x
+    touched: Set[int] = set()
     additions = 0
     while True:
-        while heap and sizes.get(heap[0][1]) != -heap[0][0]:
+        while heap and sizes[heap[0][1]] != -heap[0][0]:
             heapq.heappop(heap)
         mx = -heap[0][0] if heap else 0
         if mx <= target:
             break
         best = heapq.heappop(heap)[1]
-        # Only a vertex with a path of length <= r to best whose interior
-        # avoids the closed set can gain best or lose a member reached
-        # through it; every other profile key stays as it was.
-        touched = multi_source_distances(g, (best,), r, stop=closed)
-        closed.add(best)
-        del sizes[best], keys[best]
-        for u in touched:
-            if u not in closed:
-                searched[u] = dist = multi_source_distances(g, (u,), r, stop=closed)
-                new = len(closed.intersection(dist))
+        levels = _stop_search(adj, best, r, inside, mark, next(stamps))[0]
+        inside[best] = True
+        sizes[best] = -1
+        del keys[best]
+        for level in levels[1:]:
+            touched.update(level)
+            for u in level:
+                new = _count_inside(adj, u, r, inside, mark, next(stamps))
                 if new != sizes[u]:
                     sizes[u] = new
                     heapq.heappush(heap, (-new, u))
         additions += 1
-    keys.update((u, _profile_key(dist, closed)) for u, dist in searched.items() if u in keys)
-    return ClosureResult(tuple(sorted(closed)), mx, additions, target, keys)
+    for u in touched:
+        if not inside[u]:
+            keys[u] = tuple(sorted(_stop_search(adj, u, r, inside, mark, next(stamps))[1]))
+    closed = tuple([v for v in range(g.n) if inside[v]])
+    return ClosureResult(closed, mx, additions, target, keys)
 
 
 def path_closure(g: Graph, x: Iterable[int], r: int) -> Tuple[int, ...]:

@@ -569,20 +569,23 @@ class TestWorkGuards:
         assert visited[1] <= 5 * visited[0], visited
 
     def test_closure_rescans_only_touched_vertices(self, monkeypatch):
+        # every search of the closure lists what it reaches or counts the
+        # closed vertices among it; both are recorded by their source
         calls = []
-        real = drisk.projections.multi_source_distances
+        for name in ("_stop_search", "_count_inside"):
+            real = getattr(drisk.projections, name)
 
-        def counted(g, sources, *args, **kwargs):
-            calls.append(tuple(sources))
-            return real(g, sources, *args, **kwargs)
+            def counted(adj, src, *args, real=real):
+                calls.append(src)
+                return real(adj, src, *args)
 
-        monkeypatch.setattr(drisk.projections, "multi_source_distances", counted)
+            monkeypatch.setattr(drisk.projections, name, counted)
         g = corpus.twin_stars(16, 9)
         dom = greedy_ball_cover(g, corpus.twin_star_leaves(16), 1)
         res = closure(g, dom, 6, 1)
         assert res.iterations >= 4
-        # the first sizes come from one search per vertex of dom
-        assert sorted(calls[:len(dom)]) == [(v,) for v in sorted(dom)]
+        # the first sizes come from one search per vertex of dom, in order
+        assert calls[:len(dom)] == sorted(dom)
         # one full rescan per iteration would take about
         # (iterations + 1) * n BFS calls
         assert len(calls) < (res.iterations + 1) * g.n
@@ -654,15 +657,23 @@ class TestMatchesRebuiltRounds:
 
             return search
 
+        # projections' stop searches run from the boundary they stop at
+        real_keys = drisk.projections._boundary_keys
+
+        def recorded_keys(g, cands, bound, *args):
+            if bound and not inside:
+                stops.append(tuple(sorted(bound)))
+            return real_keys(g, cands, bound, *args)
+
         def recorded_find(g, members, closed, r, policy):
             rounds.append((members, closed.closed_set))
             return real_find(g, members, closed, r, policy)
 
         monkeypatch.setattr(drisk.kernel, "closure", counted_closure)
-        for module in (drisk.kernel, drisk.projections):
-            monkeypatch.setattr(
-                module, "multi_source_distances", recorded(module.multi_source_distances)
-            )
+        monkeypatch.setattr(
+            drisk.kernel, "multi_source_distances", recorded(drisk.kernel.multi_source_distances)
+        )
+        monkeypatch.setattr(drisk.projections, "_boundary_keys", recorded_keys)
         monkeypatch.setattr(drisk.kernel, "_find_removable_class", recorded_find)
         got = remove_irrelevant(g, a, k, r)
         return got, closures, rounds, tuple(stops)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 import bruteforce
 import corpus
 import drisk.projections
-from drisk.generators import path_graph, star_graph
+from drisk.generators import bucket_model, grid_graph, path_graph, star_graph
 from drisk.graph import (
     Graph,
     GraphError,
     distances_from,
     induced_subgraph,
-    multi_source_distances,
 )
 from drisk.projections import closure, path_closure, profile_classes
 from drisk.wcol import greedy_ball_cover
@@ -150,23 +149,21 @@ class TestProfileClasses:
         boundary = sorted(data.draw(
             st.sets(st.integers(0, g.n - 1), max_size=8), label="boundary"
         ))
-        bset = set(boundary)
-        cands = [u for u in range(g.n) if u not in bset]
+        cands = [u for u in range(g.n) if u not in set(boundary)]
         r = data.draw(st.integers(0, 4), label="r")
+        profiles = {u: bruteforce.stop_profile(g, u, boundary, r) for u in cands}
         keys = {
-            u: drisk.projections._profile_key(
-                multi_source_distances(g, (u,), r, stop=bset), bset
-            )
+            u: tuple((b, d) for b, d in zip(boundary, profiles[u]) if d != INF)
             for u in cands
         }
-        profiles = {u: bruteforce.stop_profile(g, u, boundary, r) for u in cands}
         assert drisk.projections._profile_groups(cands, keys) == (
             drisk.projections._profile_groups(cands, profiles)
         )
-        for u in cands:
-            assert keys[u] == tuple(
-                (b, d) for b, d in zip(boundary, profiles[u]) if d != INF
-            )
+        # the keys the boundary vertices' searches build
+        inside = drisk.projections._flags(g.n, boundary)
+        assert drisk.projections._boundary_keys(
+            g, cands, boundary, r, inside, [-1] * g.n
+        ) == keys
 
     @settings(max_examples=150)
     @given(st.data())
@@ -244,6 +241,32 @@ class TestClosure:
             for r in (1, 2, 3, 4):
                 for target in (1, 2):
                     assert_projections_are_profiles(g, closure(g, a, r, target), r, name)
+
+
+# The kernel's own inputs to closure on all-member graphs: the half-radius
+# cover at r = 2 grown at radius 4 to target ceil(|x| ** 0.2), where the
+# closure absorbs many vertices, each in first and in reversed ids, since
+# ties break by id.
+DENSE = {
+    "grid16x16": lambda: grid_graph(16, 16),
+    "grid17x11": lambda: grid_graph(17, 11),
+    "bucket200": lambda: bucket_model(200, 3, 1).g,
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["first", "reversed"])
+@pytest.mark.parametrize("name", sorted(DENSE))
+def test_closure_matches_rescan_in_the_dense_regime(name, reverse):
+    g = DENSE[name]()
+    if reverse:
+        flip = g.n - 1
+        g = Graph(g.n, [(flip - u, flip - v) for u, v in g.edges])
+    x = greedy_ball_cover(g, range(g.n), 1)
+    target = math.ceil(len(x) ** 0.2)
+    res = closure(g, x, 4, target)
+    assert res.iterations >= 50, (name, res.iterations)
+    assert res == bruteforce.closure_rescan(g, x, 4, target), name
+    assert_projections_are_profiles(g, res, 4, name)
 
 
 class TestPathClosure:
